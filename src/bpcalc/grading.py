@@ -9,6 +9,12 @@ The module also owns the change of basis between the integral v-generators
 and the rational m-generators (Hazewinkel relations, supported for indices
 1..3), term ideals with their normal-form reduction, and exhaustive
 enumeration of monomials by degree.
+
+The basis change is a linear map applied monomial by monomial by
+``Poly.substitute``.  Each ``Context`` memoizes it in two tables of its own,
+``m_to_v`` and ``v_to_m``, keyed by the trimmed exponent tuple of a source
+monomial and holding the terms dict of its image; they fill lazily, one
+monomial at a time, and are never shared between contexts.
 """
 
 from __future__ import annotations
@@ -169,7 +175,7 @@ class Poly:
     # -- ring operations ----------------------------------------------
 
     def _check(self, other):
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise AlphabetError(
                 f"alphabet mismatch: {self.alphabet.tag} vs {other.alphabet.tag}"
             )
@@ -279,25 +285,24 @@ class Poly:
         """True iff every coefficient has padic_valuation >= 0 at p."""
         return all(padic_valuation(c, p) >= 0 for c in self.terms.values())
 
-    def substitute(self, images: dict, target_alphabet: Alphabet) -> "Poly":
-        """Substitute generator i -> images[i] (a Poly over target_alphabet)."""
-        result = Poly.zero(target_alphabet)
-        power_cache = {}
+    def substitute(self, image, target_alphabet: Alphabet) -> "Poly":
+        """Apply the linear map sending each monomial to a polynomial over
+        target_alphabet.
+
+        ``image(exps)`` returns the terms dict of the image of the monomial
+        with exponent tuple ``exps``; it is only read, never stored, so it may
+        be a memo entry.
+        """
+        terms = {}
+        get = terms.get
         for exps, c in self.terms.items():
-            term = Poly.constant(target_alphabet, c)
-            for i, e in enumerate(exps, start=1):
-                if e == 0:
-                    continue
-                if i not in images:
-                    raise TruncationError(
-                        f"no substitution image for {self.alphabet.name(i)}"
-                    )
-                key = (i, e)
-                if key not in power_cache:
-                    power_cache[key] = images[i] ** e
-                term = term * power_cache[key]
-            result = result + term
-        return result
+            for e, d in image(exps).items():
+                s = get(e, 0) + c * d
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+        return Poly._raw(target_alphabet, {e: _num(s) for e, s in terms.items()})
 
     # -- printing ---------------------------------------------------------
 
@@ -438,9 +443,6 @@ class TermIdeal:
     @classmethod
     def unit(cls, prime):
         return cls([(0, ())], prime)
-
-    def is_zero_ideal(self):
-        return not self.gens
 
     def is_chain(self):
         """True for (0), (p), (p, v_1), ..., i.e. quotient is a domain."""
@@ -612,6 +614,13 @@ class Context:
 
     Owns the three alphabets, the Hazewinkel v<->m relation tables (indices
     1..3) and a cache used by the operation calculus.  q = 2(p-1).
+
+    The basis change is memoized per monomial in two tables owned by the
+    context, ``m_to_v`` and ``v_to_m``.  Each maps the trimmed exponent tuple
+    of a source monomial to the terms dict of its image in the other basis.
+    They start empty and fill lazily, as monomials are converted; so does
+    ``gen_powers``, which maps (target tag, i, e) to the image of the
+    generator power x_i^e that those images are multiplied from.
     """
 
     def __init__(self, prime: int = 7, truncation: int = 4):
@@ -630,6 +639,9 @@ class Context:
         self.cache: dict = {}
         self._v_in_m: dict = {}
         self._m_in_v: dict = {}
+        self.m_to_v: dict = {}
+        self.v_to_m: dict = {}
+        self.gen_powers: dict = {}
 
     def qdeg(self, units: int) -> int:
         """Degree of `units * q`."""
@@ -675,8 +687,7 @@ class Context:
             return x
         if x.alphabet != self.V:
             raise AlphabetError("to_m_basis expects a v-polynomial")
-        images = {i: self.hazewinkel_v_in_m(i) for i in (1, 2, 3)}
-        return x.substitute(images, self.M)
+        return x.substitute(self._v_to_m_image, self.M)
 
     def to_v_basis(self, x: Poly) -> Poly:
         """Rewrite an m-polynomial in the v-basis (indices <= 3)."""
@@ -684,8 +695,34 @@ class Context:
             return x
         if x.alphabet != self.M:
             raise AlphabetError("to_v_basis expects an m-polynomial")
-        images = {i: self.m_in_v(i) for i in (1, 2, 3)}
-        return x.substitute(images, self.V)
+        return x.substitute(self._m_to_v_image, self.V)
+
+    def _v_to_m_image(self, exps) -> dict:
+        return self._monomial_image(
+            exps, self.v_to_m, self.hazewinkel_v_in_m, self.V, self.M
+        )
+
+    def _m_to_v_image(self, exps) -> dict:
+        return self._monomial_image(exps, self.m_to_v, self.m_in_v, self.M, self.V)
+
+    def _monomial_image(self, exps, table, gen, source, target) -> dict:
+        """Memoized terms of the image of one source monomial: the product
+        of the generator images ``gen(i) ** e``.  Callers must not mutate it."""
+        image = table.get(exps)
+        if image is None:
+            prod = Poly.constant(target, 1)
+            for i, e in enumerate(exps, start=1):
+                if e == 0:
+                    continue
+                if i > HAZEWINKEL_MAX_INDEX:
+                    raise TruncationError(f"no substitution image for {source.name(i)}")
+                key = (target.tag, i, e)
+                power = self.gen_powers.get(key)
+                if power is None:
+                    power = self.gen_powers[key] = gen(i) ** e
+                prod = prod * power
+            image = table[exps] = prod.terms
+        return image
 
     # -- convenience ----------------------------------------------------
 
@@ -694,9 +731,6 @@ class Context:
 
     def m(self, i, power=1, coeff=1) -> Poly:
         return Poly.gen(self.M, i, power, coeff)
-
-    def vpoly(self, text: str) -> Poly:
-        return parse_poly(text, self.V)
 
     def ideal(self, *gens) -> TermIdeal:
         """Build a term ideal from (a, exps) pairs."""

@@ -208,15 +208,6 @@ class TPoly:
                 terms[e] = v
         return TPoly._raw(self.ctx, terms)
 
-    def degree_check(self, expected: int):
-        """Every term's coefficient degree + t-degree must equal expected."""
-        for e, c in self.terms.items():
-            d = c.degree() + self.ctx.T.degree_of(e)
-            if d != expected:
-                raise DegreeError(
-                    f"term t^{e} has total degree {d}, expected {expected}"
-                )
-
     def __str__(self):
         if not self.terms:
             return "0"
