@@ -4,7 +4,7 @@ localization of finitely generated abelian groups."""
 
 __version__ = "0.1.0"
 
-from .arith import PLocalNumber, multinomial_coefficient, padic_valuation  # noqa: F401
+from .arith import padic_valuation  # noqa: F401
 from .grading import (  # noqa: F401
     Alphabet,
     Context,

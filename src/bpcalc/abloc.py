@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import is_prime
+from .arith import is_prime, padic_valuation
 from .errors import ParseError
 from .report import Report
 
@@ -156,6 +156,8 @@ def parse_group(text: str) -> FGAbelianGroup:
             continue
         m = re.fullmatch(r"Z/(\d+)", chunk)
         if m:
+            if int(m.group(1)) == 0:
+                raise ParseError(f"bad group literal chunk {chunk!r}: order 0")
             torsion.append(int(m.group(1)))
             continue
         raise ParseError(f"bad group literal chunk {chunk!r}")
@@ -408,12 +410,12 @@ def _rank_window_check(P1, sample2):
             for num in range(-12, 13):
                 x = Fraction(num, den) if den else Fraction(num)
                 in_r1 = all(
-                    _val(x, p) >= 0 for p in sample2
+                    padic_valuation(x, p) >= 0 for p in sample2
                 )  # Z[P1^-1] constrains non-P1 primes
-                in_r2 = all(_val(x, p) >= 0 for p in P1)
+                in_r2 = all(padic_valuation(x, p) >= 0 for p in P1)
                 if in_r1 and in_r2:
                     if x.denominator != 1 and any(
-                        _val(x, p) < 0 for p in list(P1) + sample2
+                        padic_valuation(x, p) < 0 for p in list(P1) + sample2
                     ):
                         return False, f"{x} claims membership in both rings"
                 # decomposition x = a + b with a in Z[P1^-1], b in Z[P2^-1]
@@ -436,18 +438,6 @@ def _egcd(a, b):
     return g, y, x - (a // b) * y
 
 
-def _val(x: Fraction, p: int) -> int:
-    v = 0
-    num, den = x.numerator, x.denominator
-    if num == 0:
-        return 10**9
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact arithmetic kernel: valuations, p-local rationals, combinatorial helpers.
+"""Exact arithmetic kernel: primality and p-adic valuations.
 
 Integers are Python's arbitrary-precision ``int``; rationals are
 ``fractions.Fraction`` (always stored reduced, denominator positive).
@@ -8,10 +8,7 @@ Everything here is a pure value; no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
-from .errors import ParseError
 
 #: Valuation assigned to zero.
 INFINITY = math.inf
@@ -72,88 +69,3 @@ def padic_valuation(x, p: int):
         den //= p
         v -= 1
     return v
-
-
-def multinomial_coefficient(i: int, j: int) -> int:
-    """The exact value (i+j)!/(i!*j!)."""
-    if i < 0 or j < 0:
-        raise ValueError("multinomial_coefficient needs nonnegative arguments")
-    return math.comb(i + j, i)
-
-
-def parse_number(text: str) -> Fraction:
-    """Parse ``a/b`` or decimal notation into an exact Fraction."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad number literal {text!r}: {exc}") from exc
-
-
-def format_number(x) -> str:
-    """Print an int or Fraction in the ``a/b`` grammar (ints stay bare)."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-@dataclass(frozen=True)
-class PLocalNumber:
-    """An element of Z_(p): a rational whose denominator is prime to p."""
-
-    value: Fraction
-    prime: int
-
-    def __post_init__(self):
-        if not is_prime(self.prime):
-            raise ValueError(f"prime must be prime, got {self.prime}")
-        object.__setattr__(self, "value", Fraction(self.value))
-        if self.value.denominator % self.prime == 0:
-            raise ValueError(
-                f"{self.value} is not p-local at p={self.prime}: "
-                "denominator divisible by p"
-            )
-
-    def valuation(self):
-        return padic_valuation(self.value, self.prime)
-
-    def _coerce(self, other) -> Fraction:
-        if isinstance(other, PLocalNumber):
-            if other.prime != self.prime:
-                raise ValueError("prime mismatch")
-            return other.value
-        return Fraction(other)
-
-    def __add__(self, other):
-        return PLocalNumber(self.value + self._coerce(other), self.prime)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PLocalNumber(-self.value, self.prime)
-
-    def __sub__(self, other):
-        return PLocalNumber(self.value - self._coerce(other), self.prime)
-
-    def __mul__(self, other):
-        return PLocalNumber(self.value * self._coerce(other), self.prime)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        divisor = self._coerce(other)
-        if divisor == 0:
-            raise ZeroDivisionError("division by zero")
-        if padic_valuation(divisor, self.prime) > 0:
-            raise ValueError(
-                f"division by {divisor}: positive valuation at p={self.prime} "
-                "leaves Z_(p)"
-            )
-        return PLocalNumber(self.value / divisor, self.prime)
-
-    @classmethod
-    def parse(cls, text: str, p: int) -> "PLocalNumber":
-        return cls(parse_number(text), p)
-
-    def __str__(self):
-        return format_number(self.value)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, abloc, catfrac, hopf, opcalc
+from .arith import is_prime
 from .errors import BPCalcError, ParseError, TruncationError
 from .grading import Context, format_poly, parse_poly
 from .hopf import OperationExpr
@@ -53,8 +54,8 @@ class Config:
     timing: bool = True
 
     def __post_init__(self):
-        if self.prime == 2 or self.prime < 2:
-            raise ValueError("prime must be an odd prime")
+        if not is_prime(self.prime) or self.prime == 2:
+            raise ValueError(f"prime must be an odd prime, got {self.prime}")
         if self.truncation < 3:
             raise ValueError("truncation must be >= 3 for the pipelines")
         if self.format not in ("text", "json"):

@@ -5,6 +5,24 @@ exact rationals; polynomials are stored as ``{exponent tuple: coefficient}``
 with no zero entries and trailing zeros trimmed from exponent tuples.
 All values are immutable by convention and safe to share between threads.
 
+Every sparse algebra of the package -- ``Poly`` here, and in ``hopf`` the
+co-operations ``TPoly``, the tensor square ``TensorPoly`` and the operation
+combinations ``OperationCombo`` -- runs on one kernel: ``Sparse`` holds a
+terms dict ``{key: nonzero coefficient}`` and implements sum, difference,
+negation, scaling and ``map_coeffs``; ``SparseRing`` adds the product and
+powers.  ``add_term`` is the accumulate step that keeps a terms dict free
+of zeros (the product loop inlines it).  A subclass supplies only what
+differs:
+
+* ``_like(terms)``: a value of its own kind over the same alphabet or
+  context;
+* ``_one()``: the unit (rings only);
+* ``_add_keys``: the product-key rule, ``add_exps`` unless overridden
+  (``TensorPoly`` adds ``(left, right)`` pairs side by side);
+* ``_scalars``: the types that multiply by scaling;
+* ``_operand`` and ``_product``: here ``Poly`` coerces int/Fraction
+  operands, checks alphabets and checks products against the truncation.
+
 The module also owns the change of basis between the integral v-generators
 and the rational m-generators (Hazewinkel relations, supported for indices
 1..3), term ideals with their normal-form reduction, and exhaustive
@@ -37,7 +55,7 @@ HAZEWINKEL_MAX_INDEX = 3  # the v <-> m relation table stops at v3
 
 def _num(x):
     """Normalize a coefficient: plain int when the denominator is 1."""
-    if isinstance(x, Fraction) and x.denominator == 1:
+    if x.__class__ is Fraction and x.denominator == 1:
         return x.numerator
     return x
 
@@ -123,10 +141,130 @@ class Monomial:
         return "*".join(parts)
 
 
-class Poly:
+def add_term(terms: dict, key, c) -> None:
+    """Add the coefficient c into ``terms[key]``, deleting the entry when the
+    sum is zero, so a terms dict never holds a zero coefficient."""
+    prev = terms.get(key)
+    if prev is not None:
+        c = prev + c
+    if c:
+        terms[key] = _num(c)
+    else:
+        terms.pop(key, None)
+
+
+class Sparse:
+    """Finite mapping key -> nonzero coefficient with the operations of a
+    module; the module docstring lists the hooks a subclass supplies."""
+
+    __slots__ = ("terms",)
+
+    def _operand(self, other):
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
+        return other
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, c in self._operand(other).terms.items():
+            add_term(terms, k, c)
+        return self._like(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._operand(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, s):
+        """Multiply every coefficient by s."""
+        terms = {}
+        for k, c in self.terms.items():
+            c = c * s
+            if c:
+                terms[k] = _num(c)
+        return self._like(terms)
+
+    def map_coeffs(self, fn):
+        """Apply fn to every coefficient, dropping the zeros it produces."""
+        terms = {}
+        for k, c in self.terms.items():
+            c = fn(c)
+            if c:
+                terms[k] = c
+        return self._like(terms)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+
+class SparseRing(Sparse):
+    """A Sparse with a commutative product: coefficients multiply and keys
+    combine by ``_add_keys``.  Coefficients must form a domain, so the
+    product of two nonzero terms is never zero."""
+
+    __slots__ = ()
+
+    _scalars = (int, Fraction)
+    _add_keys = staticmethod(add_exps)
+
+    def _product(self, terms):
+        return self._like(terms)
+
+    def __mul__(self, other):
+        # The exact-type test spares the common case an isinstance check
+        # against Fraction, which goes through ABCMeta.
+        if other.__class__ is not self.__class__ and isinstance(other, self._scalars):
+            return self.scale(other)
+        other = self._operand(other)
+        add_keys = self._add_keys
+        terms = {}
+        get = terms.get
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = add_keys(k1, k2)
+                c = c1 * c2
+                prev = get(k)
+                if prev is None:
+                    terms[k] = c
+                else:
+                    c = prev + c
+                    if c:
+                        terms[k] = c
+                    else:
+                        del terms[k]
+        return self._product(terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        result = self._one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+
+class Poly(SparseRing):
     """Sparse polynomial: finite mapping exponent-tuple -> rational, one alphabet."""
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ("alphabet",)
 
     def __init__(self, alphabet: Alphabet, terms=None):
         self.alphabet = alphabet
@@ -137,13 +275,7 @@ class Poly:
                 raise TruncationError(
                     f"term uses index {len(exps)} beyond N={alphabet.size}"
                 )
-            if not isinstance(c, (int, Fraction)):
-                c = Fraction(c)
-            s = clean.get(exps, 0) + c
-            if s:
-                clean[exps] = _num(s)
-            else:
-                clean.pop(exps, None)
+            add_term(clean, exps, c if isinstance(c, (int, Fraction)) else Fraction(c))
         self.terms = clean
 
     @classmethod
@@ -172,75 +304,27 @@ class Poly:
         exps = (0,) * (i - 1) + (power,)
         return cls._raw(alphabet, {exps: _num(coeff)})
 
-    # -- ring operations ----------------------------------------------
+    # -- kernel hooks -------------------------------------------------
 
-    def _check(self, other):
+    def _like(self, terms):
+        return Poly._raw(self.alphabet, terms)
+
+    def _one(self):
+        return Poly.constant(self.alphabet, 1)
+
+    def _operand(self, other):
+        if other.__class__ is not Poly and isinstance(other, (int, Fraction)):
+            return Poly.constant(self.alphabet, other)
         if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise AlphabetError(
                 f"alphabet mismatch: {self.alphabet.tag} vs {other.alphabet.tag}"
             )
+        return other
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.alphabet, other)
-        self._check(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, 0) + c
-            if s:
-                terms[exps] = _num(s)
-            else:
-                terms.pop(exps, None)
-        return Poly._raw(self.alphabet, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly._raw(self.alphabet, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.alphabet, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly.zero(self.alphabet)
-            return Poly._raw(
-                self.alphabet, {e: _num(c * other) for e, c in self.terms.items()}
-            )
-        self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = add_exps(e1, e2)
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = _num(s)
-                else:
-                    terms.pop(e, None)
+    def _product(self, terms):
         if any(len(e) > self.alphabet.size for e in terms):
             raise TruncationError("product exceeds alphabet truncation")
-        return Poly._raw(self.alphabet, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = Poly.constant(self.alphabet, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return Poly._raw(self.alphabet, {e: _num(c) for e, c in terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -251,16 +335,10 @@ class Poly:
             and self.terms == other.terms
         )
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __hash__(self):
         return hash((self.alphabet, frozenset(self.terms.items())))
 
     # -- queries --------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def monomials(self):
         return [Monomial(self.alphabet, e) for e in sorted(self.terms)]
@@ -341,31 +419,30 @@ def format_poly(poly: Poly) -> str:
 
 
 _FACTOR_RE = re.compile(r"^([vmt])(\d+)(?:\^(\d+))?$")
+_COEF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 
 
-def parse_poly(text: str, alphabet: Alphabet) -> Poly:
-    """Parse ``term (('+'|'-') term)*`` with ``term := [coef '*'] gens``.
-
-    ``coef := int | int '/' int``; a bare coefficient is a constant term;
-    a bare generator product has coefficient 1.
-    """
+def split_signed_terms(text: str):
+    """Split a sum on top-level +/- (outside parentheses) into
+    ``[(sign, chunk), ...]``; an empty chunk is a dangling sign."""
+    terms = []
+    sign, buf, depth = 1, [], 0
     s = text.strip()
-    if not s:
-        raise ParseError("empty polynomial literal")
-    # tokenize into signed chunks
-    chunks = []
-    sign, buf = 1, []
     i = 0
-    if s[0] in "+-":
+    if s and s[0] in "+-":
         sign = -1 if s[0] == "-" else 1
         i = 1
     while i < len(s):
         ch = s[i]
-        if ch in "+-":
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch in "+-" and depth == 0:
             chunk = "".join(buf).strip()
             if not chunk:
                 raise ParseError(f"dangling sign in {text!r}")
-            chunks.append((sign, chunk))
+            terms.append((sign, chunk))
             sign = -1 if ch == "-" else 1
             buf = []
         else:
@@ -374,10 +451,20 @@ def parse_poly(text: str, alphabet: Alphabet) -> Poly:
     chunk = "".join(buf).strip()
     if not chunk:
         raise ParseError(f"dangling sign in {text!r}")
-    chunks.append((sign, chunk))
+    terms.append((sign, chunk))
+    return terms
 
+
+def parse_poly(text: str, alphabet: Alphabet) -> Poly:
+    """Parse ``term (('+'|'-') term)*`` with ``term := [coef '*'] gens``.
+
+    ``coef := int | int '/' int``; a bare coefficient is a constant term;
+    a bare generator product has coefficient 1.
+    """
+    if not text.strip():
+        raise ParseError("empty polynomial literal")
     terms = {}
-    for sgn, chunk in chunks:
+    for sgn, chunk in split_signed_terms(text):
         coeff = Fraction(sgn)
         exps = [0] * alphabet.size
         for factor in chunk.split("*"):
@@ -396,13 +483,12 @@ def parse_poly(text: str, alphabet: Alphabet) -> Poly:
                         f"{factor!r} outside truncation N={alphabet.size}"
                     )
                 exps[idx - 1] += power
-            else:
-                try:
-                    coeff *= Fraction(factor)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ParseError(f"bad factor {factor!r} in {text!r}") from exc
-        key = _trim(exps)
-        terms[key] = terms.get(key, 0) + coeff
+                continue
+            m = _COEF_RE.match(factor)
+            if not m or m.group(2) and int(m.group(2)) == 0:
+                raise ParseError(f"bad factor {factor!r} in {text!r}")
+            coeff *= Fraction(int(m.group(1)), int(m.group(2) or 1))
+        add_term(terms, _trim(exps), coeff)
     return Poly(alphabet, terms)
 
 

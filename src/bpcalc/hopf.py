@@ -26,7 +26,7 @@ cross-check.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
 
@@ -34,11 +34,15 @@ from .errors import AlphabetError, DegreeError, ParseError, TruncationError
 from .grading import (
     Context,
     Poly,
+    Sparse,
+    SparseRing,
+    _trim,
     add_exps,
+    add_term,
     exps_divides,
     format_poly,
     monomials_up_to,
-    _trim,
+    split_signed_terms,
 )
 from .report import Report
 
@@ -71,26 +75,26 @@ def format_word(word) -> str:
 # ---------------------------------------------------------------------------
 
 
-class TPoly:
+def _coeff_alphabet(x):
+    """The alphabet of x's coefficients: the v-alphabet when x is zero."""
+    return next(iter(x.terms.values())).alphabet if x.terms else x.ctx.V
+
+
+class TPoly(SparseRing):
     """Element of BP_*(BP): finite mapping t-monomial -> left coefficient."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx",)
+    _scalars = (int, Fraction, Poly)
 
     def __init__(self, ctx: Context, terms=None):
         self.ctx = ctx
         clean = {}
         for exps, c in (terms or {}).items():
-            exps = _trim(exps)
-            if not isinstance(c, Poly):
-                c = Poly.constant(ctx.V, c)
-            if c.is_zero():
-                continue
-            prev = clean.get(exps)
-            c = prev + c if prev is not None else c
-            if c.is_zero():
-                clean.pop(exps, None)
-            else:
-                clean[exps] = c
+            add_term(
+                clean,
+                _trim(exps),
+                c if isinstance(c, Poly) else Poly.constant(ctx.V, c),
+            )
         self.terms = clean
 
     @classmethod
@@ -98,6 +102,12 @@ class TPoly:
         out = cls.__new__(cls)
         out.ctx, out.terms = ctx, terms
         return out
+
+    def _like(self, terms):
+        return TPoly._raw(self.ctx, terms)
+
+    def _one(self):
+        return TPoly.unit(self.ctx, _coeff_alphabet(self))
 
     @classmethod
     def zero(cls, ctx):
@@ -128,67 +138,8 @@ class TPoly:
         return cls._raw(ctx, {exps: coeff})
 
     def coeff(self, exps) -> Poly:
-        exps = _trim(exps)
-        got = self.terms.get(exps)
-        if got is not None:
-            return got
-        alph = next(iter(self.terms.values())).alphabet if self.terms else self.ctx.V
-        return Poly.zero(alph)
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return TPoly._raw(self.ctx, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        """Multiply every left coefficient by a scalar or coefficient Poly."""
-        terms = {}
-        for e, coeff in self.terms.items():
-            s = coeff * c
-            if not s.is_zero():
-                terms[e] = s
-        return TPoly._raw(self.ctx, terms)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return self.scale(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = add_exps(e1, e2)
-                c = c1 * c2
-                prev = terms.get(e)
-                c = c if prev is None else prev + c
-                if c.is_zero():
-                    terms.pop(e, None)
-                else:
-                    terms[e] = c
-        return TPoly._raw(self.ctx, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        result = TPoly.unit(
-            self.ctx,
-            next(iter(self.terms.values())).alphabet if self.terms else None,
-        )
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        got = self.terms.get(_trim(exps))
+        return got if got is not None else Poly.zero(_coeff_alphabet(self))
 
     def __eq__(self, other):
         return (
@@ -196,17 +147,6 @@ class TPoly:
             and self.ctx.prime == other.ctx.prime
             and self.terms == other.terms
         )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def map_coeffs(self, fn):
-        terms = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero():
-                terms[e] = v
-        return TPoly._raw(self.ctx, terms)
 
     def __str__(self):
         if not self.terms:
@@ -250,26 +190,31 @@ def _join_signed(parts):
     return " ".join(chunks)
 
 
-class TensorPoly:
-    """Element of BP_*(BP) (x) BP_*(BP), coefficients on the left factor."""
+def _add_exp_pairs(k1, k2) -> tuple:
+    """Product key rule of the tensor square: add left and right exponents."""
+    return (add_exps(k1[0], k2[0]), add_exps(k1[1], k2[1]))
 
-    __slots__ = ("ctx", "terms")
+
+class TensorPoly(SparseRing):
+    """Element of BP_*(BP) (x) BP_*(BP), coefficients on the left factor.
+
+    Keyed by (left exponents, right exponents).  A sibling of TPoly, not a
+    subclass, so the two never multiply into each other by accident.
+    """
+
+    __slots__ = ("ctx",)
+    _scalars = (int, Fraction, Poly)
+    _add_keys = staticmethod(_add_exp_pairs)
 
     def __init__(self, ctx: Context, terms=None):
         self.ctx = ctx
         clean = {}
-        for key, c in (terms or {}).items():
-            key = (_trim(key[0]), _trim(key[1]))
-            if not isinstance(c, Poly):
-                c = Poly.constant(ctx.V, c)
-            if c.is_zero():
-                continue
-            prev = clean.get(key)
-            c = prev + c if prev is not None else c
-            if c.is_zero():
-                clean.pop(key, None)
-            else:
-                clean[key] = c
+        for (le, re_), c in (terms or {}).items():
+            add_term(
+                clean,
+                (_trim(le), _trim(re_)),
+                c if isinstance(c, Poly) else Poly.constant(ctx.V, c),
+            )
         self.terms = clean
 
     @classmethod
@@ -277,6 +222,12 @@ class TensorPoly:
         out = cls.__new__(cls)
         out.ctx, out.terms = ctx, terms
         return out
+
+    def _like(self, terms):
+        return TensorPoly._raw(self.ctx, terms)
+
+    def _one(self):
+        return TensorPoly.unit(self.ctx, _coeff_alphabet(self))
 
     @classmethod
     def unit(cls, ctx, coeff_alphabet=None):
@@ -292,78 +243,10 @@ class TensorPoly:
 
     def coeff(self, left_exps, right_exps) -> Poly:
         got = self.terms.get((_trim(left_exps), _trim(right_exps)))
-        if got is not None:
-            return got
-        alph = next(iter(self.terms.values())).alphabet if self.terms else self.ctx.V
-        return Poly.zero(alph)
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        return TensorPoly._raw(self.ctx, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        terms = {}
-        for k, coeff in self.terms.items():
-            s = coeff * c
-            if not s.is_zero():
-                terms[k] = s
-        return TensorPoly._raw(self.ctx, terms)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return self.scale(other)
-        terms = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                k = (add_exps(l1, l2), add_exps(r1, r2))
-                c = c1 * c2
-                prev = terms.get(k)
-                c = c if prev is None else prev + c
-                if c.is_zero():
-                    terms.pop(k, None)
-                else:
-                    terms[k] = c
-        return TensorPoly._raw(self.ctx, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        result = TensorPoly.unit(
-            self.ctx,
-            next(iter(self.terms.values())).alphabet if self.terms else None,
-        )
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return got if got is not None else Poly.zero(_coeff_alphabet(self))
 
     def __eq__(self, other):
         return isinstance(other, TensorPoly) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def map_coeffs(self, fn):
-        terms = {}
-        for k, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero():
-                terms[k] = v
-        return TensorPoly._raw(self.ctx, terms)
 
     def __str__(self):
         if not self.terms:
@@ -385,38 +268,6 @@ class TensorPoly:
                 cs = f"({cs})" if " " in cs else cs
                 parts.append(f"{cs}*{body}")
         return _join_signed(parts)
-
-
-def _split_signed_terms(text: str):
-    """Split a sum on top-level +/- (outside parentheses)."""
-    terms = []
-    sign, buf, depth = 1, [], 0
-    s = text.strip()
-    i = 0
-    if s and s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0:
-            chunk = "".join(buf).strip()
-            if not chunk:
-                raise ParseError(f"dangling sign in {text!r}")
-            terms.append((sign, chunk))
-            sign = -1 if ch == "-" else 1
-            buf = []
-        else:
-            buf.append(ch)
-        i += 1
-    chunk = "".join(buf).strip()
-    if not chunk:
-        raise ParseError(f"dangling sign in {text!r}")
-    terms.append((sign, chunk))
-    return terms
 
 
 def _parse_coeff_and_tmono(chunk: str, ctx: Context):
@@ -459,7 +310,7 @@ def _parse_coeff_and_tmono(chunk: str, ctx: Context):
 def parse_tpoly(text: str, ctx: Context) -> TPoly:
     """Parse a co-operation literal, e.g. ``v3*t2 + t1^2 - 7*t1``."""
     out = TPoly.zero(ctx)
-    for sign, chunk in _split_signed_terms(text):
+    for sign, chunk in split_signed_terms(text):
         coeff, exps = _parse_coeff_and_tmono(chunk, ctx)
         out = out + TPoly.monomial(ctx, exps, coeff=coeff * sign)
     return out
@@ -468,7 +319,7 @@ def parse_tpoly(text: str, ctx: Context) -> TPoly:
 def parse_tensor(text: str, ctx: Context) -> TensorPoly:
     """Parse a tensor literal, e.g. ``t1^2(x)t2 + (-v1)*t1(x)t1^4``."""
     out = TensorPoly._raw(ctx, {})
-    for sign, chunk in _split_signed_terms(text):
+    for sign, chunk in split_signed_terms(text):
         if "(x)" not in chunk:
             raise ParseError(f"tensor term {chunk!r} lacks an (x) separator")
         left, right = chunk.split("(x)", 1)
@@ -505,9 +356,7 @@ def _psi_t_rational(ctx: Context, k: int) -> TensorPoly:
             left = (0,) * (i - 1) + (p**h,) if i else ()
             right = (0,) * (j - 1) + (p ** (h + i),) if j else ()
             coeff = Poly.gen(ctx.M, h) if h else Poly.constant(ctx.M, 1)
-            keyt = (left, right)
-            prev = acc.get(keyt)
-            acc[keyt] = coeff if prev is None else prev + coeff
+            add_term(acc, (left, right), coeff)
     rhs = TensorPoly._raw(ctx, acc)
     for i in range(1, k):
         sub = _psi_t_rational(ctx, k - i) ** (p**i)
@@ -534,15 +383,13 @@ def psi_t(ctx: Context, k: int) -> TensorPoly:
         d = c.degree() + ctx.T.degree_of(le) + ctx.T.degree_of(re)
         if d != ctx.T.gen_degree(k):
             raise DegreeError(f"psi t_{k}: degree drift at {(le, re)}")
+    expect = {(0,) * (k - 1) + (1,): Poly.constant(ctx.V, 1)}
     for side in (0, 1):
         edge = {}
-        for (le, re), c in result.terms.items():
-            if (le, re)[1 - side] == ():
-                e = (le, re)[side]
-                edge[e] = edge.get(e, Poly.zero(ctx.V)) + c
-        expect = (0,) * (k - 1) + (1,)
-        edge = {e: c for e, c in edge.items() if not c.is_zero()}
-        if edge != {expect: Poly.constant(ctx.V, 1)}:
+        for sides, c in result.terms.items():
+            if sides[1 - side] == ():
+                add_term(edge, sides[side], c)
+        if edge != expect:
             raise ValueError(f"psi t_{k}: counit check failed on side {side}")
     ctx.cache[key] = result
     return result
@@ -586,25 +433,14 @@ def coassociativity_check(ctx: Context, k: int) -> bool:
     triple_r: dict = {}
     for (le, re), c in psi_t(ctx, k).terms.items():
         for (a, b), d in psi_monomial(ctx, le).terms.items():
-            key = (a, b, re)
-            v = c * d
-            prev = triple_l.get(key)
-            triple_l[key] = v if prev is None else prev + v
+            add_term(triple_l, (a, b, re), c * d)
         for (a, b), d in psi_monomial(ctx, re).terms.items():
             # c * t^le (x) d * t^a (x) t^b  ==  c * (t^le . eta_R(d)) (x) t^a (x) t^b
             if d.terms.keys() == {()}:
-                key = (le, a, b)
-                v = c * d
-                prev = triple_r.get(key)
-                triple_r[key] = v if prev is None else prev + v
+                add_term(triple_r, (le, a, b), c * d)
             else:
                 for u, e in _eta_r_cached(ctx, d).terms.items():
-                    key = (add_exps(le, u), a, b)
-                    v = c * e
-                    prev = triple_r.get(key)
-                    triple_r[key] = v if prev is None else prev + v
-    triple_l = {k2: v for k2, v in triple_l.items() if not v.is_zero()}
-    triple_r = {k2: v for k2, v in triple_r.items() if not v.is_zero()}
+                    add_term(triple_r, (add_exps(le, u), a, b), c * e)
     return triple_l == triple_r
 
 
@@ -703,14 +539,7 @@ def _mono_action_table(ctx: Context, exps) -> dict:
         table = {}
         for idx_l, val_l in _factor_actions(ctx, i):
             for idx_r, val_r in rest_table.items():
-                idx = add_exps(idx_l, idx_r)
-                v = val_l * val_r
-                prev = table.get(idx)
-                v = v if prev is None else prev + v
-                if v.is_zero():
-                    table.pop(idx, None)
-                else:
-                    table[idx] = v
+                add_term(table, add_exps(idx_l, idx_r), val_l * val_r)
     ctx.cache[key] = table
     return table
 
@@ -721,14 +550,9 @@ def r_action_table(ctx: Context, x: Poly) -> dict:
     acc = {}
     for exps, c in xm.terms.items():
         for idx, val in _mono_action_table(ctx, exps).items():
-            v = val * c
-            prev = acc.get(idx)
-            v = v if prev is None else prev + v
-            acc[idx] = v
+            add_term(acc, idx, val * c)
     out = {}
     for idx, val in acc.items():
-        if val.is_zero():
-            continue
         v = ctx.to_v_basis(val)
         if v.is_zero():
             continue
@@ -772,23 +596,27 @@ def r_action_word(ctx: Context, word, x: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OperationCombo:
-    """Finite left-coefficient combination of dual operations R_I."""
+class OperationCombo(Sparse):
+    """Finite left-coefficient combination of dual operations R_I:
+    index -> coefficient Poly over V.  ``window`` is the pairing window
+    (homotopy degree) when the combination was expanded in one."""
 
-    ctx: Context
-    terms: dict = field(default_factory=dict)  # index -> Poly over V
-    window: int | None = None  # pairing window (homotopy degree) if windowed
+    __slots__ = ("ctx", "window")
 
-    def __post_init__(self):
+    def __init__(self, ctx: Context, terms=None, window: int | None = None):
+        self.ctx = ctx
+        self.window = window
         clean = {}
-        for idx, c in self.terms.items():
-            idx = _trim(tuple(idx))
-            if not isinstance(c, Poly):
-                c = Poly.constant(self.ctx.V, c)
-            if not c.is_zero():
-                clean[idx] = c
+        for idx, c in (terms or {}).items():
+            add_term(
+                clean,
+                _trim(tuple(idx)),
+                c if isinstance(c, Poly) else Poly.constant(ctx.V, c),
+            )
         self.terms = clean
+
+    def _like(self, terms):
+        return OperationCombo(self.ctx, terms)
 
     @classmethod
     def basis(cls, ctx, *index):
@@ -805,25 +633,6 @@ class OperationCombo:
         if len(degs) > 1:
             raise DegreeError(f"mixed operation degrees {sorted(degs)}")
         return degs.pop()
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for i, c in other.terms.items():
-            s = terms.get(i)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(i, None)
-            else:
-                terms[i] = s
-        return OperationCombo(self.ctx, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return OperationCombo(
-            self.ctx, {i: coeff * c for i, coeff in self.terms.items()}
-        )
 
     def __eq__(self, other):
         return isinstance(other, OperationCombo) and self.terms == other.terms
@@ -883,21 +692,14 @@ def compose_pair(a: OperationCombo, b: OperationCombo, x: TPoly) -> Poly:
         if bre is None or bre.is_zero():
             continue
         if bre.terms.keys() == {()}:  # scalar inner value: no crossing
-            v = c * bre
-            prev = carried.get(le)
-            v = v if prev is None else prev + v
-            carried[le] = v
+            add_term(carried, le, c * bre)
             continue
         for u, d in _eta_r_cached(ctx, bre).terms.items():
-            e2 = add_exps(le, u)
-            v = c * d
-            prev = carried.get(e2)
-            v = v if prev is None else prev + v
-            carried[e2] = v
+            add_term(carried, add_exps(le, u), c * d)
     out = Poly.zero(ctx.V)
     for idx, c in a.terms.items():
         got = carried.get(idx)
-        if got is not None and not got.is_zero():
+        if got is not None:
             out = out + c * got
     return out
 

@@ -4,15 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bpcalc.arith import (
-    INFINITY,
-    PLocalNumber,
-    format_number,
-    is_prime,
-    multinomial_coefficient,
-    padic_valuation,
-    parse_number,
-)
+from bpcalc.arith import INFINITY, is_prime, padic_valuation
 
 
 def test_bigint_contract():
@@ -61,66 +53,3 @@ def test_valuation_additive_and_ultrametric(x, y, p):
         assert padic_valuation(x + y, p) >= min(
             padic_valuation(x, p), padic_valuation(y, p)
         )
-
-
-def test_multinomial_examples():
-    assert multinomial_coefficient(1, 6) == 7
-    assert multinomial_coefficient(0, 11) == 1
-    # binom(p^2, p) has p-valuation 1 (one carry when adding p and p^2-p in base p)
-    for p in (5, 7):
-        value = multinomial_coefficient(p, p * p - p)
-        oracle = math.factorial(p * p) // (math.factorial(p) * math.factorial(p * p - p))
-        assert value == oracle
-        assert padic_valuation(value, p) == 1
-
-
-def test_multinomial_rejects_negative():
-    with pytest.raises(ValueError):
-        multinomial_coefficient(-1, 2)
-
-
-def test_plocal_construction_and_parse():
-    x = PLocalNumber(Fraction(3, 5), 7)
-    assert x.valuation() == 0
-    assert str(x) == "3/5"
-    assert PLocalNumber.parse("14/5", 7).valuation() == 1
-    with pytest.raises(ValueError):
-        PLocalNumber(Fraction(1, 7), 7)
-    with pytest.raises(ValueError):
-        PLocalNumber(Fraction(1, 2), 10)
-
-
-def test_plocal_closure_and_division_guard():
-    p = 7
-    a = PLocalNumber(Fraction(3, 5), p)
-    b = PLocalNumber(Fraction(14, 3), p)
-    assert (a + b).value == Fraction(3, 5) + Fraction(14, 3)
-    assert (a * b).value == Fraction(14, 5)
-    # division by a valuation-0 element stays in Z_(p)
-    assert (b / a).value == Fraction(14, 3) / Fraction(3, 5)
-    # division by positive valuation must raise
-    with pytest.raises(ValueError):
-        a / b
-    with pytest.raises(ZeroDivisionError):
-        a / 0
-
-
-@given(
-    st.fractions(max_denominator=3**8),
-    st.fractions(max_denominator=3**8),
-)
-def test_plocal_ops_stay_reduced(x, y):
-    p = 7
-    if x.denominator % p == 0 or y.denominator % p == 0:
-        return
-    a, b = PLocalNumber(x, p), PLocalNumber(y, p)
-    for r in (a + b, a * b, a - b):
-        assert math.gcd(r.value.numerator, r.value.denominator) == 1
-        assert r.value.denominator > 0
-        assert r.value.denominator % p != 0
-
-
-def test_number_parse_print_roundtrip():
-    for s in ("3/4", "-7", "0", "22/7"):
-        assert format_number(parse_number(s)) == s
-    assert parse_number("1.5") == Fraction(3, 2)

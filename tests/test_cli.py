@@ -126,6 +126,23 @@ def test_exit_codes():
         main(["verify", "bogus"])  # argparse rejects unknown choices
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lemma7.1", "--prime", "9"],
+        ["eval", "R[1]", "v1", "--prime", "9"],
+        ["eval", "R[1]", "0.5*v1", "--prime", "5"],
+        ["localize-group", "Z/0", "--invert", "2"],
+    ],
+)
+def test_bad_input_exits_usage_with_one_line_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_env_override(monkeypatch, capsys):
     monkeypatch.setenv("BPCALC_PRIME", "5")
     parser = cli.build_parser()

@@ -238,6 +238,10 @@ def test_poly_parse_print_roundtrip(ctx7):
         parse_poly("v1 + + v2", ctx7.V)
     with pytest.raises(ParseError):
         parse_poly("x1", ctx7.V)
+    # coef := int | int '/' int; nothing else that Fraction() would accept
+    for text in ("0.5*v1", "1e3*v1", "1_0*v1", "2/0*v1", "(3)*v1", "3/-4*v1"):
+        with pytest.raises(ParseError):
+            parse_poly(text, ctx7.V)
     with pytest.raises(TruncationError):
         parse_poly("v9", ctx7.V)
 
