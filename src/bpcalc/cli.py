@@ -1,8 +1,9 @@
 """Command-line surface: verification pipelines, operation evaluation,
 group localization, and finite-category checks.
 
-Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error,
-3 truncation exceeded.  Reports are deterministic; wall-clock timings sit
+Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error
+(or a pipeline precondition the configuration fails), 3 truncation
+exceeded.  Reports are deterministic; wall-clock timings sit
 in dedicated fields that byte-level comparisons strip (``--no-timing``
 zeroes them).
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__, abloc, catfrac, hopf, opcalc
 from .arith import is_prime
-from .errors import BPCalcError, ParseError, TruncationError
+from .errors import BPCalcError, ParseError, PreconditionError, TruncationError
 from .grading import Context, format_poly, parse_poly
 from .hopf import OperationExpr
 from .report import Report
@@ -225,8 +226,15 @@ def parse_inverted(spec: str) -> abloc.InvertedSet:
     if spec.startswith("not "):
         complement = True
         spec = spec[4:]
-    primes = frozenset(int(tok) for tok in spec.split(",") if tok.strip())
-    return abloc.InvertedSet(primes, complement=complement)
+    primes = set()
+    for tok in spec.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        if not re.fullmatch(r"[0-9]+", tok) or not is_prime(int(tok)):
+            raise ParseError(f"bad --invert entry {tok!r} (use primes, all, or not p)")
+        primes.add(int(tok))
+    return abloc.InvertedSet(frozenset(primes), complement=complement)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +413,7 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"truncation error: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, PreconditionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BPCalcError as exc:

@@ -9,6 +9,11 @@ class TruncationError(BPCalcError):
     """A computation needs a generator index beyond the configured truncation."""
 
 
+class PreconditionError(BPCalcError):
+    """A pipeline cannot run in the requested configuration (for example,
+    the prime is too small for it)."""
+
+
 class ParseError(BPCalcError):
     """A literal (number, polynomial, operation, group, category) failed to parse."""
 

@@ -519,28 +519,46 @@ def _factor_actions(ctx: Context, i: int):
     return actions
 
 
-def _mono_action_table(ctx: Context, exps) -> dict:
-    """All R_I values on the m-monomial, via the Cartan formula.
+def _mono_action_table(ctx: Context, exps, cap=None) -> dict:
+    """R_J values on the m-monomial, via the Cartan formula.
 
-    Returns {index: m-basis Poly}; memoized on suffix monomials so sweeps
-    over many monomials share work.
+    Returns {J: m-basis Poly}: every nonzero R_J when cap is None, else only
+    the J that divide cap componentwise.  The pruned table is an exact
+    restriction of the full one: indices add componentwise with
+    non-negative entries, so each entry J <= cap is a sum over pairs whose
+    suffix-table index is also <= cap.
+
+    Tables are memoized in ``ctx.cache`` under ("rtable", exps) when full
+    and ("rtable", exps, cap) when pruned; a cached full table serves any
+    cap.  Each step strips one factor of the highest generator, so the
+    build walks down to the nearest cached suffix table and then back up
+    in a loop, with no recursion depth tied to the exponents.
     """
     exps = _trim(exps)
-    key = ("rtable", exps)
-    if key in ctx.cache:
-        return ctx.cache[key]
-    if not exps:
-        table = {(): Poly.constant(ctx.M, 1)}
-    else:
-        # strip one factor of the highest generator present
-        i = len(exps)
-        rest = exps[:-1] + (exps[-1] - 1,)
-        rest_table = _mono_action_table(ctx, rest)
-        table = {}
-        for idx_l, val_l in _factor_actions(ctx, i):
+    pending = []  # monomials still to build, largest first
+    while True:
+        table = ctx.cache.get(("rtable", exps))
+        if table is None and cap is not None:
+            table = ctx.cache.get(("rtable", exps, cap))
+        if table is not None:
+            break
+        if not exps:
+            table = {(): Poly.constant(ctx.M, 1)}
+            ctx.cache[("rtable", ())] = table
+            break
+        pending.append(exps)
+        exps = _trim(exps[:-1] + (exps[-1] - 1,))
+    for exps in reversed(pending):
+        rest_table, table = table, {}
+        for idx_l, val_l in _factor_actions(ctx, len(exps)):
+            if cap is not None and not exps_divides(idx_l, cap):
+                continue
+            unit = val_l.terms == {(): 1}  # R_(e_i) m_i = 1: reuse val_r
             for idx_r, val_r in rest_table.items():
-                add_term(table, add_exps(idx_l, idx_r), val_l * val_r)
-    ctx.cache[key] = table
+                idx = add_exps(idx_l, idx_r)
+                if cap is None or exps_divides(idx, cap):
+                    add_term(table, idx, val_r if unit else val_l * val_r)
+        ctx.cache[("rtable", exps) if cap is None else ("rtable", exps, cap)] = table
     return table
 
 
@@ -563,7 +581,11 @@ def r_action_table(ctx: Context, x: Poly) -> dict:
 
 
 def r_action(ctx: Context, index, x: Poly) -> Poly:
-    """R_I acting on the coefficient ring (additive, Cartan multiplicative)."""
+    """R_I acting on the coefficient ring (additive, Cartan multiplicative).
+
+    Reads R_I off each m-monomial's Cartan table pruned to the indices
+    J <= I, the only entries R_I depends on (see ``_mono_action_table``).
+    """
     index = _trim(tuple(index))
     if len(index) > ctx.truncation:
         raise TruncationError(f"operation index {index} outside truncation")
@@ -572,7 +594,7 @@ def r_action(ctx: Context, index, x: Poly) -> Poly:
     xm = ctx.to_m_basis(x)
     acc = Poly.zero(ctx.M)
     for exps, c in xm.terms.items():
-        val = _mono_action_table(ctx, exps).get(index)
+        val = _mono_action_table(ctx, exps, cap=index).get(index)
         if val is not None:
             acc = acc + val * c
     out = ctx.to_v_basis(acc)
@@ -598,14 +620,12 @@ def r_action_word(ctx: Context, word, x: Poly) -> Poly:
 
 class OperationCombo(Sparse):
     """Finite left-coefficient combination of dual operations R_I:
-    index -> coefficient Poly over V.  ``window`` is the pairing window
-    (homotopy degree) when the combination was expanded in one."""
+    index -> coefficient Poly over V."""
 
-    __slots__ = ("ctx", "window")
+    __slots__ = ("ctx",)
 
-    def __init__(self, ctx: Context, terms=None, window: int | None = None):
+    def __init__(self, ctx: Context, terms=None):
         self.ctx = ctx
-        self.window = window
         clean = {}
         for idx, c in (terms or {}).items():
             add_term(
@@ -748,8 +768,7 @@ def product_in_basis(
 ) -> OperationCombo:
     """Expand ab in the dual basis: ab = sum_J <ab, t^J> R_J.
 
-    Exact for every index of degree <= degree_bound (homotopy degree);
-    the window is recorded on the result.
+    Exact for every index of degree <= degree_bound (homotopy degree).
     """
     ctx = a.ctx
     terms = {}
@@ -758,7 +777,7 @@ def product_in_basis(
         c = compose_pair(a, b, x)
         if not c.is_zero():
             terms[mono.exps] = c
-    return OperationCombo(ctx, terms, window=degree_bound)
+    return OperationCombo(ctx, terms)
 
 
 # ---------------------------------------------------------------------------

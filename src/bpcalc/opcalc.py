@@ -19,7 +19,7 @@ from fractions import Fraction
 from time import perf_counter
 
 from .arith import padic_valuation
-from .errors import DegreeError, NotDivisibleError, TruncationError
+from .errors import DegreeError, NotDivisibleError, PreconditionError, TruncationError
 from .grading import (
     Context,
     Monomial,
@@ -566,7 +566,7 @@ def gamma1_pipeline(ctx: Context, spec=None) -> Report:
     -2 v2^(p-3) l mod (p, v1)."""
     p, q = ctx.prime, ctx.q
     if p < 5:
-        raise ValueError("the chain needs p >= 5 (exponent p-3 >= 2)")
+        raise PreconditionError("the chain needs p >= 5 (exponent p-3 >= 2)")
     spec = spec or default_gamma1_spec(ctx)
     report = Report(
         "tertiary-operation value on the two-cell complex",
@@ -642,7 +642,7 @@ def betap_pipeline(ctx: Context) -> Report:
     R_(p^2)(v2^p) and the restriction g0 i = v1 gbar0."""
     p, q = ctx.prime, ctx.q
     if p < 5:
-        raise ValueError("the pipeline needs p >= 5")
+        raise PreconditionError("the pipeline needs p >= 5")
     report = Report(
         "order-p invariant value on the pinch complex",
         config={"prime": p, "truncation": ctx.truncation},

@@ -126,6 +126,12 @@ def test_exit_codes():
         main(["verify", "bogus"])  # argparse rejects unknown choices
 
 
+def test_eval_deep_power(capsys):
+    # R[1](v1^n) = n p v1^(n-1); the Cartan table of m1^2000 is 2000 steps deep
+    assert main(["eval", "--prime", "5", "--", "R[1]", "v1^2000"]) == EXIT_PASS
+    assert capsys.readouterr().out == "10000*v1^1999\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -133,6 +139,11 @@ def test_exit_codes():
         ["eval", "R[1]", "v1", "--prime", "9"],
         ["eval", "R[1]", "0.5*v1", "--prime", "5"],
         ["localize-group", "Z/0", "--invert", "2"],
+        ["localize-group", "Z/12", "--invert", "x"],
+        ["localize-group", "Z/12", "--invert", "4"],
+        ["verify", "thm7.2", "--prime", "3"],
+        ["verify", "thm7.10", "--prime", "3"],
+        ["verify", "all", "--prime", "3"],
     ],
 )
 def test_bad_input_exits_usage_with_one_line_error(argv, capsys):

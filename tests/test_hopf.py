@@ -1,7 +1,9 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bpcalc.arith import padic_valuation
 from bpcalc.errors import DegreeError, TruncationError
@@ -223,6 +225,59 @@ def test_r_action_matches_eta_r(ctx7):
         table = r_action_table(ctx7, x)
         eta = eta_r(ctx7, x)
         assert table == dict(eta.terms)
+
+
+# v-polynomials of 1-3 terms over v1..v3 with degree <= 2(p^3 - 1), the
+# shape of the benchmark's eval inputs, at p = 5 and p = 7.
+WINDOWS = {
+    p: [m.exps for m in monomials_up_to(2 * (p**3 - 1), Context(prime=p).V)]
+    for p in (5, 7)
+}
+pruning_cases = st.sampled_from((5, 7)).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.dictionaries(
+            st.sampled_from(WINDOWS[p]),
+            st.integers(-9, 9).filter(bool),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+)
+
+
+@given(pruning_cases)
+@settings(max_examples=40, deadline=None)
+def test_pruned_r_action_matches_full_table(case):
+    p, terms = case
+    # R[0,0,0,1] has degree above every input, so it is absent from every table
+    indices = [(1,), (p,), (0, 1), (p * p,), (1, 1), (0, 0, 1), (0, 0, 0, 1)]
+    # one context per call order: pruned tables first, or full tables first
+    pruned_first, full_first = Context(prime=p), Context(prime=p)
+    x = Poly(pruned_first.V, terms)
+    cold = [r_action(pruned_first, I, x) for I in indices]
+    table = r_action_table(full_first, x)
+    assert cold == [table.get(I, 0) for I in indices]
+    assert r_action_table(pruned_first, x) == table
+    assert [r_action(full_first, I, x) for I in indices] == cold
+
+
+def test_r_action_table_is_not_recursive(ctx5):
+    # one loop step per unit of exponent: the table of v1^n builds under
+    # a recursion limit far below n
+    n, p = 300, ctx5.prime
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        table = r_action_table(Context(prime=p), ctx5.v(1) ** n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(table) == n + 1
+    assert table[(1,)] == n * p * ctx5.v(1) ** (n - 1)
+    assert table[(n,)] == p**n + Poly.zero(ctx5.V)
 
 
 def test_r_action_identity_and_additivity(ctx7):
