@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import is_prime, padic_valuation
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 from .report import Report
 
 
@@ -273,7 +273,9 @@ def fraction_oracle(
     """
     table = FiniteTable(orders)
     if table.order > max_order:
-        raise ValueError(f"group order {table.order} exceeds bound {max_order}")
+        raise PreconditionError(
+            f"group order {table.order} exceeds the fraction oracle's bound {max_order}"
+        )
     relevant = [p for p in sorted(_factor(table.order)) if S.inverts(p)]
     u = math.prod(relevant) if relevant else 1
     # stabilization exponent: u^e M = u^(e+1) M

@@ -61,6 +61,10 @@ class Config:
             raise ValueError("truncation must be >= 3 for the pipelines")
         if self.format not in ("text", "json"):
             raise ValueError("format must be text or json")
+        if self.degree_bound_q is not None and self.degree_bound_q < 1:
+            raise ValueError(
+                f"degree bound must be >= 1 (units of q), got {self.degree_bound_q}"
+            )
 
     @property
     def bound_q(self) -> int:
@@ -127,7 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("target", choices=VERIFY_TARGETS)
 
     p_eval = sub.add_parser(
-        "eval", parents=[common], help="apply an operation to a polynomial"
+        "eval",
+        parents=[common],
+        help="apply an operation to a polynomial",
+        epilog='a literal that starts with a minus sign reads as an option '
+        'unless "--" comes before the literals: bpcalc eval -- "R[1]" -3*v1',
     )
     p_eval.add_argument("operation", help="e.g. R[1], R[p]R[1], R[1]R[p] - R[p]R[1]")
     p_eval.add_argument("poly", help="v-polynomial literal, e.g. v2 or -2*v2^4")
@@ -360,12 +368,15 @@ def main(argv=None) -> int:
             group = abloc.parse_group(args.group)
             inverted = parse_inverted(args.invert)
             localized = abloc.localize(group, inverted)
+            # the oracle runs first: a group past its bound exits 2 unprinted
+            got = None
+            if args.oracle and not group.rank:
+                got = abloc.fraction_oracle(group.torsion, inverted)
             print(localized)
             if args.oracle:
                 if group.rank:
                     print("oracle: skipped (free part present)", file=sys.stderr)
                 else:
-                    got = abloc.fraction_oracle(group.torsion, inverted)
                     agree = got == localized.group()
                     print(f"oracle: {got} ({'agrees' if agree else 'DISAGREES'})")
                     if not agree:

@@ -9,9 +9,14 @@ class TruncationError(BPCalcError):
     """A computation needs a generator index beyond the configured truncation."""
 
 
-class PreconditionError(BPCalcError):
+class ExponentOverflowError(TruncationError):
+    """An exponent would exceed the fixed bit field of a packed monomial key."""
+
+
+class PreconditionError(BPCalcError, ValueError):
     """A pipeline cannot run in the requested configuration (for example,
-    the prime is too small for it)."""
+    the prime is too small for it, or a group is too large for the fraction
+    oracle).  Also a ValueError: the configuration holds a bad value."""
 
 
 class ParseError(BPCalcError):

@@ -6,8 +6,9 @@ with no zero entries and trailing zeros trimmed from exponent tuples.
 All values are immutable by convention and safe to share between threads.
 
 Every sparse algebra of the package -- ``Poly`` here, and in ``hopf`` the
-co-operations ``TPoly``, the tensor square ``TensorPoly`` and the operation
-combinations ``OperationCombo`` -- runs on one kernel: ``Sparse`` holds a
+co-operations ``TPoly``, the tensor square ``TensorPoly``, the operation
+combinations ``OperationCombo`` and the right unit's packed-key images
+``_Flat`` -- runs on one kernel: ``Sparse`` holds a
 terms dict ``{key: nonzero coefficient}`` and implements sum, difference,
 negation, scaling and ``map_coeffs``; ``SparseRing`` adds the product and
 powers.  ``add_term`` is the accumulate step that keeps a terms dict free

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from bpcalc import cli
+from bpcalc import cli, hopf
 from bpcalc.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_PASS,
@@ -144,6 +145,9 @@ def test_eval_deep_power(capsys):
         ["verify", "thm7.2", "--prime", "3"],
         ["verify", "thm7.10", "--prime", "3"],
         ["verify", "all", "--prime", "3"],
+        ["localize-group", "Z/99999999999", "--invert", "3", "--oracle"],
+        ["verify", "lemma7.1", "--degree-bound", "0", "--prime", "5"],
+        ["verify", "lemma7.1", "--degree-bound", "-2", "--prime", "5"],
     ],
 )
 def test_bad_input_exits_usage_with_one_line_error(argv, capsys):
@@ -152,6 +156,39 @@ def test_bad_input_exits_usage_with_one_line_error(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_eval_leading_minus_literal_needs_double_dash(capsys):
+    # argparse reads -3*v1 as an option; "--" before the literals, as the
+    # help says, makes it a positional argument
+    assert main(["eval", "--prime", "5", "--", "R[1]", "-3*v1"]) == EXIT_PASS
+    assert capsys.readouterr().out == "-15\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--help"])
+    assert exc.value.code == 0
+    assert 'bpcalc eval -- "R[1]" -3*v1' in " ".join(capsys.readouterr().out.split())
+
+
+def test_psi_integral_failure_is_a_failed_record(monkeypatch, capsys):
+    real = hopf.psi_t
+
+    def psi_t(ctx, k):
+        # only the structural check's own call fails; every other pipeline
+        # gets the real diagonal, so the run goes on to the report
+        if k == 2 and sys._getframe(1).f_code is hopf.verify_structural.__code__:
+            raise ValueError("psi t_2: non-integral coefficient at ((1,), (4,))")
+        return real(ctx, k)
+
+    monkeypatch.setattr(hopf, "psi_t", psi_t)
+    argv = ["verify", "all", "--prime", "5", "--format", "json", "--no-timing"]
+    assert main(argv) == EXIT_CHECK_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    failed = [c for c in json.loads(captured.out)["checks"] if c["status"] == "fail"]
+    assert [c["id"] for c in failed] == ["structural.psi-integral"]
+    assert failed[0]["witness"] == "psi t_2: non-integral coefficient at ((1,), (4,))"
+    assert failed[0]["computed"].startswith("psi t_1: ")
+    assert "psi t_3: " in failed[0]["computed"]
 
 
 def test_env_override(monkeypatch, capsys):

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bpcalc.arith import padic_valuation
-from bpcalc.errors import DegreeError, TruncationError
+from bpcalc.errors import (
+    AlphabetError,
+    DegreeError,
+    ExponentOverflowError,
+    TruncationError,
+)
 from bpcalc.grading import Context, Poly, monomials_up_to, reduce_mod
 from bpcalc.hopf import (
     OperationCombo,
@@ -260,6 +265,114 @@ def test_pruned_r_action_matches_full_table(case):
     assert cold == [table.get(I, 0) for I in indices]
     assert r_action_table(pruned_first, x) == table
     assert [r_action(full_first, I, x) for I in indices] == cold
+
+
+def _eta_r_oracle(ctx, x):
+    """The right unit through the m-basis: eta_R of every m-monomial, then
+    each coefficient back to the v-basis."""
+    return eta_r_m(ctx, ctx.to_m_basis(x)).map_coeffs(ctx.to_v_basis)
+
+
+def _eta_pow_keys(ctx):
+    return [k for k in ctx.cache if k[0] == "eta_v_pow"]
+
+
+def test_eta_r_matches_m_basis_oracle_on_every_monomial(ctx5):
+    # the structural sweep's inputs, in its order, on a context of its own
+    p = ctx5.prime
+    ctx = Context(prime=p)
+    for exps in WINDOWS[p]:
+        got = eta_r(ctx, Poly(ctx.V, {exps: 1}))
+        assert got == _eta_r_oracle(ctx5, Poly(ctx5.V, {exps: 1})), exps
+
+
+@pytest.fixture(scope="module")
+def eta_contexts():
+    """Per prime, one context for eta_r and one for the m-basis oracle."""
+    return {p: (Context(prime=p), Context(prime=p)) for p in (5, 7)}
+
+
+eta_cases = st.sampled_from((5, 7)).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.dictionaries(
+            st.sampled_from(WINDOWS[p]),
+            st.integers(-9, 9).filter(bool)
+            | st.builds(
+                Fraction,
+                st.integers(-9, 9).filter(bool),
+                st.sampled_from((2, 3, p, p * p)),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+)
+
+
+@given(eta_cases)
+@settings(max_examples=40, deadline=None)
+def test_eta_r_matches_m_basis_oracle(eta_contexts, case):
+    p, terms = case
+    ctx, octx = eta_contexts[p]
+    expected = _eta_r_oracle(octx, Poly(octx.V, terms))
+    x = Poly(ctx.V, terms)
+    if all(c.is_integral(p) for c in expected.terms.values()):
+        assert eta_r(ctx, x) == expected
+    else:
+        with pytest.raises(ValueError):
+            eta_r(ctx, x)
+
+
+def test_eta_r_rejects_non_integral_and_non_v_input(ctx5):
+    p = ctx5.prime
+    with pytest.raises(ValueError):
+        eta_r(ctx5, Fraction(1, p) * ctx5.v(1))
+    half = eta_r(ctx5, Fraction(1, 2) * ctx5.v(2))
+    assert half == eta_r(ctx5, ctx5.v(2)).scale(Fraction(1, 2))
+    with pytest.raises(AlphabetError):
+        eta_r(ctx5, ctx5.m(1))
+    with pytest.raises(AlphabetError):
+        eta_r(ctx5, Poly.gen(ctx5.T, 1))
+
+
+def test_eta_r_power_closed_form_keeps_memo_small(ctx5):
+    # eta_R(v1) = v1 + p t1, so eta_R(v1^n) = sum_k C(n,k) p^k v1^(n-k) t1^k
+    n, p = 300, ctx5.prime
+    ctx = Context(prime=p)
+    got = eta_r(ctx, ctx.v(1) ** n)
+    assert got.terms == {
+        ((k,) if k else ()): Poly(ctx.V, {(n - k,): math.comb(n, k) * p**k})
+        for k in range(n + 1)
+    }
+    # binary powering stores only the result: O(log n) entries, not n
+    assert len(_eta_pow_keys(ctx)) <= n.bit_length()
+
+
+def test_eta_r_field_overflow_raises_before_any_arithmetic():
+    # at p = 5, deg(v1^e)/q = e: 2^16 is one past the 16-bit field
+    ctx = Context(prime=5)
+    with pytest.raises(ExponentOverflowError):
+        eta_r(ctx, ctx.v(1) + ctx.v(1) ** (1 << 16))
+    # deg(v2^e)/q = (p + 1) e, and 6 * 10923 = 65538
+    with pytest.raises(ExponentOverflowError):
+        eta_r(ctx, ctx.v(2) ** 10923)
+    assert _eta_pow_keys(ctx) == []
+
+
+def test_eta_r_warm_and_cold_contexts_agree():
+    # v1^5 comes before v1^4, so the warm context builds v1^5 and v1^9 by
+    # binary powering and v1^2, v1^3, v1^4 from the power one below
+    monos = [(1,), (2,), (3,), (5,), (4,), (2, 1), (0, 2), (1, 1, 1), (9, 0, 1)]
+    warm = Context(prime=7)
+    warm_values = [eta_r(warm, Poly(warm.V, {exps: 1})) for exps in monos]
+    for exps, value in zip(monos, warm_values):
+        cold = Context(prime=7)
+        assert eta_r(cold, Poly(cold.V, {exps: 1})) == value
+    # only generator powers are stored: no mixed monomial, no powering step
+    assert sorted(k[1:] for k in _eta_pow_keys(warm)) == [
+        (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 9), (2, 1), (2, 2), (3, 1)
+    ]
 
 
 def test_r_action_table_is_not_recursive(ctx5):
