@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import is_prime, padic_valuation
-from .errors import ParseError, PreconditionError
+from .errors import OracleError, ParseError, PreconditionError
 from .report import Report
 
 
@@ -305,15 +305,22 @@ def fraction_oracle(
     for a, s in enumerate(segment):
         for m in table.elements():
             classes.setdefault(rep(m, a), []).append((m, a))
-    # sanity: the classes close under (m,s) + (m',s') = (m s' + m' s, s s')
+    # addition (m,s) + (m',s') = (m s' + m' s, s s') is well defined on the
+    # classes: the sum's class must not depend on the representatives
     sample = list(classes.values())
     for pairs1, pairs2 in itertools.islice(
         itertools.product(sample, sample), 400
     ):
-        m1, a1 = pairs1[0]
-        m2, a2 = pairs2[0]
-        summed = table.add(table.scale(u**a2, m1), table.scale(u**a1, m2))
-        assert rep(summed, a1 + a2) in classes
+        sums = {
+            rep(table.add(table.scale(u**a2, m1), table.scale(u**a1, m2)), a1 + a2)
+            for m1, a1 in (pairs1[0], pairs1[-1])
+            for m2, a2 in (pairs2[0], pairs2[-1])
+        }
+        if len(sums) > 1:
+            raise OracleError(
+                f"fraction oracle: the sum of the classes of {pairs1[0]} and "
+                f"{pairs2[0]} depends on the representatives"
+            )
     return table_structure(table, subset=stable)
 
 

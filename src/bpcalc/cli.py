@@ -78,11 +78,9 @@ class Config:
         return Context(prime=self.prime, truncation=self.truncation)
 
 
-def _env_default(name, fallback, cast):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    return cast(raw)
+def _env_default(name, fallback):
+    """The raw string, so argparse applies the option's type: a bad value is usage."""
+    return os.environ.get(ENV_PREFIX + name, fallback)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,27 +95,27 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--prime",
         type=int,
-        default=_env_default("PRIME", 7, int),
+        default=_env_default("PRIME", 7),
         help="odd prime (default 7)",
     )
     common.add_argument(
         "--truncation",
         type=int,
-        default=_env_default("TRUNCATION", 4, int),
+        default=_env_default("TRUNCATION", 4),
         help="generator count N (default 4)",
     )
     common.add_argument(
         "--degree-bound",
         type=int,
-        default=_env_default("DEGREE_BOUND", None, int),
+        default=_env_default("DEGREE_BOUND", None),
         help="pairing window in units of q (default 2p+4)",
     )
     common.add_argument(
         "--format",
         choices=("text", "json"),
-        default=_env_default("FORMAT", "text", str),
+        default=_env_default("FORMAT", "text"),
     )
-    common.add_argument("--out", default=_env_default("OUT", None, str))
+    common.add_argument("--out", default=_env_default("OUT", None))
     common.add_argument(
         "--no-timing",
         action="store_true",

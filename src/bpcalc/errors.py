@@ -27,6 +27,10 @@ class NotDivisibleError(BPCalcError):
     """Exact division was requested but no exact quotient exists."""
 
 
+class OracleError(BPCalcError):
+    """An oracle's own construction is inconsistent, so its answer is void."""
+
+
 class DegreeError(BPCalcError):
     """A grading consistency check failed."""
 

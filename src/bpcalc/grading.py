@@ -29,16 +29,24 @@ and the rational m-generators (Hazewinkel relations, supported for indices
 1..3), term ideals with their normal-form reduction, and exhaustive
 enumeration of monomials by degree.
 
-The basis change is a linear map applied monomial by monomial by
-``Poly.substitute``.  Each ``Context`` memoizes it in two tables of its own,
-``m_to_v`` and ``v_to_m``, keyed by the trimmed exponent tuple of a source
-monomial and holding the terms dict of its image; they fill lazily, one
-monomial at a time, and are never shared between contexts.
+Every memo lives in one store per ``Context``, ``ctx.memo``: named tables
+``{arguments: value}``, never shared between contexts.  ``memoized`` fills
+the table named after the function it wraps, keyed by the arguments after
+the context; ``memo_power`` fills ``<base>_pow``, keyed by (i, e).  Here:
+``v_in_m``, ``m_in_v``, their ``_pow`` tables, and the basis-change images
+``v_to_m`` and ``m_to_v`` (terms dict per source monomial, which
+``Poly.substitute`` reads).  In ``hopf``: ``_psi_t_rational``, ``psi_t``,
+``psi_t_pow``, ``psi_monomial``, ``_eta_r_m_generator(_pow)``,
+``_eta_v_generator(_pow)``, ``_factor_actions``, ``pair_word``, the Cartan
+tables ``rtable`` and ``rtable_pruned``, and ``_eta_r_cached``.  Callers
+must not mutate a memo entry.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -696,18 +704,54 @@ def divide_exact(x: Poly, coeff, mono_exps, ideal: TermIdeal) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+def memoized(fn):
+    """Memoize ``fn(ctx, *args)`` in ``ctx.memo[fn.__name__]``, keyed by args.
+
+    The first argument is the ``Context`` (``self`` for a Context method);
+    the others must be hashable.  A call that raises stores nothing.
+    """
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(ctx, *args):
+        table = ctx.memo[name]
+        got = table.get(args)
+        if got is None:
+            got = table[args] = fn(ctx, *args)
+        return got
+
+    return wrapper
+
+
+def memo_power(ctx, base, i, e):
+    """``base(ctx, i) ** e``, memoized per (i, e) in ``ctx.memo[<base>_pow]``.
+
+    A power extends the cached power one below it when there is one (the
+    structural sweep walks monomials in degree order, so it always does);
+    otherwise it is built by binary powering and only the result is stored.
+    The first power is the generator itself.
+    """
+    table = ctx.memo[base.__name__ + "_pow"]
+    got = table.get((i, e))
+    if got is None:
+        got = base(ctx, i)
+        prev = table.get((i, e - 1))
+        if prev is not None:
+            got = prev * got
+        elif e > 1:
+            got = got**e
+        table[i, e] = got
+    return got
+
+
 class Context:
     """Fixed prime and truncation carried through every computation.
 
-    Owns the three alphabets, the Hazewinkel v<->m relation tables (indices
-    1..3) and a cache used by the operation calculus.  q = 2(p-1).
-
-    The basis change is memoized per monomial in two tables owned by the
-    context, ``m_to_v`` and ``v_to_m``.  Each maps the trimmed exponent tuple
-    of a source monomial to the terms dict of its image in the other basis.
-    They start empty and fill lazily, as monomials are converted; so does
-    ``gen_powers``, which maps (target tag, i, e) to the image of the
-    generator power x_i^e that those images are multiplied from.
+    Owns the three alphabets, the Hazewinkel v<->m relations (indices 1..3)
+    and ``memo``, the package's one memo store of named tables that fill
+    lazily (the module docstring lists them all).  Its own: ``v_in_m``,
+    ``m_in_v``, their ``_pow`` tables, and the per-monomial basis-change
+    images ``v_to_m`` and ``m_to_v``.  q = 2(p-1).
     """
 
     def __init__(self, prime: int = 7, truncation: int = 4):
@@ -723,12 +767,7 @@ class Context:
         self.M = Alphabet("m", truncation, prime)
         self.T = Alphabet("t", truncation, prime)
         self.q = 2 * (prime - 1)
-        self.cache: dict = {}
-        self._v_in_m: dict = {}
-        self._m_in_v: dict = {}
-        self.m_to_v: dict = {}
-        self.v_to_m: dict = {}
-        self.gen_powers: dict = {}
+        self.memo = defaultdict(dict)
 
     def qdeg(self, units: int) -> int:
         """Degree of `units * q`."""
@@ -736,37 +775,33 @@ class Context:
 
     # -- Hazewinkel relations ------------------------------------------
 
-    def hazewinkel_v_in_m(self, i: int) -> Poly:
+    def _hazewinkel_steps(self, tag, i):
+        """The indices i-1, ..., 1 of the relation for generator i (i <= 3)."""
+        if i < 1 or i > HAZEWINKEL_MAX_INDEX:
+            raise TruncationError(
+                f"hazewinkel relation table covers {tag}1..{tag}{HAZEWINKEL_MAX_INDEX}, got {tag}{i}"
+            )
+        return range(i - 1, 0, -1)
+
+    @memoized
+    def v_in_m(self, i: int) -> Poly:
         """v_i expanded in the rational m-basis, supported for i <= 3:
         v1 = p*m1, v2 = p*m2 - v1^p*m1, v3 = p*m3 - v1^(p^2)*m2 - v2^p*m1."""
-        if i < 1 or i > HAZEWINKEL_MAX_INDEX:
-            raise TruncationError(
-                f"hazewinkel relation table covers v1..v{HAZEWINKEL_MAX_INDEX}, got v{i}"
-            )
-        if i not in self._v_in_m:
-            p = self.prime
-            m = lambda k: Poly.gen(self.M, k)
-            v1 = p * m(1)
-            v2 = p * m(2) - v1**p * m(1)
-            v3 = p * m(3) - v1 ** (p * p) * m(2) - v2**p * m(1)
-            self._v_in_m = {1: v1, 2: v2, 3: v3}
-        return self._v_in_m[i]
+        steps, p = self._hazewinkel_steps("v", i), self.prime
+        out = p * self.m(i)
+        for j in steps:
+            out = out - self.v_in_m(i - j) ** (p**j) * self.m(j)
+        return out
 
+    @memoized
     def m_in_v(self, i: int) -> Poly:
-        """m_i expanded in the v-basis with rational coefficients (i <= 3)."""
-        if i < 1 or i > HAZEWINKEL_MAX_INDEX:
-            raise TruncationError(
-                f"hazewinkel relation table covers m1..m{HAZEWINKEL_MAX_INDEX}, got m{i}"
-            )
-        if i not in self._m_in_v:
-            p = self.prime
-            v = lambda k: Poly.gen(self.V, k)
-            inv_p = Fraction(1, p)
-            m1 = inv_p * v(1)
-            m2 = inv_p * (v(2) + v(1) ** p * m1)
-            m3 = inv_p * (v(3) + v(1) ** (p * p) * m2 + v(2) ** p * m1)
-            self._m_in_v = {1: m1, 2: m2, 3: m3}
-        return self._m_in_v[i]
+        """m_i expanded in the v-basis with rational coefficients (i <= 3):
+        p*m_i = v_i + sum_{0<j<i} v_(i-j)^(p^j) * m_j."""
+        steps, p = self._hazewinkel_steps("m", i), self.prime
+        out = self.v(i)
+        for j in steps:
+            out = out + self.v(i - j) ** (p**j) * self.m_in_v(j)
+        return Fraction(1, p) * out
 
     def to_m_basis(self, x: Poly) -> Poly:
         """Rewrite a v-polynomial in the rational m-basis (indices <= 3)."""
@@ -774,7 +809,7 @@ class Context:
             return x
         if x.alphabet != self.V:
             raise AlphabetError("to_m_basis expects a v-polynomial")
-        return x.substitute(self._v_to_m_image, self.M)
+        return x.substitute(self.v_to_m, self.M)
 
     def to_v_basis(self, x: Poly) -> Poly:
         """Rewrite an m-polynomial in the v-basis (indices <= 3)."""
@@ -782,34 +817,28 @@ class Context:
             return x
         if x.alphabet != self.M:
             raise AlphabetError("to_v_basis expects an m-polynomial")
-        return x.substitute(self._m_to_v_image, self.V)
+        return x.substitute(self.m_to_v, self.V)
 
-    def _v_to_m_image(self, exps) -> dict:
-        return self._monomial_image(
-            exps, self.v_to_m, self.hazewinkel_v_in_m, self.V, self.M
-        )
+    @memoized
+    def v_to_m(self, exps) -> dict:
+        """Terms of the m-basis image of the v-monomial with exponents exps."""
+        return self._image(exps, Context.v_in_m, self.V, self.M)
 
-    def _m_to_v_image(self, exps) -> dict:
-        return self._monomial_image(exps, self.m_to_v, self.m_in_v, self.M, self.V)
+    @memoized
+    def m_to_v(self, exps) -> dict:
+        """Terms of the v-basis image of the m-monomial with exponents exps."""
+        return self._image(exps, Context.m_in_v, self.M, self.V)
 
-    def _monomial_image(self, exps, table, gen, source, target) -> dict:
-        """Memoized terms of the image of one source monomial: the product
-        of the generator images ``gen(i) ** e``.  Callers must not mutate it."""
-        image = table.get(exps)
-        if image is None:
-            prod = Poly.constant(target, 1)
-            for i, e in enumerate(exps, start=1):
-                if e == 0:
-                    continue
-                if i > HAZEWINKEL_MAX_INDEX:
-                    raise TruncationError(f"no substitution image for {source.name(i)}")
-                key = (target.tag, i, e)
-                power = self.gen_powers.get(key)
-                if power is None:
-                    power = self.gen_powers[key] = gen(i) ** e
-                prod = prod * power
-            image = table[exps] = prod.terms
-        return image
+    def _image(self, exps, gen, source, target) -> dict:
+        """The product of the generator images ``gen(i) ** e``."""
+        prod = Poly.constant(target, 1)
+        for i, e in enumerate(exps, start=1):
+            if e == 0:
+                continue
+            if i > HAZEWINKEL_MAX_INDEX:
+                raise TruncationError(f"no substitution image for {source.name(i)}")
+            prod = prod * memo_power(self, gen, i, e)
+        return prod.terms
 
     # -- convenience ----------------------------------------------------
 

@@ -62,6 +62,8 @@ from .grading import (
     add_term,
     exps_divides,
     format_poly,
+    memo_power,
+    memoized,
     monomials_up_to,
     split_signed_terms,
 )
@@ -356,11 +358,9 @@ def parse_tensor(text: str, ctx: Context) -> TensorPoly:
 # ---------------------------------------------------------------------------
 
 
+@memoized
 def _psi_t_rational(ctx: Context, k: int) -> TensorPoly:
-    """psi t_k with coefficients in the rational m-basis (cached)."""
-    key = ("psi_t_m", k)
-    if key in ctx.cache:
-        return ctx.cache[key]
+    """psi t_k with coefficients in the rational m-basis."""
     if k == 0:
         return TensorPoly.unit(ctx, ctx.M)
     if k > ctx.truncation:
@@ -382,18 +382,15 @@ def _psi_t_rational(ctx: Context, k: int) -> TensorPoly:
     for i in range(1, k):
         sub = _psi_t_rational(ctx, k - i) ** (p**i)
         rhs = rhs - sub.scale(Poly.gen(ctx.M, i))
-    ctx.cache[key] = rhs
     return rhs
 
 
+@memoized
 def psi_t(ctx: Context, k: int) -> TensorPoly:
     """The diagonal on t_k, coefficients in the integral v-basis.
 
     Passes integrality, homogeneity and both counit identities.
     """
-    key = ("psi_t_v", k)
-    if key in ctx.cache:
-        return ctx.cache[key]
     if not 1 <= k <= ctx.truncation:
         raise TruncationError(f"psi t_{k} outside truncation N={ctx.truncation}")
     rational = _psi_t_rational(ctx, k)
@@ -412,25 +409,16 @@ def psi_t(ctx: Context, k: int) -> TensorPoly:
                 add_term(edge, sides[side], c)
         if edge != expect:
             raise ValueError(f"psi t_{k}: counit check failed on side {side}")
-    ctx.cache[key] = result
     return result
 
 
-def psi_monomial(ctx: Context, exps) -> TensorPoly:
-    """psi of the t-monomial with the given exponents (cached)."""
-    exps = _trim(exps)
-    key = ("psi_mono", exps)
-    if key in ctx.cache:
-        return ctx.cache[key]
+@memoized
+def psi_monomial(ctx: Context, exps: tuple) -> TensorPoly:
+    """psi of the t-monomial with the given exponents."""
     result = TensorPoly.unit(ctx)
     for i, e in enumerate(exps, start=1):
-        if not e:
-            continue
-        pkey = ("psi_pow", i, e)
-        if pkey not in ctx.cache:
-            ctx.cache[pkey] = psi_t(ctx, i) ** e
-        result = result * ctx.cache[pkey]
-    ctx.cache[key] = result
+        if e:
+            result = result * memo_power(ctx, psi_t, i, e)
     return result
 
 
@@ -470,11 +458,9 @@ def coassociativity_check(ctx: Context, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@memoized
 def _eta_r_m_generator(ctx: Context, i: int) -> TPoly:
     """eta_R(m_i) = sum_{a+b=i} m_a t_b^(p^a), coefficients in the m-basis."""
-    key = ("eta_m_gen", i)
-    if key in ctx.cache:
-        return ctx.cache[key]
     p = ctx.prime
     terms = {}
     for a in range(0, i + 1):
@@ -482,9 +468,7 @@ def _eta_r_m_generator(ctx: Context, i: int) -> TPoly:
         exps = (0,) * (b - 1) + (p**a,) if b else ()
         coeff = Poly.gen(ctx.M, a) if a else Poly.constant(ctx.M, 1)
         terms[exps] = coeff
-    out = TPoly._raw(ctx, terms)
-    ctx.cache[key] = out
-    return out
+    return TPoly._raw(ctx, terms)
 
 
 def eta_r_m(ctx: Context, x: Poly) -> TPoly:
@@ -495,12 +479,8 @@ def eta_r_m(ctx: Context, x: Poly) -> TPoly:
     for exps, c in x.terms.items():
         term = TPoly.unit(ctx, ctx.M).scale(Poly.constant(ctx.M, c))
         for i, e in enumerate(exps, start=1):
-            if not e:
-                continue
-            pkey = ("eta_m_pow", i, e)
-            if pkey not in ctx.cache:
-                ctx.cache[pkey] = _eta_r_m_generator(ctx, i) ** e
-            term = term * ctx.cache[pkey]
+            if e:
+                term = term * memo_power(ctx, _eta_r_m_generator, i, e)
         out = out + term
     return out
 
@@ -546,33 +526,18 @@ class _Flat(SparseRing):
         return _Flat({0: 1})
 
 
-def _eta_v_power(ctx: Context, i: int, e: int) -> _Flat:
-    """Flat eta_R(v_i)^e, memoized per (i, e).
-
-    eta_R(v_i) itself is the m-basis right unit of the Hazewinkel generator
-    converted back to the v-basis.  A power extends the cached power one
-    below it when there is one (the structural sweep walks monomials in
-    degree order, so it always does); otherwise it is built by binary
-    powering and only the result is stored.
-    """
-    key = ("eta_v_pow", i, e)
-    got = ctx.cache.get(key)
-    if got is not None:
-        return got
-    if e == 1:
-        got = _Flat({})
-        for texps, c in eta_r_m(ctx, ctx.hazewinkel_v_in_m(i)).terms.items():
-            cv = ctx.to_v_basis(c)
-            if not cv.is_integral(ctx.prime):
-                raise ValueError(f"eta_r(v{i}): non-integral coefficient at t^{texps}")
-            tkey = _pack(texps, _T_SHIFT)
-            for vexps, d in cv.terms.items():
-                got.terms[_pack(vexps) + tkey] = d
-    else:
-        gen = _eta_v_power(ctx, i, 1)
-        prev = ctx.cache.get(("eta_v_pow", i, e - 1))
-        got = prev * gen if prev is not None else gen**e
-    ctx.cache[key] = got
+@memoized
+def _eta_v_generator(ctx: Context, i: int) -> _Flat:
+    """Flat eta_R(v_i): the m-basis right unit of the Hazewinkel generator,
+    converted back to the v-basis."""
+    got = _Flat({})
+    for texps, c in eta_r_m(ctx, ctx.v_in_m(i)).terms.items():
+        cv = ctx.to_v_basis(c)
+        if not cv.is_integral(ctx.prime):
+            raise ValueError(f"eta_r(v{i}): non-integral coefficient at t^{texps}")
+        tkey = _pack(texps, _T_SHIFT)
+        for vexps, d in cv.terms.items():
+            got.terms[_pack(vexps) + tkey] = d
     return got
 
 
@@ -581,7 +546,8 @@ def eta_r(ctx: Context, x: Poly) -> TPoly:
 
     eta_R is a ring homomorphism, so eta_R(x) = sum c * prod_i
     eta_R(v_i)^(a_i) over the terms c * v^a of x.  The generator powers are
-    memoized flat images with int coefficients (``_eta_v_power``); a mixed
+    memoized flat images with int coefficients (``memo_power`` over
+    ``_eta_v_generator``); a mixed
     monomial's image is their product and is not stored.  Every term of
     eta_R(v^a) has degree deg(v^a), so no exponent exceeds deg(v^a)/q; a
     monomial for which that bound passes the field width raises
@@ -606,7 +572,7 @@ def eta_r(ctx: Context, x: Poly) -> TPoly:
         image = _Flat({0: 1})
         for i, e in enumerate(exps, start=1):
             if e:
-                image = image * _eta_v_power(ctx, i, e)
+                image = image * memo_power(ctx, _eta_v_generator, i, e)
         acc = acc + image.scale(c)
     by_t = {}
     for k, c in acc.terms.items():
@@ -627,11 +593,9 @@ def eta_r(ctx: Context, x: Poly) -> TPoly:
 # ---------------------------------------------------------------------------
 
 
+@memoized
 def _factor_actions(ctx: Context, i: int):
     """Nonzero R_index values on the generator m_i: [(index, value)]."""
-    key = ("factor_actions", i)
-    if key in ctx.cache:
-        return ctx.cache[key]
     p = ctx.prime
     actions = [((), Poly.gen(ctx.M, i))]
     for a in range(0, i):
@@ -639,7 +603,6 @@ def _factor_actions(ctx: Context, i: int):
         idx = (0,) * (b - 1) + (p**a,)
         value = Poly.gen(ctx.M, a) if a else Poly.constant(ctx.M, 1)
         actions.append((idx, value))
-    ctx.cache[key] = actions
     return actions
 
 
@@ -652,23 +615,23 @@ def _mono_action_table(ctx: Context, exps, cap=None) -> dict:
     non-negative entries, so each entry J <= cap is a sum over pairs whose
     suffix-table index is also <= cap.
 
-    Tables are memoized in ``ctx.cache`` under ("rtable", exps) when full
-    and ("rtable", exps, cap) when pruned; a cached full table serves any
-    cap.  Each step strips one factor of the highest generator, so the
-    build walks down to the nearest cached suffix table and then back up
-    in a loop, with no recursion depth tied to the exponents.
+    Tables are memoized in ``ctx.memo["rtable"]`` under exps when full and
+    in ``ctx.memo["rtable_pruned"]`` under (exps, cap) when pruned; a full
+    table serves any cap.  Each step strips one factor of the highest
+    generator, so the build walks down to the nearest cached suffix table
+    and then back up in a loop, with no recursion depth tied to exponents.
     """
     exps = _trim(exps)
+    full, pruned = ctx.memo["rtable"], ctx.memo["rtable_pruned"]
     pending = []  # monomials still to build, largest first
     while True:
-        table = ctx.cache.get(("rtable", exps))
+        table = full.get(exps)
         if table is None and cap is not None:
-            table = ctx.cache.get(("rtable", exps, cap))
+            table = pruned.get((exps, cap))
         if table is not None:
             break
         if not exps:
-            table = {(): Poly.constant(ctx.M, 1)}
-            ctx.cache[("rtable", ())] = table
+            table = full[()] = {(): Poly.constant(ctx.M, 1)}
             break
         pending.append(exps)
         exps = _trim(exps[:-1] + (exps[-1] - 1,))
@@ -682,7 +645,10 @@ def _mono_action_table(ctx: Context, exps, cap=None) -> dict:
                 idx = add_exps(idx_l, idx_r)
                 if cap is None or exps_divides(idx, cap):
                     add_term(table, idx, val_r if unit else val_l * val_r)
-        ctx.cache[("rtable", exps) if cap is None else ("rtable", exps, cap)] = table
+        if cap is None:
+            full[exps] = table
+        else:
+            pruned[exps, cap] = table
     return table
 
 
@@ -810,10 +776,12 @@ def pair(a: OperationCombo, x: TPoly) -> Poly:
 
 
 def _eta_r_cached(ctx: Context, x: Poly) -> TPoly:
-    key = ("eta_of", frozenset(x.terms.items()))
-    if key not in ctx.cache:
-        ctx.cache[key] = eta_r(ctx, x)
-    return ctx.cache[key]
+    """eta_r(x) memoized under the frozen terms of x."""
+    table, key = ctx.memo["_eta_r_cached"], frozenset(x.terms.items())
+    got = table.get(key)
+    if got is None:
+        got = table[key] = eta_r(ctx, x)
+    return got
 
 
 def compose_pair(a: OperationCombo, b: OperationCombo, x: TPoly) -> Poly:
@@ -848,43 +816,36 @@ def compose_pair(a: OperationCombo, b: OperationCombo, x: TPoly) -> Poly:
     return out
 
 
-def pair_word(ctx: Context, word, exps) -> Poly:
+@memoized
+def pair_word(ctx: Context, word: tuple, exps: tuple) -> Poly:
     """<R_(w1) R_(w2) ... , t^exps> by nested evaluation of the diagonal.
 
     Inner values cross the left tensor factor through the right unit, so
     the nested evaluation is associative (see the associativity checks).
     """
-    word = tuple(_trim(tuple(w)) for w in word)
+    word = tuple(_trim(w) for w in word) or ((),)  # the empty word is R[0]
     exps = _trim(exps)
-    key = ("pair_word", word, exps)
-    if key in ctx.cache:
-        return ctx.cache[key]
-    if not word:
-        out = Poly.constant(ctx.V, 1 if exps == () else 0)
-    elif len(word) == 1:
-        out = Poly.constant(ctx.V, 1 if exps == word[0] else 0)
-    else:
-        head, rest = word[0], word[1:]
-        acc = Poly.zero(ctx.V)
-        for (le, re), c in psi_monomial(ctx, exps).terms.items():
-            if not exps_divides(le, head):
-                continue
-            inner = pair_word(ctx, rest, re)
-            if inner.is_zero():
-                continue
-            if le == head and inner.terms.keys() == {()}:
-                acc = acc + c * inner
-                continue
-            u = tuple(
-                (head[i] if i < len(head) else 0) - (le[i] if i < len(le) else 0)
-                for i in range(max(len(head), len(le)))
-            )
-            d = _eta_r_cached(ctx, inner).terms.get(_trim(u))
-            if d is not None:
-                acc = acc + c * d
-        out = acc
-    ctx.cache[key] = out
-    return out
+    if len(word) == 1:
+        return Poly.constant(ctx.V, 1 if exps == word[0] else 0)
+    head, rest = word[0], word[1:]
+    acc = Poly.zero(ctx.V)
+    for (le, re), c in psi_monomial(ctx, exps).terms.items():
+        if not exps_divides(le, head):
+            continue
+        inner = pair_word(ctx, rest, re)
+        if inner.is_zero():
+            continue
+        if le == head and inner.terms.keys() == {()}:
+            acc = acc + c * inner
+            continue
+        u = tuple(
+            (head[i] if i < len(head) else 0) - (le[i] if i < len(le) else 0)
+            for i in range(max(len(head), len(le)))
+        )
+        d = _eta_r_cached(ctx, inner).terms.get(_trim(u))
+        if d is not None:
+            acc = acc + c * d
+    return acc
 
 
 def product_in_basis(

@@ -5,7 +5,8 @@ from itertools import product as iproduct
 import pytest
 
 from _seqgen import random_short_exact
-from bpcalc.errors import ParseError
+from bpcalc import cli
+from bpcalc.errors import OracleError, ParseError
 from bpcalc.abloc import (
     FGAbelianGroup,
     FiniteTable,
@@ -92,6 +93,21 @@ def test_fraction_oracle_examples():
     assert fraction_oracle([], InvertedSet({5})) == FGAbelianGroup()
     with pytest.raises(ValueError):
         fraction_oracle([2] * 20, InvertedSet({3}), max_order=1000)
+
+
+def test_fraction_oracle_rejects_an_ill_defined_sum(monkeypatch, capsys):
+    # an addition that is off by one in each coordinate makes the sum of two
+    # classes depend on the representatives chosen
+    def shifted(self, a, b):
+        return tuple((x + y + 1) % n for x, y, n in zip(a, b, self.orders))
+
+    monkeypatch.setattr(FiniteTable, "add", shifted)
+    with pytest.raises(OracleError):
+        fraction_oracle([10], InvertedSet({2}))
+    argv = ["localize-group", "Z/10", "--invert", "2", "--oracle"]
+    assert cli.main(argv) == cli.EXIT_CHECK_FAILURE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: fraction oracle:")
 
 
 def test_oracle_agrees_exhaustively_small():

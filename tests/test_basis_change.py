@@ -61,7 +61,7 @@ def test_warm_context_agrees_with_fresh(prime):
     polys = [Poly(warm.V, {mono.exps: 1}) for mono in window]
     images = [warm.to_m_basis(x) for x in polys]
     back = [warm.to_v_basis(y) for y in images]
-    assert warm.v_to_m and warm.m_to_v
+    assert warm.memo["v_to_m"] and warm.memo["m_to_v"]
     for x, y, z in list(zip(polys, images, back))[::7]:
         fresh = Context(prime=prime)
         assert warm.to_m_basis(x) == fresh.to_m_basis(x) == y
@@ -75,10 +75,11 @@ def test_warm_context_agrees_with_fresh(prime):
 
 def test_tables_fill_lazily_and_are_per_context():
     ctx = Context(prime=5)
-    assert ctx.m_to_v == {} and ctx.v_to_m == {} and ctx.gen_powers == {}
+    memo = ctx.memo
+    assert memo["m_to_v"] == {} and memo["v_to_m"] == {} and memo["m_in_v_pow"] == {}
     ctx.to_v_basis(ctx.m(2, 3))
-    assert set(ctx.m_to_v) == {(0, 3)} and ctx.v_to_m == {}
-    assert Context(prime=5).m_to_v == {}
+    assert set(memo["m_to_v"]) == {((0, 3),)} and memo["v_to_m"] == {}
+    assert Context(prime=5).memo["m_to_v"] == {}
 
 
 def test_results_never_alias_memo_entries():
@@ -87,14 +88,14 @@ def test_results_never_alias_memo_entries():
     first, second = ctx.to_v_basis(x), ctx.to_v_basis(x)
     assert first == second
     assert first.terms is not second.terms
-    assert all(first.terms is not entry for entry in ctx.m_to_v.values())
+    assert all(first.terms is not entry for entry in ctx.memo["m_to_v"].values())
     # mutating a result leaves later conversions intact
     first.terms.clear()
     assert ctx.to_v_basis(x) == second
     y = ctx.v(3)
     a, b = ctx.to_m_basis(y), ctx.to_m_basis(y)
     assert a == b and a.terms is not b.terms
-    assert all(a.terms is not entry for entry in ctx.v_to_m.values())
+    assert all(a.terms is not entry for entry in ctx.memo["v_to_m"].values())
 
 
 def test_truncation_errors_on_the_memoized_path(capsys):
@@ -104,7 +105,7 @@ def test_truncation_errors_on_the_memoized_path(capsys):
     with pytest.raises(TruncationError):
         ctx.to_m_basis(ctx.v(1) * ctx.v(4))
     # a failed monomial is not memoized; its neighbours still convert
-    assert (0, 0, 0, 1) not in ctx.m_to_v
+    assert ((0, 0, 0, 1),) not in ctx.memo["m_to_v"]
     assert ctx.to_v_basis(ctx.prime * ctx.m(1)) == ctx.v(1)
     assert main(["eval", "R[1]", "v4", "--prime", "5"]) == EXIT_TRUNCATION
     err = capsys.readouterr().err

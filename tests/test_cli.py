@@ -196,3 +196,12 @@ def test_env_override(monkeypatch, capsys):
     parser = cli.build_parser()
     args = parser.parse_args(["eval", "R[1]", "v2"])
     assert args.prime == 5
+    monkeypatch.setenv("BPCALC_DEGREE_BOUND", "3")
+    assert cli.build_parser().parse_args(["eval", "R[1]", "v2"]).degree_bound == 3
+    # a bad value is a usage error reported by argparse, not a crash
+    monkeypatch.setenv("BPCALC_PRIME", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "R[1]", "v1"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "invalid int value: 'x'" in err and "Traceback" not in err

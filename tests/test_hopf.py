@@ -25,6 +25,7 @@ from bpcalc.hopf import (
     pair_word,
     product_in_basis,
     psi,
+    psi_monomial,
     psi_t,
     r_action,
     r_action_table,
@@ -273,8 +274,40 @@ def _eta_r_oracle(ctx, x):
     return eta_r_m(ctx, ctx.to_m_basis(x)).map_coeffs(ctx.to_v_basis)
 
 
-def _eta_pow_keys(ctx):
-    return [k for k in ctx.cache if k[0] == "eta_v_pow"]
+def _pow_keys(ctx, table="_eta_v_generator_pow"):
+    return list(ctx.memo[table])
+
+
+# Each memo_power table, with the map that fills it: the image of the
+# monomial with exponents exps in the generators the table powers.
+POWER_MAPS = {
+    "_eta_v_generator_pow": lambda ctx, exps: eta_r(ctx, Poly(ctx.V, {exps: 1})),
+    "_eta_r_m_generator_pow": lambda ctx, exps: eta_r_m(ctx, Poly(ctx.M, {exps: 1})),
+    "v_in_m_pow": lambda ctx, exps: ctx.to_m_basis(Poly(ctx.V, {exps: 1})),
+    "m_in_v_pow": lambda ctx, exps: ctx.to_v_basis(Poly(ctx.M, {exps: 1})),
+    "psi_t_pow": psi_monomial,
+}
+
+
+def _closed_form(table, ctx, n):
+    """The terms of the table's image of x1^n, from the binomial theorem:
+    eta_R(v1) = v1 + p t1, eta_R(m1) = m1 + t1, v1 = p m1, psi t1 = t1 (x) 1
+    + 1 (x) t1."""
+    p, C = ctx.prime, math.comb
+    t = lambda k: (k,) if k else ()
+    return {
+        "_eta_v_generator_pow": lambda: {
+            t(k): Poly(ctx.V, {(n - k,): C(n, k) * p**k}) for k in range(n + 1)
+        },
+        "_eta_r_m_generator_pow": lambda: {
+            t(k): Poly(ctx.M, {(n - k,): C(n, k)}) for k in range(n + 1)
+        },
+        "v_in_m_pow": lambda: {(n,): p**n},
+        "m_in_v_pow": lambda: {(n,): Fraction(1, p**n)},
+        "psi_t_pow": lambda: {
+            (t(k), t(n - k)): Poly.constant(ctx.V, C(n, k)) for k in range(n + 1)
+        },
+    }[table]()
 
 
 def test_eta_r_matches_m_basis_oracle_on_every_monomial(ctx5):
@@ -336,17 +369,15 @@ def test_eta_r_rejects_non_integral_and_non_v_input(ctx5):
         eta_r(ctx5, Poly.gen(ctx5.T, 1))
 
 
-def test_eta_r_power_closed_form_keeps_memo_small(ctx5):
-    # eta_R(v1) = v1 + p t1, so eta_R(v1^n) = sum_k C(n,k) p^k v1^(n-k) t1^k
-    n, p = 300, ctx5.prime
+@pytest.mark.parametrize("table", POWER_MAPS)
+def test_eta_r_power_closed_form_keeps_memo_small(table):
+    # e.g. eta_R(v1) = v1 + p t1, so eta_R(v1^n) = sum_k C(n,k) p^k v1^(n-k) t1^k
+    n, p = 300, 5
     ctx = Context(prime=p)
-    got = eta_r(ctx, ctx.v(1) ** n)
-    assert got.terms == {
-        ((k,) if k else ()): Poly(ctx.V, {(n - k,): math.comb(n, k) * p**k})
-        for k in range(n + 1)
-    }
+    got = POWER_MAPS[table](ctx, (n,))
+    assert got.terms == _closed_form(table, ctx, n)
     # binary powering stores only the result: O(log n) entries, not n
-    assert len(_eta_pow_keys(ctx)) <= n.bit_length()
+    assert len(_pow_keys(ctx, table)) <= n.bit_length()
 
 
 def test_eta_r_field_overflow_raises_before_any_arithmetic():
@@ -357,20 +388,22 @@ def test_eta_r_field_overflow_raises_before_any_arithmetic():
     # deg(v2^e)/q = (p + 1) e, and 6 * 10923 = 65538
     with pytest.raises(ExponentOverflowError):
         eta_r(ctx, ctx.v(2) ** 10923)
-    assert _eta_pow_keys(ctx) == []
+    assert _pow_keys(ctx) == []
 
 
-def test_eta_r_warm_and_cold_contexts_agree():
-    # v1^5 comes before v1^4, so the warm context builds v1^5 and v1^9 by
-    # binary powering and v1^2, v1^3, v1^4 from the power one below
+@pytest.mark.parametrize("table", POWER_MAPS)
+def test_eta_r_warm_and_cold_contexts_agree(table):
+    # x1^5 comes before x1^4, so the warm context builds x1^5 and x1^9 by
+    # binary powering and x1^2, x1^3, x1^4 from the power one below
     monos = [(1,), (2,), (3,), (5,), (4,), (2, 1), (0, 2), (1, 1, 1), (9, 0, 1)]
+    image = POWER_MAPS[table]
     warm = Context(prime=7)
-    warm_values = [eta_r(warm, Poly(warm.V, {exps: 1})) for exps in monos]
+    warm_values = [image(warm, exps) for exps in monos]
     for exps, value in zip(monos, warm_values):
         cold = Context(prime=7)
-        assert eta_r(cold, Poly(cold.V, {exps: 1})) == value
+        assert image(cold, exps) == value
     # only generator powers are stored: no mixed monomial, no powering step
-    assert sorted(k[1:] for k in _eta_pow_keys(warm)) == [
+    assert sorted(_pow_keys(warm, table)) == [
         (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 9), (2, 1), (2, 2), (3, 1)
     ]
 
