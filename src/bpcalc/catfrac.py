@@ -26,9 +26,8 @@ composable pair (partial tables are rejected).
 
 from __future__ import annotations
 
-import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError
 from .report import Report
@@ -665,21 +664,23 @@ def verify_universal_props(C: FiniteCategory, M: MonadData) -> Report:
     )
     E, eta = M.obj_map, M.eta
 
-    bad = None
-    for x in C.objects:
-        for y in C.objects:
-            if y not in D:
-                continue
-            image = {}
-            for g in C.hom(E[x], y):
-                image.setdefault(C.compose(g, eta[x]), []).append(g)
-            onto = all(f in image for f in C.hom(x, y))
-            one_one = all(len(v) == 1 for v in image.values())
-            if not (onto and one_one):
-                bad = f"[E{x}, {y}] -> [{x}, {y}] not a bijection"
-                break
-        if bad:
-            break
+    def f_star_bijective(f, z):
+        x, y = C.src(f), C.tgt(f)
+        image = {}
+        for g in C.hom(y, z):
+            image.setdefault(C.compose(g, f), []).append(g)
+        onto = all(h in image for h in C.hom(x, z))
+        return onto and all(len(v) == 1 for v in image.values())
+
+    bad = next(
+        (
+            f"[E{x}, {y}] -> [{x}, {y}] not a bijection"
+            for x in C.objects
+            for y in C.objects
+            if y in D and not f_star_bijective(eta[x], y)
+        ),
+        None,
+    )
     report.check(
         id="adjunction-bijection",
         anchor="precomposition with eta_X: [EX, Y] -> [X, Y] is a bijection "
@@ -688,14 +689,6 @@ def verify_universal_props(C: FiniteCategory, M: MonadData) -> Report:
         witness=bad or "",
         note="finite-scale verification only",
     )
-
-    def f_star_bijective(f, z):
-        x, y = C.src(f), C.tgt(f)
-        image = {}
-        for g in C.hom(y, z):
-            image.setdefault(C.compose(g, f), []).append(g)
-        onto = all(h in image for h in C.hom(x, z))
-        return onto and all(len(v) == 1 for v in image.values())
 
     bad = None
     for f in sorted(C.morphisms):
@@ -921,21 +914,20 @@ def parse_category_file(text: str):
         if unknown:
             raise ParseError(f"class {name} lists unknown morphisms {unknown}")
         out_classes[name] = frozenset(members) | frozenset(C.identities.values())
-    monads = {}
+    etas = {}
     for nat_name, (fun_name, eta) in nats.items():
         if fun_name not in functors:
             raise ParseError(f"nat {nat_name} references unknown functor {fun_name}")
+        etas[fun_name] = eta
+    monads = {}
+    # functors with a unit first, in nat order, then the rest
+    for fun_name in [*etas, *(f for f in functors if f not in etas)]:
         obj_map, mor_map = functors[fun_name]
         full_mor = dict(mor_map)
         for x, i in C.identities.items():
             full_mor.setdefault(i, C.identities.get(obj_map.get(x, x)))
+        eta = etas.get(fun_name, {})
         monads[fun_name] = MonadData(obj_map, full_mor, eta, name=fun_name)
-    for fun_name, (obj_map, mor_map) in functors.items():
-        if fun_name not in monads:
-            full_mor = dict(mor_map)
-            for x, i in C.identities.items():
-                full_mor.setdefault(i, C.identities.get(obj_map.get(x, x)))
-            monads[fun_name] = MonadData(obj_map, full_mor, {}, name=fun_name)
     return C, out_classes, monads
 
 

@@ -3,9 +3,9 @@ group localization, and finite-category checks.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error
 (or a pipeline precondition the configuration fails), 3 truncation
-exceeded.  Reports are deterministic; wall-clock timings sit
-in dedicated fields that byte-level comparisons strip (``--no-timing``
-zeroes them).
+exceeded.  Reports are deterministic apart from each record's measured
+``runtime_ms``: JSON output omits that field under ``--no-timing``, and
+text output never shows it.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ VERIFY_TARGETS = (
     "thm7.10",
     "all",
 )
+# the parts of "all", in report order; thm7.2 runs lemma7.5 and lemma7.7
+VERIFY_ALL = ("lemma7.1", "lemma7.3", "thm7.2", "lemma7.9", "thm7.10", "structural")
 
 
 @dataclass
@@ -119,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--no-timing",
         action="store_true",
-        help="zero out runtime fields for byte-identical output",
+        help="omit runtime fields for byte-identical output",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -167,9 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # Operation expression literals
 # ---------------------------------------------------------------------------
-
-_R_TOKEN = re.compile(r"R\[([^\]]*)\]")
-
 
 def _parse_index_entry(tok: str, p: int) -> int:
     tok = tok.strip()
@@ -270,22 +269,16 @@ def run_verify(target: str, config: Config) -> Report:
         )
         return report
 
-    if target == "lemma7.1":
-        return with_complex(hopf.verify_lemma_7_1(ctx, bound))
-    if target == "lemma7.3":
-        return opcalc.verify_lemma_7_3(ctx)
-    if target == "lemma7.5":
-        _, report = opcalc.lemma75_check(ctx)
-        return report
-    if target == "lemma7.7":
-        _, report = opcalc.lemma77_check(ctx)
-        return report
-    if target == "thm7.2":
-        return opcalc.gamma1_pipeline(ctx)
-    if target == "lemma7.9":
-        return opcalc.verify_lemma_7_9(ctx)
-    if target == "thm7.10":
-        return opcalc.betap_pipeline(ctx)
+    builders = {
+        "lemma7.1": lambda: with_complex(hopf.verify_lemma_7_1(ctx, bound)),
+        "lemma7.3": lambda: opcalc.verify_lemma_7_3(ctx),
+        "lemma7.5": lambda: opcalc.lemma75_check(ctx)[1],
+        "lemma7.7": lambda: opcalc.lemma77_check(ctx)[1],
+        "thm7.2": lambda: opcalc.gamma1_pipeline(ctx),
+        "lemma7.9": lambda: opcalc.verify_lemma_7_9(ctx),
+        "thm7.10": lambda: opcalc.betap_pipeline(ctx),
+        "structural": lambda: hopf.verify_structural(ctx),
+    }
     if target == "all":
         merged = Report(
             "all verification pipelines",
@@ -295,14 +288,12 @@ def run_verify(target: str, config: Config) -> Report:
                 "window_q": bound,
             },
         )
-        merged.extend(with_complex(hopf.verify_lemma_7_1(ctx, bound)), prefix="lemma7.1")
-        merged.extend(opcalc.verify_lemma_7_3(ctx), prefix="lemma7.3")
-        merged.extend(opcalc.gamma1_pipeline(ctx), prefix="thm7.2")
-        merged.extend(opcalc.verify_lemma_7_9(ctx), prefix="lemma7.9")
-        merged.extend(opcalc.betap_pipeline(ctx), prefix="thm7.10")
-        merged.extend(hopf.verify_structural(ctx), prefix="structural")
+        for name in VERIFY_ALL:
+            merged.extend(builders[name](), prefix=name)
         return merged
-    raise ValueError(f"unknown verify target {target}")
+    if target not in builders:
+        raise ValueError(f"unknown verify target {target}")
+    return builders[target]()
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +302,10 @@ def run_verify(target: str, config: Config) -> Report:
 
 
 def _emit(report: Report, config: Config) -> int:
-    if not config.timing:
-        for rec in report.records:
-            rec.runtime_ms = 0
     text = (
         report.to_json(timing=config.timing)
         if config.format == "json"
-        else report.to_text(timing=config.timing)
+        else report.to_text()
     )
     if config.out:
         with open(config.out, "w") as fh:

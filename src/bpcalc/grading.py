@@ -349,9 +349,6 @@ class Poly(SparseRing):
 
     # -- queries --------------------------------------------------------
 
-    def monomials(self):
-        return [Monomial(self.alphabet, e) for e in sorted(self.terms)]
-
     def coeff(self, exps) -> Fraction:
         return Fraction(self.terms.get(_trim(exps), 0))
 

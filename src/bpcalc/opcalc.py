@@ -14,28 +14,25 @@ records its expected term list, computed term list, and modulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from time import perf_counter
 
 from .arith import padic_valuation
-from .errors import DegreeError, NotDivisibleError, PreconditionError, TruncationError
+from .errors import DegreeError, PreconditionError
 from .grading import (
     Context,
-    Monomial,
     Poly,
     TermIdeal,
     canonical_mod,
+    divide_exact,
     format_poly,
     monomials_of_degree,
     monomials_up_to,
     reduce_mod,
-    _trim,
 )
 from .hopf import (
     OperationExpr,
     format_word,
-    opindex_degree,
     r_action,
     r_action_table,
 )
@@ -277,7 +274,6 @@ def check_complex(ctx: Context, matrices: list, degree_bound_q: int | None = Non
     )
     for k in range(len(matrices) - 1):
         later, earlier = matrices[k + 1], matrices[k]
-        t0 = perf_counter()
         composite = later.compose(earlier)
         ok, witness = True, ""
         for i, row in enumerate(composite.entries):
@@ -301,7 +297,6 @@ def check_complex(ctx: Context, matrices: list, degree_bound_q: int | None = Non
             status=ok,
             modulus=f"pairing window deg <= {bound_q}q",
             witness=witness,
-            runtime_ms=int((perf_counter() - t0) * 1000),
         )
     return report
 
@@ -342,37 +337,9 @@ class GeneratorRelation:
         """Rewrite an element of the target module as (quotient) * source
         generator: exact termwise division by coeff * mono, verified by
         re-multiplication modulo the target ideal."""
-        ctx = self.target.ctx
-        out = {}
-        for exps, c in e.coeff.terms.items():
-            if not all(
-                (self.mono_exps[i] if i < len(self.mono_exps) else 0)
-                <= (exps[i] if i < len(exps) else 0)
-                for i in range(max(len(exps), len(self.mono_exps)))
-            ):
-                raise NotDivisibleError(
-                    f"relation {self.name}: term {Monomial(ctx.V, exps)} not "
-                    f"divisible by {Monomial(ctx.V, self.mono_exps)}"
-                )
-            q = Fraction(c) / Fraction(self.coeff)
-            if padic_valuation(q, ctx.prime) < 0:
-                raise NotDivisibleError(
-                    f"relation {self.name}: coefficient {c} not divisible by "
-                    f"{self.coeff} p-locally"
-                )
-            new_e = _trim(
-                tuple(
-                    (exps[i] if i < len(exps) else 0)
-                    - (self.mono_exps[i] if i < len(self.mono_exps) else 0)
-                    for i in range(max(len(exps), len(self.mono_exps)))
-                )
-            )
-            out[new_e] = q
-        quotient = new_module.element(Poly(ctx.V, out))
-        back = quotient.coeff * Poly(ctx.V, {self.mono_exps: self.coeff})
-        if reduce_mod(back - e.coeff, self.target.ideal):
-            raise NotDivisibleError(f"relation {self.name}: quotient check failed")
-        return quotient
+        return new_module.element(
+            divide_exact(e.coeff, self.coeff, self.mono_exps, self.target.ideal)
+        )
 
 
 def _vector_str(vec) -> str:
@@ -425,7 +392,6 @@ def lemma75_check(ctx: Context, spec=None, report: Report | None = None):
     report = report if report is not None else Report(
         "first-stage value of the composite chain", config={"prime": p}
     )
-    t0 = perf_counter()
     spec["h1_restriction"].validate()
     spec["g1_restriction"].validate()
     M_gbar1 = spec["modules"]["gbar1"]
@@ -445,9 +411,7 @@ def lemma75_check(ctx: Context, spec=None, report: Report | None = None):
         expected=_vector_str(expected_restricted),
         computed=_vector_str(vec),
         modulus=str(M_gbar1.ideal),
-        runtime_ms=int((perf_counter() - t0) * 1000),
     )
-    t0 = perf_counter()
     g1_vec = [spec["g1_restriction"].divide(e, M_g1) for e in vec]
     expected = [M_g1.element(-ctx.v(2) ** (p - 1)), M_g1.zero()]
     ok2 = [e.coeff for e in g1_vec] == [e.coeff for e in expected]
@@ -458,7 +422,6 @@ def lemma75_check(ctx: Context, spec=None, report: Report | None = None):
         expected=_vector_str(expected),
         computed=_vector_str(g1_vec),
         modulus=str(M_g1.ideal),
-        runtime_ms=int((perf_counter() - t0) * 1000),
     )
     return g1_vec, report
 
@@ -473,7 +436,6 @@ def lemma77_check(ctx: Context, spec=None, report: Report | None = None):
         "second-stage value of the composite chain", config={"prime": p}
     )
     g1_vec, _ = lemma75_check(ctx, spec, report)
-    t0 = perf_counter()
     M_gbar0 = spec["modules"]["gbar0"]
     M_g0 = spec["modules"]["g0"]
     xi = [M_gbar0.element(e.coeff) for e in g1_vec]  # lift along gbar0 -> g1
@@ -494,9 +456,7 @@ def lemma77_check(ctx: Context, spec=None, report: Report | None = None):
         expected=_vector_str(expected_bar),
         computed=_vector_str(minus_d1_xi),
         modulus=str(M_gbar0.ideal),
-        runtime_ms=int((perf_counter() - t0) * 1000),
     )
-    t0 = perf_counter()
     spec["g0_restriction"].validate()
     g0_vec = [spec["g0_restriction"].divide(e, M_g0) for e in minus_d1_xi]
     expected = [
@@ -514,7 +474,6 @@ def lemma77_check(ctx: Context, spec=None, report: Report | None = None):
         modulus=str(M_g0.ideal),
         note="the restriction g0 i = v1 gbar0 is the degree-consistent "
         "reading; a bare g0 i = gbar0 cannot drop v1^(p+1) to v1^p",
-        runtime_ms=int((perf_counter() - t0) * 1000),
     )
     return g0_vec, report
 
@@ -533,7 +492,6 @@ def indeterminacy_scan(
         ops = [OperationExpr.word(ctx, (p,)), OperationExpr.word(ctx, (1,))]
         ops = ops[: len(degrees)]
     for degree, op in zip(degrees, ops):
-        t0 = perf_counter()
         monos = monomials_of_degree(degree, ctx.V)
         bad = []
         min_v1 = None
@@ -555,7 +513,6 @@ def indeterminacy_scan(
             computed=f"{len(monos)} monomials, min v1-exponent {min_v1}",
             modulus=str(ideal),
             witness="; ".join(bad[:3]),
-            runtime_ms=int((perf_counter() - t0) * 1000),
         )
     return report
 
@@ -589,7 +546,6 @@ def gamma1_pipeline(ctx: Context, spec=None) -> Report:
     )
     report.extend(scan, prefix="thm7.2")
 
-    t0 = perf_counter()
     M_lbar = spec["modules"]["lbar"]
     M_l = spec["modules"]["l"]
     xi2 = [M_lbar.element(e.coeff) for e in g0_vec]  # lift along lbar -> g0
@@ -608,10 +564,8 @@ def gamma1_pipeline(ctx: Context, spec=None) -> Report:
         expected=format_poly(expected_lbar) + "*lbar",
         computed=format_poly(reduced) + "*lbar",
         modulus=str(mixed),
-        runtime_ms=int((perf_counter() - t0) * 1000),
     )
 
-    t0 = perf_counter()
     spec["l_restriction"].validate()
     rel = spec["l_restriction"]
     quotient = Poly(
@@ -627,7 +581,6 @@ def gamma1_pipeline(ctx: Context, spec=None) -> Report:
         expected=str(expected_final),
         computed=str(final),
         modulus=str(M_l.ideal),
-        runtime_ms=int((perf_counter() - t0) * 1000),
     )
     return report
 
@@ -655,7 +608,6 @@ def betap_pipeline(ctx: Context) -> Report:
     )
     rel_g0.validate()
 
-    t0 = perf_counter()
     exact = r_action(ctx, (p * p,), ctx.v(2) ** p)
     correction = exact - ctx.v(1) ** p
     vals = [
@@ -670,10 +622,8 @@ def betap_pipeline(ctx: Context) -> Report:
         expected="v1^p mod p^(p-1)",
         computed=f"v1^p + {len(correction.terms)} correction terms, "
         f"min valuation {min(vals) if vals else 'n/a'}",
-        runtime_ms=int((perf_counter() - t0) * 1000),
     )
 
-    t0 = perf_counter()
     h_image = M_gbar0.element(ctx.v(2) ** p)
     value = act((p * p,), h_image)
     expected_bar = M_gbar0.element(ctx.v(1) ** p)
@@ -685,10 +635,8 @@ def betap_pipeline(ctx: Context) -> Report:
         expected=str(expected_bar),
         computed=str(value),
         modulus=str(M_gbar0.ideal),
-        runtime_ms=int((perf_counter() - t0) * 1000),
     )
 
-    t0 = perf_counter()
     final = rel_g0.divide(value, M_g0)
     expected = M_g0.element(ctx.v(1) ** (p - 1))
     ok = final.coeff == expected.coeff
@@ -699,7 +647,6 @@ def betap_pipeline(ctx: Context) -> Report:
         expected=str(expected),
         computed=str(final),
         modulus=str(M_g0.ideal),
-        runtime_ms=int((perf_counter() - t0) * 1000),
     )
     return report
 
@@ -771,7 +718,6 @@ def ext1_invariant(ctx: Context, r: int) -> Report:
     )
 
     # (a) closed-form oracle: Cartan on a pure power of v1
-    t0 = perf_counter()
     exact = r_action(ctx, (p * p,), ctx.v(1) ** r)
     oracle = (
         math.comb(r, p * p) * p ** (p * p) * ctx.v(1) ** (r - p * p)
@@ -784,7 +730,6 @@ def ext1_invariant(ctx: Context, r: int) -> Report:
         expected=format_poly(oracle),
         computed=format_poly(exact),
         modulus=f"(p^{p})",
-        runtime_ms=int((perf_counter() - t0) * 1000),
     )
     # the reported leading constant of the top action, no asserted target
     c_exact = math.comb(r, p * p)
@@ -798,7 +743,6 @@ def ext1_invariant(ctx: Context, r: int) -> Report:
     )
 
     # (b) coboundary congruence table
-    t0 = perf_counter()
     columns = [("c", r, 0)]  # v1^r
     for j in range(1, p):
         i = r - j * (p + 1)
@@ -839,12 +783,10 @@ def ext1_invariant(ctx: Context, r: int) -> Report:
         status=all(rows_ok),
         computed="; ".join(notes),
         modulus="(p) rows; top action mod p^p",
-        runtime_ms=int((perf_counter() - t0) * 1000),
     )
 
     # (c) exact linear system: an integral coboundary forces integral c_ij
     # and p-integral c
-    t0 = perf_counter()
     target_rows = []
     target_index = {}
     for idx in ((1,), (p,), (p * p,)):
@@ -883,7 +825,6 @@ def ext1_invariant(ctx: Context, r: int) -> Report:
             f"{label}: min valuation {worst.get(k, 0)}"
             for k, (label, i, j) in enumerate(columns)
         ),
-        runtime_ms=int((perf_counter() - t0) * 1000),
     )
     return report
 
@@ -924,7 +865,6 @@ def verify_lemma_7_3(ctx: Context) -> Report:
             computed=format_poly(got),
         )
 
-    t0 = perf_counter()
     exact("lemma7.3.R1v1", "R[1] v1 = p", r_action(ctx, (1,), v1), p + Poly.zero(ctx.V))
     exact(
         "lemma7.3.R1v2",
@@ -990,8 +930,6 @@ def verify_lemma_7_3(ctx: Context) -> Report:
         computed=format_poly(reduce_mod(got, chain1)),
         modulus=str(chain1),
     )
-    for rec in report.records:
-        rec.runtime_ms = int((perf_counter() - t0) * 1000 / len(report.records))
 
     # the recomputed action tables, emitted rather than asserted: the
     # blanket line "R_I v_i = 0 for |I| > 1" holds only for v1

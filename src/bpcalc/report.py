@@ -1,15 +1,18 @@
 """Check records and reports shared by the verification pipelines and the CLI.
 
 A report is a deterministic, ordered list of check records.  Identical
-invocations produce identical reports; wall-clock timings are isolated in
-the ``runtime_ms`` field of each record and the ``timing`` header, which
-consumers strip when comparing bytes.
+invocations produce identical reports apart from wall-clock time, which
+sits only in the ``runtime_ms`` field of each record; ``as_dict`` and
+``to_json`` omit it with ``timing=False`` and the text form never shows it.
+``Report`` measures each record itself: ``check`` stamps the whole
+milliseconds since the report was created or last took a record.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from time import perf_counter
 
 SCHEMA_VERSION = "bpcalc-report/1"
 
@@ -54,12 +57,16 @@ class Report:
             from . import __version__
 
             self.tool_version = __version__
+        self._mark = perf_counter()  # not a field: kept out of eq, repr, as_dict
 
     def add(self, record: CheckRecord):
         self.records.append(record)
+        self._mark = perf_counter()
         return record
 
     def check(self, id, anchor, status, **kw):
+        """Record a check; ``runtime_ms`` defaults to the time since the mark."""
+        kw.setdefault("runtime_ms", int((perf_counter() - self._mark) * 1000))
         return self.add(CheckRecord(id=id, anchor=anchor, status=bool(status), **kw))
 
     def extend(self, other: "Report", prefix: str = ""):
@@ -68,6 +75,7 @@ class Report:
             if prefix:
                 copy.id = f"{prefix}.{copy.id}"
             self.records.append(copy)
+        self._mark = perf_counter()
 
     @property
     def passed(self) -> bool:
@@ -113,7 +121,7 @@ class Report:
             )
         return report
 
-    def to_text(self, timing=True) -> str:
+    def to_text(self) -> str:
         lines = [
             f"report: {self.title}",
             f"tool:   bpcalc {self.tool_version}",

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from bpcalc import cli, hopf
+from bpcalc import report as report_module
 from bpcalc.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_PASS,
@@ -85,6 +86,22 @@ def test_verify_deterministic_bytes(capsys):
     assert main(args) == EXIT_PASS
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_verify_measures_every_record(monkeypatch, capsys):
+    # a clock that advances 1000 s per reading: a record the report timed
+    # shows at least one step, an unmeasured or averaged one shows less
+    ticks = iter(range(0, 10**9, 1000))
+    monkeypatch.setattr(report_module, "perf_counter", lambda: next(ticks))
+    args = ["verify", "lemma7.3", "--prime", "5", "--format", "json"]
+    assert main(args) == EXIT_PASS
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[-1]["id"] == "lemma7.3.recomputed-table"
+    assert all(c["runtime_ms"] >= 1_000_000 for c in checks), [
+        (c["id"], c["runtime_ms"]) for c in checks
+    ]
+    assert main(args + ["--no-timing"]) == EXIT_PASS
+    assert "runtime_ms" not in capsys.readouterr().out
 
 
 def test_verify_writes_report(tmp_path, capsys):

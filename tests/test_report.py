@@ -1,3 +1,4 @@
+from bpcalc import report as report_module
 from bpcalc.report import CheckRecord, Report
 
 
@@ -55,3 +56,27 @@ def test_extend_with_prefix():
     # extension copies records
     outer.records[0].id = "mutated"
     assert rep.records[0].id == "a"
+
+
+def test_report_times_each_record(monkeypatch):
+    # a fake clock that advances 1 s per reading
+    ticks = iter(range(100))
+    monkeypatch.setattr(report_module, "perf_counter", lambda: next(ticks))
+    rep = Report("clocked")  # mark at 0
+    first = rep.check(id="a", anchor="x", status=True)  # read 1, mark 2
+    assert first.runtime_ms == 1000
+    second = rep.check(id="b", anchor="y", status=True)  # read 3
+    assert second.runtime_ms == 1000
+    # extend copies stored times and resets the mark
+    outer = Report("outer")
+    outer.extend(rep)
+    assert [r.runtime_ms for r in outer.records] == [1000, 1000]
+    assert outer.check(id="c", anchor="z", status=True).runtime_ms == 1000
+    # an explicit value wins over the clock
+    assert rep.check(id="d", anchor="w", status=True, runtime_ms=7).runtime_ms == 7
+    # from_json keeps the stored values
+    back = Report.from_json(outer.to_json())
+    assert [r.runtime_ms for r in back.records] == [1000, 1000, 1000]
+    # the mark is not part of equality, repr or the serialized form
+    assert Report.from_json(rep.to_json()) == rep
+    assert "_mark" not in repr(rep) and "_mark" not in rep.to_json()
