@@ -38,8 +38,9 @@ the context; ``memo_power`` fills ``<base>_pow``, keyed by (i, e).  Here:
 ``Poly.substitute`` reads).  In ``hopf``: ``_psi_t_rational``, ``psi_t``,
 ``psi_t_pow``, ``psi_monomial``, ``_eta_r_m_generator(_pow)``,
 ``_eta_v_generator(_pow)``, ``_factor_actions``, ``pair_word``, the Cartan
-tables ``rtable`` and ``rtable_pruned``, and ``_eta_r_cached``.  Callers
-must not mutate a memo entry.
+tables ``rtable`` and ``rtable_pruned`` (flat ``{packed int key: int}``
+counts), the scaled images ``_m_to_v_scaled`` (p^s * ``m_to_v``, flat ints)
+and ``_eta_r_cached``.  Callers must not mutate a memo entry.
 """
 
 from __future__ import annotations
@@ -625,34 +626,31 @@ def canonical_mod(x: Poly, ideal: TermIdeal) -> Poly:
 
 def monomials_of_degree(degree: int, alphabet: Alphabet):
     """Exhaustive, duplicate-free list of monomials of the given degree."""
-    if degree < 0:
-        return []
-    if degree % 2:
-        return []
+    return [m for m in _monomials(degree, alphabet) if m.degree == degree]
+
+
+def monomials_up_to(bound: int, alphabet: Alphabet):
+    """All monomials of even degree <= bound, sorted by (degree, exps), from
+    one pass of the exponent recursion (every generator degree is even)."""
+    return _monomials(bound, alphabet)
+
+
+def _monomials(bound, alphabet):
     out = []
 
     def rec(i, remaining, exps):
         if i > alphabet.size:
-            if remaining == 0:
-                out.append(Monomial(alphabet, tuple(exps)))
+            out.append(Monomial(alphabet, tuple(exps)))
             return
         d = alphabet.gen_degree(i)
-        # loop highest index first for stable enumeration order
         for e in range(remaining // d + 1):
             exps.append(e)
             rec(i + 1, remaining - e * d, exps)
             exps.pop()
 
-    rec(1, degree, [])
-    return sorted(out, key=lambda m: m.exps)
-
-
-def monomials_up_to(bound: int, alphabet: Alphabet):
-    """All monomials of even degree <= bound, sorted by (degree, exps)."""
-    out = []
-    for d in range(0, bound + 1, 2):
-        out.extend(monomials_of_degree(d, alphabet))
-    return out
+    if bound >= 0:
+        rec(1, bound, [])
+    return sorted(out, key=lambda m: (m.degree, m.exps))
 
 
 def divide_exact(x: Poly, coeff, mono_exps, ideal: TermIdeal) -> Poly:

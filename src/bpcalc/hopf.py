@@ -28,10 +28,12 @@ dicts of int coefficients under packed-int keys (product key = key sum).
 The rational m-basis right unit ``eta_r_m`` and the basis change serve only
 to compute eta_R(v1), eta_R(v2), eta_R(v3).  The Cartan side stays on its
 own path on every monomial: m-basis factor actions, the table recursion,
-then the Hazewinkel change back to the v-basis.  It must not be made
-multiplicative in the v-basis too: the Cartan formula is exactly the
-multiplicativity of eta_R, so the cross-check would then compare one
-computation with itself.
+then the Hazewinkel change back to the v-basis, on flat int tables of its
+own (m-exponents and J packed in one key) and p-power-scaled integral
+images of ``ctx.m_to_v``, divided exactly by p^K once at the end.  It
+must not be made multiplicative in the v-basis: the Cartan formula is
+exactly the multiplicativity of eta_R, so the cross-check would then
+compare one computation with itself.
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ from .errors import (
 from .grading import (
     HAZEWINKEL_MAX_INDEX,
     Context,
-    Monomial,
     Poly,
     Sparse,
     SparseRing,
+    _num,
     _trim,
     add_exps,
     add_term,
@@ -488,6 +490,7 @@ def eta_r_m(ctx: Context, x: Poly) -> TPoly:
 # t1..t3 into _FIELD_BITS-bit fields, so a product key is a plain sum and
 # the one sparse kernel multiplies them (``_Flat``).
 # eta_R(v_i) involves only v1..v3 and t1..ti (i <= HAZEWINKEL_MAX_INDEX).
+# The Cartan tables use the same layout with m1..m3 and the index J.
 _FIELD_BITS = 16
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 _T_SHIFT = _FIELD_BITS * HAZEWINKEL_MAX_INDEX
@@ -507,6 +510,18 @@ def _unpack(key) -> tuple:
         exps.append(key & _FIELD_MASK)
         key >>= _FIELD_BITS
     return tuple(exps)
+
+
+def _key_bound(ctx: Context, x: Poly, name: str) -> int:
+    """max deg/q over the terms of x, a bound on every exponent of their
+    packed images; ExponentOverflowError when it passes the field width."""
+    bound = max((x.alphabet.degree_of(e) // ctx.q for e in x.terms), default=0)
+    if bound > _FIELD_MASK:
+        raise ExponentOverflowError(
+            f"{name}: an exponent of the image (up to deg/q = {bound}) would "
+            f"exceed the {_FIELD_BITS}-bit key field"
+        )
+    return bound
 
 
 class _Flat(SparseRing):
@@ -560,12 +575,7 @@ def eta_r(ctx: Context, x: Poly) -> TPoly:
         raise AlphabetError(
             "eta_r expects a v-polynomial (eta_r_m takes m-polynomials)"
         )
-    for exps in x.terms:
-        if ctx.V.degree_of(exps) // ctx.q > _FIELD_MASK:
-            raise ExponentOverflowError(
-                f"eta_r: an exponent of eta_R({Monomial(ctx.V, exps)}) exceeds "
-                f"the {_FIELD_BITS}-bit key field"
-            )
+    _key_bound(ctx, x, "eta_r")
     acc = _Flat({})
     for exps, c in x.terms.items():
         image = _Flat({0: 1})
@@ -594,31 +604,33 @@ def eta_r(ctx: Context, x: Poly) -> TPoly:
 
 @memoized
 def _factor_actions(ctx: Context, i: int):
-    """Nonzero R_index values on the generator m_i: [(index, value)]."""
+    """The nonzero R_J m_i, all with coefficient 1, as (key, b, p^a): R_0
+    m_i = m_i (b = 0) and R_J m_i = m_a for J = p^a in place b = i - a; key
+    packs m_a in the low fields and J from ``_T_SHIFT`` up."""
     p = ctx.prime
-    actions = [((), Poly.gen(ctx.M, i))]
+    actions = [(1 << _FIELD_BITS * (i - 1), 0, 0)]
     for a in range(0, i):
         b = i - a  # b >= 1
-        idx = (0,) * (b - 1) + (p**a,)
-        value = Poly.gen(ctx.M, a) if a else Poly.constant(ctx.M, 1)
-        actions.append((idx, value))
+        value = 1 << _FIELD_BITS * (a - 1) if a else 0
+        index = p**a << _T_SHIFT + _FIELD_BITS * (b - 1)
+        actions.append((value + index, b, p**a))
     return actions
 
 
 def _mono_action_table(ctx: Context, exps, cap=None) -> dict:
-    """R_J values on the m-monomial, via the Cartan formula.
-
-    Returns {J: m-basis Poly}: every nonzero R_J when cap is None, else only
-    the J that divide cap componentwise.  The pruned table is an exact
-    restriction of the full one: indices add componentwise with
-    non-negative entries, so each entry J <= cap is a sum over pairs whose
-    suffix-table index is also <= cap.
+    """R_J values on the m-monomial, via the Cartan formula, as a flat
+    table {key: int}: the key packs a value's m-exponents and, from
+    ``_T_SHIFT`` up, J; each factor action has coefficient 1, so the int
+    counts the ways the pair arises.  The table holds every nonzero R_J when
+    cap is None, else only the J <= cap componentwise: an exact restriction,
+    since indices add componentwise with non-negative entries.
 
     Tables are memoized in ``ctx.memo["rtable"]`` under exps when full and
     in ``ctx.memo["rtable_pruned"]`` under (exps, cap) when pruned; a full
     table serves any cap.  Each step strips one factor of the highest
     generator, so the build walks down to the nearest cached suffix table
     and then back up in a loop, with no recursion depth tied to exponents.
+    Callers bound the exponents first (``_key_bound``).
     """
     exps = _trim(exps)
     full, pruned = ctx.memo["rtable"], ctx.memo["rtable_pruned"]
@@ -630,20 +642,23 @@ def _mono_action_table(ctx: Context, exps, cap=None) -> dict:
         if table is not None:
             break
         if not exps:
-            table = full[()] = {(): Poly.constant(ctx.M, 1)}
+            table = full[()] = {0: 1}
             break
         pending.append(exps)
         exps = _trim(exps[:-1] + (exps[-1] - 1,))
     for exps in reversed(pending):
-        rest_table, table = table, {}
-        for idx_l, val_l in _factor_actions(ctx, len(exps)):
-            if cap is not None and not exps_divides(idx_l, cap):
-                continue
-            unit = val_l.terms == {(): 1}  # R_(e_i) m_i = 1: reuse val_r
-            for idx_r, val_r in rest_table.items():
-                idx = add_exps(idx_l, idx_r)
-                if cap is None or exps_divides(idx, cap):
-                    add_term(table, idx, val_r if unit else val_l * val_r)
+        rest, table = table, {}
+        get = table.get
+        for key, b, step in _factor_actions(ctx, len(exps)):
+            items = rest.items()
+            if cap is not None and b:
+                # rest holds J <= cap, so only field b of the sum can pass it
+                limit = (cap[b - 1] if b <= len(cap) else 0) - step
+                shift = _T_SHIFT + _FIELD_BITS * (b - 1)
+                items = [(k, c) for k, c in items if k >> shift & _FIELD_MASK <= limit]
+            for k, c in items:
+                k += key
+                table[k] = get(k, 0) + c
         if cap is None:
             full[exps] = table
         else:
@@ -651,45 +666,71 @@ def _mono_action_table(ctx: Context, exps, cap=None) -> dict:
     return table
 
 
-def r_action_table(ctx: Context, x: Poly) -> dict:
-    """All nonzero R_I(x) for a v-polynomial, as {index: integral v-Poly}."""
-    xm = ctx.to_m_basis(x)
+@memoized
+def _m_to_v_scaled(ctx: Context, key: int):
+    """(s, p^s * m^a as {packed v-key: int}) for the packed m-monomial m^a:
+    s = a1 + 2 a2 + 3 a3 clears the denominators of ``ctx.m_to_v``."""
+    exps = _unpack(key)
+    s = sum(i * e for i, e in enumerate(exps, start=1))
+    return s, {_pack(e): _num(c * ctx.prime**s) for e, c in ctx.m_to_v(exps).items()}
+
+
+def _cartan(ctx: Context, x: Poly, cap=None) -> dict:
+    """{J: R_J(x)} for every J, or for J = cap only, from the flat Cartan
+    tables: their counts, weighted by the m-basis coefficients of x, go back
+    to the v-basis through the scaled images p^s * m^b raised to one scale
+    p^K (K = max deg/q >= s), then one exact division by p^K; a p left in a
+    denominator is a non-integral R_J(x): ValueError."""
+    K, p = _key_bound(ctx, x, "r_action"), ctx.prime
+    # the packed J to keep: None keeps all, -1 none (cap past the field)
+    want = cap and (_pack(cap) if max(cap) <= _FIELD_MASK else -1)
     acc = {}
-    for exps, c in xm.terms.items():
-        for idx, val in _mono_action_table(ctx, exps).items():
-            add_term(acc, idx, val * c)
-    out = {}
-    for idx, val in acc.items():
-        v = ctx.to_v_basis(val)
-        if v.is_zero():
-            continue
-        if not v.is_integral(ctx.prime):
-            raise ValueError(f"r_action: non-integral value at index {idx}")
-        out[idx] = v
+    for exps, c in ctx.to_m_basis(x).terms.items():
+        for k, n in _mono_action_table(ctx, exps, cap).items():
+            if want is None or k >> _T_SHIFT == want:
+                acc[k] = acc.get(k, 0) + c * n
+    scaled = {}
+    for k, c in acc.items():
+        s, image = _m_to_v_scaled(ctx, k & _V_MASK)
+        c *= p ** (K - s)
+        row = scaled.setdefault(k >> _T_SHIFT, {})
+        for vk, d in image.items():
+            row[vk] = row.get(vk, 0) + c * d
+    out, pK = {}, p**K
+    for jk, row in scaled.items():
+        terms = {}
+        for vk, c in row.items():
+            c, r = divmod(c, pK) if c.__class__ is int else (_num(c / pK), 0)
+            if r or c.__class__ is Fraction and padic_valuation(c, p) < 0:
+                raise ValueError(f"r_action: non-integral value at index {_unpack(jk)}")
+            if c:
+                terms[_unpack(vk)] = c
+        if terms:
+            out[_unpack(jk)] = Poly._raw(ctx.V, terms)
     return out
+
+
+def r_action_table(ctx: Context, x: Poly) -> dict:
+    """All nonzero R_I(x) for a v-polynomial, as {index: integral v-Poly},
+    from the full flat Cartan tables (``_cartan``).  Raises ValueError on a
+    non-integral value, and ExponentOverflowError before any arithmetic
+    when an exponent could pass the key field."""
+    return _cartan(ctx, x)
 
 
 def r_action(ctx: Context, index, x: Poly) -> Poly:
     """R_I acting on the coefficient ring (additive, Cartan multiplicative).
 
-    Reads R_I off each m-monomial's Cartan table pruned to the indices
-    J <= I, the only entries R_I depends on (see ``_mono_action_table``).
+    Reads R_I off each m-monomial's flat Cartan table pruned to the indices
+    J <= I, the only entries R_I depends on (see ``_mono_action_table``);
+    errors as in ``r_action_table``.
     """
     index = _trim(tuple(index))
     if len(index) > ctx.truncation:
         raise TruncationError(f"operation index {index} outside truncation")
     if not index:
         return x
-    xm = ctx.to_m_basis(x)
-    acc = Poly.zero(ctx.M)
-    for exps, c in xm.terms.items():
-        val = _mono_action_table(ctx, exps, cap=index).get(index)
-        if val is not None:
-            acc = acc + val * c
-    out = ctx.to_v_basis(acc)
-    if not out.is_integral(ctx.prime):
-        raise ValueError(f"r_action: non-integral value at index {index}")
-    return out
+    return _cartan(ctx, x, index).get(index, Poly.zero(ctx.V))
 
 
 def r_action_word(ctx: Context, word, x: Poly) -> Poly:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import padic_valuation
-from .errors import DegreeError, PreconditionError
+from .errors import DegreeError, NotDivisibleError, PreconditionError
 from .grading import (
     Context,
     Poly,
@@ -567,20 +567,19 @@ def gamma1_pipeline(ctx: Context, spec=None) -> Report:
     )
 
     spec["l_restriction"].validate()
-    rel = spec["l_restriction"]
-    quotient = Poly(
-        ctx.V, {e: Fraction(c) / rel.coeff for e, c in reduced.terms.items()}
-    )
-    final = M_l.element(quotient)
     expected_final = M_l.element(-2 * ctx.v(2) ** (p - 3))
-    ok = final.coeff == expected_final.coeff
+    try:
+        final, witness = spec["l_restriction"].divide(M_lbar.element(reduced), M_l), ""
+    except NotDivisibleError as exc:
+        final, witness = None, str(exc)
     report.check(
         id="thm7.2.final",
         anchor="the operation value is -2 v2^(p-3) l mod (p, v1) l",
-        status=ok,
+        status=final is not None and final.coeff == expected_final.coeff,
         expected=str(expected_final),
-        computed=str(final),
+        computed="not divisible" if final is None else str(final),
         modulus=str(M_l.ideal),
+        witness=witness,
     )
     return report
 

@@ -150,6 +150,17 @@ def test_eval_deep_power(capsys):
     assert capsys.readouterr().out == "10000*v1^1999\n"
 
 
+def test_eval_power_at_and_past_the_key_field(capsys):
+    # deg(v1^n)/q = n at p = 5: 20000 fits the 16-bit field, 70000 does not
+    assert main(["eval", "--prime", "5", "--", "R[1]", "v1^20000"]) == EXIT_PASS
+    assert capsys.readouterr().out == "100000*v1^19999\n"
+    assert main(["eval", "--prime", "5", "--", "R[1]", "v1^70000"]) == EXIT_TRUNCATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "error:" in lines[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

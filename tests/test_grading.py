@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from bpcalc.grading import (
     divide_exact,
     format_poly,
     monomials_of_degree,
+    monomials_up_to,
     parse_poly,
     reduce_mod,
 )
@@ -194,6 +196,29 @@ def test_monomials_of_degree_brute_force(ctx7):
         assert len({m.exps for m in found}) == len(found)
         assert all(m.degree == d for m in found)
     assert monomials_of_degree(0, alph) == [Monomial(alph, ())]
+
+
+@pytest.mark.parametrize("prime", [3, 5, 7])
+def test_monomials_up_to_is_the_per_degree_concatenation(prime):
+    # each degree's monomials from an independent product over exponent
+    # ranges, sorted by exponents and concatenated in degree order
+    ctx = Context(prime=prime)
+    bound = 2 * (prime**3 - 1)
+    for alph in (ctx.V, ctx.T):
+        degs = [alph.gen_degree(i) for i in range(1, alph.size + 1)]
+        by_degree = {d: [] for d in range(0, bound + 1, 2)}
+        for e in itertools.product(*(range(bound // d + 1) for d in degs)):
+            d = sum(a * b for a, b in zip(e, degs))
+            if d <= bound:
+                by_degree[d].append(Monomial(alph, e))
+        per_degree = []
+        for d, monos in by_degree.items():
+            monos.sort(key=lambda m: m.exps)
+            assert monomials_of_degree(d, alph) == monos
+            per_degree.extend(monos)
+        assert monomials_up_to(bound, alph) == per_degree
+        assert monomials_up_to(bound + 1, alph) == per_degree
+        assert monomials_up_to(-2, alph) == monomials_of_degree(1, alph) == []
 
 
 def test_monomial_enumeration_indeterminacy_degrees(ctx7):

@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bpcalc.arith import padic_valuation
 from bpcalc.errors import (
@@ -252,12 +252,16 @@ pruning_cases = st.sampled_from((5, 7)).flatmap(
 )
 
 
+def _cartan_indices(p):
+    # R[0,0,0,1] has degree above every input, so it is absent from every table
+    return [(1,), (p,), (0, 1), (p * p,), (1, 1), (0, 0, 1), (0, 0, 0, 1)]
+
+
 @given(pruning_cases)
 @settings(max_examples=40, deadline=None)
 def test_pruned_r_action_matches_full_table(case):
     p, terms = case
-    # R[0,0,0,1] has degree above every input, so it is absent from every table
-    indices = [(1,), (p,), (0, 1), (p * p,), (1, 1), (0, 0, 1), (0, 0, 0, 1)]
+    indices = _cartan_indices(p)
     # one context per call order: pruned tables first, or full tables first
     pruned_first, full_first = Context(prime=p), Context(prime=p)
     x = Poly(pruned_first.V, terms)
@@ -355,6 +359,43 @@ def test_eta_r_matches_m_basis_oracle(eta_contexts, case):
     else:
         with pytest.raises(ValueError):
             eta_r(ctx, x)
+
+
+@given(eta_cases)
+@example((5, {(1,): Fraction(1, 25)}))  # a p left over after to_m_basis
+@example((7, {(0, 1): Fraction(2, 49), (7,): Fraction(1, 2)}))
+@settings(max_examples=40, deadline=None)
+def test_cartan_side_matches_m_basis_oracle(eta_contexts, case):
+    # the oracle shares no code with the flat Cartan tables; where it has a
+    # non-integral coefficient the Cartan side must raise instead
+    p, terms = case
+    _, octx = eta_contexts[p]
+    expected = _eta_r_oracle(octx, Poly(octx.V, terms)).terms
+    integral = {I for I, c in expected.items() if c.is_integral(p)}
+    ctx = Context(prime=p)
+    x = Poly(ctx.V, terms)
+    for I in _cartan_indices(p):
+        if I in expected and I not in integral:
+            with pytest.raises(ValueError):
+                r_action(ctx, I, x)
+        else:
+            assert r_action(ctx, I, x) == expected.get(I, 0), I
+    if len(integral) == len(expected):
+        assert r_action_table(ctx, x) == expected
+    else:
+        with pytest.raises(ValueError):
+            r_action_table(ctx, x)
+
+
+def test_cartan_field_overflow_raises_before_any_table():
+    # at p = 5, deg(v1^e)/q = e: 2^16 is one past the 16-bit field
+    ctx = Context(prime=5)
+    x = ctx.v(1) + ctx.v(1) ** (1 << 16)
+    with pytest.raises(ExponentOverflowError):
+        r_action_table(ctx, x)
+    with pytest.raises(ExponentOverflowError):
+        r_action(ctx, (1,), x)
+    assert not ctx.memo["rtable"] and not ctx.memo["rtable_pruned"]
 
 
 def test_eta_r_rejects_non_integral_and_non_v_input(ctx5):

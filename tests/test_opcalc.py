@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from bpcalc import cli, opcalc
 from bpcalc.arith import padic_valuation
 from bpcalc.errors import DegreeError, NotDivisibleError
 from bpcalc.grading import Context, Poly, TermIdeal, reduce_mod
@@ -248,6 +250,19 @@ def test_generator_relation_divide_checks(ctx7):
     assert q.coeff == -ctx7.v(2) ** (p - 1)
     with pytest.raises(NotDivisibleError):
         rel.divide(M_gbar1.element(ctx7.v(3)), M_g1)
+
+
+def test_gamma1_final_not_divisible_is_a_failed_record(ctx7, monkeypatch):
+    # -2p v2^(p-3) lbar is not divisible by p^2: a failed record, not a raise
+    p = ctx7.prime
+    spec = default_gamma1_spec(ctx7)
+    spec["l_restriction"] = replace(spec["l_restriction"], coeff=Fraction(p * p))
+    report = gamma1_pipeline(ctx7, spec)
+    final = {r.id: r for r in report.records}["thm7.2.final"]
+    assert not final.status
+    assert "not divisible" in final.witness
+    monkeypatch.setattr(opcalc, "default_gamma1_spec", lambda ctx: spec)
+    assert cli.main(["verify", "thm7.2", "--prime", "7"]) == cli.EXIT_CHECK_FAILURE
 
 
 def test_pipeline_determinism(ctx7):
