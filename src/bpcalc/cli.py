@@ -3,7 +3,9 @@ group localization, and finite-category checks.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error
 (or a pipeline precondition the configuration fails), 3 truncation
-exceeded.  Reports are deterministic apart from each record's measured
+exceeded; under ``verify all`` a target that stops on an arithmetic
+error is one failed record ``<target>.crashed`` and the others still run.
+Reports are deterministic apart from each record's measured
 ``runtime_ms``: JSON output omits that field under ``--no-timing``, and
 text output never shows it.
 """
@@ -289,7 +291,20 @@ def run_verify(target: str, config: Config) -> Report:
             },
         )
         for name in VERIFY_ALL:
-            merged.extend(builders[name](), prefix=name)
+            try:
+                part = builders[name]()
+            except (TruncationError, ParseError, PreconditionError):
+                raise  # exit 3 or 2, as for a single target
+            except (ValueError, ArithmeticError, BPCalcError) as exc:
+                # a crash is one failed record; the other targets still run
+                merged.check(
+                    id=f"{name}.crashed",
+                    anchor=f"the {name} pipeline runs to completion",
+                    status=False,
+                    witness=f"{type(exc).__name__}: {exc}",
+                )
+                continue
+            merged.extend(part, prefix=name)
         return merged
     if target not in builders:
         raise ValueError(f"unknown verify target {target}")

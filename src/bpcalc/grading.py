@@ -7,8 +7,8 @@ All values are immutable by convention and safe to share between threads.
 
 Every sparse algebra of the package -- ``Poly`` here, and in ``hopf`` the
 co-operations ``TPoly``, the tensor square ``TensorPoly``, the operation
-combinations ``OperationCombo`` and the right unit's packed-key images
-``_Flat`` -- runs on one kernel: ``Sparse`` holds a
+combinations ``OperationCombo`` and the packed-key tables ``_Flat`` of the
+diagonal and the right unit -- runs on one kernel: ``Sparse`` holds a
 terms dict ``{key: nonzero coefficient}`` and implements sum, difference,
 negation, scaling and ``map_coeffs``; ``SparseRing`` adds the product and
 powers.  ``add_term`` is the accumulate step that keeps a terms dict free
@@ -35,12 +35,15 @@ the table named after the function it wraps, keyed by the arguments after
 the context; ``memo_power`` fills ``<base>_pow``, keyed by (i, e).  Here:
 ``v_in_m``, ``m_in_v``, their ``_pow`` tables, and the basis-change images
 ``v_to_m`` and ``m_to_v`` (terms dict per source monomial, which
-``Poly.substitute`` reads).  In ``hopf``: ``_psi_t_rational``, ``psi_t``,
-``psi_t_pow``, ``psi_monomial``, ``_eta_r_m_generator(_pow)``,
-``_eta_v_generator(_pow)``, ``_factor_actions``, ``pair_word``, the Cartan
-tables ``rtable`` and ``rtable_pruned`` (flat ``{packed int key: int}``
-counts), the scaled images ``_m_to_v_scaled`` (p^s * ``m_to_v``, flat ints)
-and ``_eta_r_cached``.  Callers must not mutate a memo entry.
+``Poly.substitute`` reads).  In ``hopf``, as flat ``{packed int key: int}``
+tables: the diagonal ``_psi_t_m`` (over Z[m]) and ``_psi_t_v`` (v-basis)
+with ``_psi_t_v_pow`` and ``_psi_flat`` (per t-monomial), the right unit's
+``_eta_r_m_generator(_pow)``, ``_eta_v_generator(_pow)`` and ``_eta_flat``
+(per v-monomial), the Cartan tables ``rtable`` and ``rtable_pruned``
+(counts), and the scaled images ``_m_to_v_scaled`` (p^s * ``m_to_v``);
+unpacked or otherwise: ``psi_monomial``, ``_factor_actions``,
+``pair_word`` and ``_eta_r_cached``.  Callers must not mutate a memo
+entry.
 """
 
 from __future__ import annotations

@@ -6,8 +6,12 @@ psi is computed by solving
     sum_{i+j=k} m_i (psi t_j)^(p^i)
         = sum_{h+i+j=k} m_h t_i^(p^h) (x) t_j^(p^(h+i))     (t_0 = m_0 = 1)
 
-recursively in the rational m-basis, then converting coefficients to the
-integral v-basis.  The dual operations R_I are indexed by finite sequences
+recursively over Z[m] -- every coefficient the recursion produces is an
+integer polynomial in the m_i -- as flat int tables under packed keys
+(m-exponents, then the left and the right t-exponents), changed to the
+integral v-basis once per t_k by one exact division.  psi of a t-monomial
+multiplies memoized flat powers psi(t_i)^e and is unpacked once into a
+TensorPoly.  The dual operations R_I are indexed by finite sequences
 (i_1, ..., i_n), R_I dual to t_1^(i_1)...t_n^(i_n) under the left-linear
 Kronecker pairing <R_I, t^J> = delta_IJ.
 
@@ -25,15 +29,19 @@ cross-check.
 The right unit is a ring homomorphism, so ``eta_r`` multiplies memoized
 powers of the generator images eta_R(v_i) in the integral v-basis, as flat
 dicts of int coefficients under packed-int keys (product key = key sum).
-The rational m-basis right unit ``eta_r_m`` and the basis change serve only
-to compute eta_R(v1), eta_R(v2), eta_R(v3).  The Cartan side stays on its
-own path on every monomial: m-basis factor actions, the table recursion,
-then the Hazewinkel change back to the v-basis, on flat int tables of its
-own (m-exponents and J packed in one key) and p-power-scaled integral
-images of ``ctx.m_to_v``, divided exactly by p^K once at the end.  It
-must not be made multiplicative in the v-basis: the Cartan formula is
-exactly the multiplicativity of eta_R, so the cross-check would then
-compare one computation with itself.
+The generator images eta_R(v1), eta_R(v2), eta_R(v3) come from the flat
+m-basis right unit (``eta_r_m`` unpacks the same images) on the integral
+Hazewinkel expansions ``ctx.v_in_m(i)``, changed back to the v-basis by
+the same exact division.  The Cartan side stays on its own path on every
+monomial: m-basis factor actions, the table recursion, then the
+Hazewinkel change back to the v-basis, on flat int tables of its own
+(m-exponents and J packed in one key) and p-power-scaled integral images
+of ``ctx.m_to_v``, divided exactly by p^K once at the end.  It must not be
+made multiplicative in the v-basis: the Cartan formula is exactly the
+multiplicativity of eta_R, so the cross-check would then compare one
+computation with itself.  For the same reason the right unit's
+eta_R(m_i) are written out on their own, not read from the Cartan
+side's factor actions.
 """
 
 from __future__ import annotations
@@ -355,142 +363,16 @@ def parse_tensor(text: str, ctx: Context) -> TensorPoly:
 
 
 # ---------------------------------------------------------------------------
-# The diagonal
+# Flat tables under packed-int keys
 # ---------------------------------------------------------------------------
 
-
-@memoized
-def _psi_t_rational(ctx: Context, k: int) -> TensorPoly:
-    """psi t_k with coefficients in the rational m-basis."""
-    if k == 0:
-        return TensorPoly.unit(ctx, ctx.M)
-    if k > ctx.truncation:
-        raise TruncationError(f"psi t_{k} outside truncation N={ctx.truncation}")
-    p = ctx.prime
-    acc = {}
-    # right-hand side sum over h+i+j = k; the (h,i,j)=(k,0,0) term cancels
-    # against the i=k term of the left-hand side and both are omitted.
-    for h in range(0, k + 1):
-        for i in range(0, k - h + 1):
-            j = k - h - i
-            if i == 0 and j == 0:
-                continue
-            left = (0,) * (i - 1) + (p**h,) if i else ()
-            right = (0,) * (j - 1) + (p ** (h + i),) if j else ()
-            coeff = Poly.gen(ctx.M, h) if h else Poly.constant(ctx.M, 1)
-            add_term(acc, (left, right), coeff)
-    rhs = TensorPoly._raw(ctx, acc)
-    for i in range(1, k):
-        sub = _psi_t_rational(ctx, k - i) ** (p**i)
-        rhs = rhs - sub.scale(Poly.gen(ctx.M, i))
-    return rhs
-
-
-@memoized
-def psi_t(ctx: Context, k: int) -> TensorPoly:
-    """The diagonal on t_k, coefficients in the integral v-basis.
-
-    Passes integrality, homogeneity and both counit identities.
-    """
-    if not 1 <= k <= ctx.truncation:
-        raise TruncationError(f"psi t_{k} outside truncation N={ctx.truncation}")
-    rational = _psi_t_rational(ctx, k)
-    result = rational.map_coeffs(ctx.to_v_basis)
-    for (le, re), c in result.terms.items():
-        if not c.is_integral(ctx.prime):
-            raise ValueError(f"psi t_{k}: non-integral coefficient at {(le, re)}")
-        d = c.degree() + ctx.T.degree_of(le) + ctx.T.degree_of(re)
-        if d != ctx.T.gen_degree(k):
-            raise DegreeError(f"psi t_{k}: degree drift at {(le, re)}")
-    expect = {(0,) * (k - 1) + (1,): Poly.constant(ctx.V, 1)}
-    for side in (0, 1):
-        edge = {}
-        for sides, c in result.terms.items():
-            if sides[1 - side] == ():
-                add_term(edge, sides[side], c)
-        if edge != expect:
-            raise ValueError(f"psi t_{k}: counit check failed on side {side}")
-    return result
-
-
-@memoized
-def psi_monomial(ctx: Context, exps: tuple) -> TensorPoly:
-    """psi of the t-monomial with the given exponents."""
-    result = TensorPoly.unit(ctx)
-    for i, e in enumerate(exps, start=1):
-        if e:
-            result = result * memo_power(ctx, psi_t, i, e)
-    return result
-
-
-def psi(x: TPoly) -> TensorPoly:
-    """Multiplicative extension of the diagonal; left coefficients pass through."""
-    ctx = x.ctx
-    out = TensorPoly._raw(ctx, {})
-    for exps, c in x.terms.items():
-        out = out + psi_monomial(ctx, exps).scale(c)
-    return out
-
-
-def coassociativity_check(ctx: Context, k: int) -> bool:
-    """(psi (x) 1) psi t_k == (1 (x) psi) psi t_k.
-
-    Triple tensors are normalized with all coefficients pulled to the far
-    left; a coefficient produced in the right factor crosses the middle
-    one through the right unit.
-    """
-    triple_l: dict = {}
-    triple_r: dict = {}
-    for (le, re), c in psi_t(ctx, k).terms.items():
-        for (a, b), d in psi_monomial(ctx, le).terms.items():
-            add_term(triple_l, (a, b, re), c * d)
-        for (a, b), d in psi_monomial(ctx, re).terms.items():
-            # c * t^le (x) d * t^a (x) t^b  ==  c * (t^le . eta_R(d)) (x) t^a (x) t^b
-            if d.terms.keys() == {()}:
-                add_term(triple_r, (le, a, b), c * d)
-            else:
-                for u, e in _eta_r_cached(ctx, d).terms.items():
-                    add_term(triple_r, (add_exps(le, u), a, b), c * e)
-    return triple_l == triple_r
-
-
-# ---------------------------------------------------------------------------
-# Right unit
-# ---------------------------------------------------------------------------
-
-
-@memoized
-def _eta_r_m_generator(ctx: Context, i: int) -> TPoly:
-    """eta_R(m_i) = sum_{a+b=i} m_a t_b^(p^a), coefficients in the m-basis."""
-    p = ctx.prime
-    terms = {}
-    for a in range(0, i + 1):
-        b = i - a
-        exps = (0,) * (b - 1) + (p**a,) if b else ()
-        coeff = Poly.gen(ctx.M, a) if a else Poly.constant(ctx.M, 1)
-        terms[exps] = coeff
-    return TPoly._raw(ctx, terms)
-
-
-def eta_r_m(ctx: Context, x: Poly) -> TPoly:
-    """Right unit on a rational m-polynomial; coefficients stay in the m-basis."""
-    if x.alphabet != ctx.M:
-        raise AlphabetError("eta_r_m expects an m-polynomial")
-    out = TPoly._raw(ctx, {})
-    for exps, c in x.terms.items():
-        term = TPoly.unit(ctx, ctx.M).scale(Poly.constant(ctx.M, c))
-        for i, e in enumerate(exps, start=1):
-            if e:
-                term = term * memo_power(ctx, _eta_r_m_generator, i, e)
-        out = out + term
-    return out
-
-
-# Flat images in the v-basis: {key: int}, the key packing v1..v3 and then
-# t1..t3 into _FIELD_BITS-bit fields, so a product key is a plain sum and
-# the one sparse kernel multiplies them (``_Flat``).
-# eta_R(v_i) involves only v1..v3 and t1..ti (i <= HAZEWINKEL_MAX_INDEX).
-# The Cartan tables use the same layout with m1..m3 and the index J.
+# A flat table is {key: coefficient}: the key packs exponents into
+# _FIELD_BITS-bit fields, so a product key is a plain sum and the one
+# sparse kernel multiplies them (``_Flat``).  The low HAZEWINKEL_MAX_INDEX
+# fields hold a v- or m-monomial (every flat image involves only indices
+# 1..3 there); from ``_T_SHIFT`` up come t-exponents: the right unit packs
+# t1..t3, the Cartan tables the index J, and the diagonal one block of
+# t1..tN (N = ctx.truncation, ``_block``) per tensor factor.
 _FIELD_BITS = 16
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 _T_SHIFT = _FIELD_BITS * HAZEWINKEL_MAX_INDEX
@@ -512,6 +394,18 @@ def _unpack(key) -> tuple:
     return tuple(exps)
 
 
+def _block(ctx: Context) -> int:
+    """Bits of one tensor factor's t-exponents t1..tN."""
+    return _FIELD_BITS * ctx.truncation
+
+
+def _t_blocks(ctx: Context, tkey: int, n: int) -> tuple:
+    """The n t-exponent tuples of a key's t-part (key >> _T_SHIFT)."""
+    width = _block(ctx)
+    mask = (1 << width) - 1
+    return tuple(_unpack(tkey >> width * b & mask) for b in range(n))
+
+
 def _key_bound(ctx: Context, x: Poly, name: str) -> int:
     """max deg/q over the terms of x, a bound on every exponent of their
     packed images; ExponentOverflowError when it passes the field width."""
@@ -525,7 +419,7 @@ def _key_bound(ctx: Context, x: Poly, name: str) -> int:
 
 
 class _Flat(SparseRing):
-    """A flat image in the v-basis: packed int key -> int coefficient."""
+    """A flat table: packed int key -> int (or Fraction) coefficient."""
 
     __slots__ = ()
     _add_keys = staticmethod(operator.add)
@@ -540,19 +434,278 @@ class _Flat(SparseRing):
         return _Flat({0: 1})
 
 
+def _flat_image(ctx: Context, x: Poly, generator, name: str) -> _Flat:
+    """The flat image of x under the ring map with generator images
+    ``generator(ctx, i)``: sum c * prod_i generator(ctx, i)^(a_i) over the
+    terms c * x^a, from memoized powers (``memo_power``); a mixed
+    monomial's image is not stored.  Every exponent of the image of x^a is
+    at most deg(x^a)/q, so ExponentOverflowError comes first when that
+    bound passes the field width (``_key_bound``)."""
+    _key_bound(ctx, x, name)
+    acc = _Flat({})
+    for exps, c in x.terms.items():
+        image = _Flat({0: 1})
+        for i, e in enumerate(exps, start=1):
+            if e:
+                image = image * memo_power(ctx, generator, i, e)
+        acc = acc + image.scale(c)
+    return acc
+
+
+@memoized
+def _m_to_v_scaled(ctx: Context, key: int):
+    """(s, p^s * m^a as {packed v-key: int}) for the packed m-monomial m^a:
+    s = a1 + 2 a2 + 3 a3 clears the denominators of ``ctx.m_to_v``."""
+    exps = _unpack(key)
+    s = sum(i * e for i, e in enumerate(exps, start=1))
+    return s, {_pack(e): _num(c * ctx.prime**s) for e, c in ctx.m_to_v(exps).items()}
+
+
+def _m_to_v_rows(ctx: Context, terms: dict, K: int, where) -> dict:
+    """A flat table with m-monomials in its low fields, rewritten in the
+    v-basis as rows {t-part of the key: {packed v-key: int}}: each term
+    times its scaled image p^s * m^a (``_m_to_v_scaled``) raised to the
+    scale p^K (K >= every s; deg/q bounds s), then one exact division by
+    p^K.  A remainder, or a p left in a Fraction's denominator, is a
+    non-integral value: ValueError(where(t-part))."""
+    p = ctx.prime
+    rows = {}
+    for k, c in terms.items():
+        s, image = _m_to_v_scaled(ctx, k & _V_MASK)
+        c *= p ** (K - s)
+        row = rows.setdefault(k >> _T_SHIFT, {})
+        for vk, d in image.items():
+            row[vk] = row.get(vk, 0) + c * d
+    out, pK = {}, p**K
+    for tk, row in rows.items():
+        got = {}
+        for vk, c in row.items():
+            c, r = divmod(c, pK) if c.__class__ is int else (_num(c / pK), 0)
+            if r or c.__class__ is Fraction and padic_valuation(c, p) < 0:
+                raise ValueError(where(tk))
+            if c:
+                got[vk] = c
+        if got:
+            out[tk] = got
+    return out
+
+
+def _flat(rows: dict) -> _Flat:
+    """The flat table of rows {t-part: {v-key: c}}."""
+    return _Flat(
+        {tk << _T_SHIFT | vk: c for tk, row in rows.items() for vk, c in row.items()}
+    )
+
+
+def _by_t(terms: dict, alphabet) -> dict:
+    """{t-part of the key: Poly over alphabet from the low fields}."""
+    by_t = {}
+    for k, c in terms.items():
+        by_t.setdefault(k >> _T_SHIFT, {})[_unpack(k & _V_MASK)] = c
+    return {tk: Poly._raw(alphabet, vt) for tk, vt in by_t.items()}
+
+
+# ---------------------------------------------------------------------------
+# The diagonal
+# ---------------------------------------------------------------------------
+
+
+@memoized
+def _psi_t_m(ctx: Context, k: int) -> _Flat:
+    """psi t_k over Z[m] as a flat table: m1..m3 in the low fields, the
+    left t-exponents in the first block from ``_T_SHIFT`` up, the right
+    ones in the second.  The recursion's coefficients are all integers.
+    ``_psi_t_v`` checks k and bounds the exponents first."""
+    p, right = ctx.prime, _T_SHIFT + _block(ctx)
+    m = lambda h: 1 << _FIELD_BITS * (h - 1) if h else 0
+    t = lambda shift, i, e: e << shift + _FIELD_BITS * (i - 1) if i else 0
+    # right-hand side sum over h+i+j = k; the (h,i,j)=(k,0,0) term cancels
+    # against the i=k term of the left-hand side and both are omitted.
+    rhs = {}
+    for h in range(0, k + 1):
+        for i in range(0, k - h + 1):
+            j = k - h - i
+            if i or j:
+                rhs[m(h) + t(_T_SHIFT, i, p**h) + t(right, j, p ** (h + i))] = 1
+    out = _Flat(rhs)
+    for i in range(1, k):
+        out = out - _Flat({m(i): 1}) * _psi_t_m(ctx, k - i) ** (p**i)
+    return out
+
+
+@memoized
+def _psi_t_v(ctx: Context, k: int) -> _Flat:
+    """psi t_k in the integral v-basis, as a flat table in the layout of
+    ``_psi_t_m`` with v1..v3 in the low fields.  The integrality, degree
+    and both counit checks run here, so every user of the diagonal reads a
+    checked table."""
+    if not 1 <= k <= ctx.truncation:
+        raise TruncationError(f"psi t_{k} outside truncation N={ctx.truncation}")
+    if k > HAZEWINKEL_MAX_INDEX + 1:
+        raise TruncationError(
+            f"psi t_{k} needs m{k - 1}; the Hazewinkel relations stop at "
+            f"m{HAZEWINKEL_MAX_INDEX}"
+        )
+
+    def where(tk):
+        return f"psi t_{k}: non-integral coefficient at {_t_blocks(ctx, tk, 2)}"
+
+    # every exponent of every term of psi t_k, and of the powers of psi t_j
+    # (j < k) that build it, is at most deg(t_k)/q = 1 + p + ... + p^(k-1)
+    K = _key_bound(ctx, Poly.gen(ctx.T, k), f"psi t_{k}")
+    rows = _m_to_v_rows(ctx, _psi_t_m(ctx, k).terms, K, where)
+    V, T, degree = ctx.V, ctx.T, ctx.T.gen_degree(k)
+    for tk, row in rows.items():
+        le, re = _t_blocks(ctx, tk, 2)
+        t_degree = T.degree_of(le) + T.degree_of(re)
+        if any(V.degree_of(_unpack(vk)) + t_degree != degree for vk in row):
+            raise DegreeError(f"psi t_{k}: degree drift at {(le, re)}")
+    # counits: the terms with one factor 1 are t_k (x) 1 and 1 (x) t_k alone
+    width, t_k = _block(ctx), 1 << _FIELD_BITS * (k - 1)
+    block = (1 << width) - 1
+    for side, (one, expect) in enumerate(((width, t_k), (0, t_k << width))):
+        edge = {tk: row for tk, row in rows.items() if not tk >> one & block}
+        if edge != {expect: {0: 1}}:
+            raise ValueError(f"psi t_{k}: counit check failed on side {side}")
+    return _flat(rows)
+
+
+def _to_tensor(ctx: Context, flat: _Flat) -> TensorPoly:
+    """A flat tensor table unpacked into a TensorPoly."""
+    return TensorPoly._raw(
+        ctx,
+        {_t_blocks(ctx, tk, 2): c for tk, c in _by_t(flat.terms, ctx.V).items()},
+    )
+
+
+def psi_t(ctx: Context, k: int) -> TensorPoly:
+    """The diagonal on t_k, coefficients in the integral v-basis.
+
+    The checked flat table ``_psi_t_v`` (built over Z[m] by
+    ``_psi_t_m``, then changed to the v-basis once) unpacked into a
+    TensorPoly.  Passes integrality, homogeneity and both counit
+    identities; ExponentOverflowError before any arithmetic when
+    1 + p + ... + p^(k-1) passes the key field.
+    """
+    return _to_tensor(ctx, _psi_t_v(ctx, k))
+
+
+@memoized
+def _psi_flat(ctx: Context, exps: tuple) -> _Flat:
+    """Flat psi of the t-monomial t^exps: the product of the memoized flat
+    powers psi(t_i)^e (``memo_power`` over ``_psi_t_v``)."""
+    return _flat_image(ctx, Poly._raw(ctx.T, {exps: 1}), _psi_t_v, "psi")
+
+
+@memoized
+def psi_monomial(ctx: Context, exps: tuple) -> TensorPoly:
+    """psi of the t-monomial with the given exponents: the flat product of
+    memoized powers psi(t_i)^e (``_psi_flat``), unpacked once."""
+    return _to_tensor(ctx, _psi_flat(ctx, exps))
+
+
+def psi(x: TPoly) -> TensorPoly:
+    """Multiplicative extension of the diagonal; left coefficients pass through."""
+    ctx = x.ctx
+    out = TensorPoly._raw(ctx, {})
+    for exps, c in x.terms.items():
+        out = out + psi_monomial(ctx, exps).scale(c)
+    return out
+
+
+def coassociativity_check(ctx: Context, k: int) -> bool:
+    """(psi (x) 1) psi t_k == (1 (x) psi) psi t_k.
+
+    Both sides are flat triples: v1..v3 in the low fields, then one block
+    of t-exponents per factor, from the memoized flat images ``_psi_flat``.
+    Coefficients are pulled to the far left; a coefficient produced in the
+    right factor crosses the middle one through the right unit, as the
+    memoized flat image ``_eta_flat`` of its v-monomial.
+    """
+    mid = _T_SHIFT + _block(ctx)
+    right = mid + _block(ctx)
+    triple_l, triple_r = {}, {}
+    for key, c in _psi_t_v(ctx, k).terms.items():
+        le, re = _t_blocks(ctx, key >> _T_SHIFT, 2)
+        # c v t^le (x) t^re -> c v psi(t^le) (x) t^re
+        shift = (key & _V_MASK) + (key >> mid << right)
+        for k1, d in _psi_flat(ctx, le).terms.items():
+            k1 += shift
+            triple_l[k1] = triple_l.get(k1, 0) + c * d
+        # c v t^le (x) d w t^a (x) t^b -> c d v (t^le . eta_R(w)) (x) t^a (x) t^b
+        base = key & (1 << mid) - 1
+        for k2, d in _psi_flat(ctx, re).terms.items():
+            k2, eta = base + (k2 >> _T_SHIFT << mid), _eta_flat(ctx, k2 & _V_MASK)
+            for k3, e in eta.terms.items():
+                k3 += k2
+                triple_r[k3] = triple_r.get(k3, 0) + c * d * e
+    nonzero = lambda terms: {t: c for t, c in terms.items() if c}
+    return nonzero(triple_l) == nonzero(triple_r)
+
+
+# ---------------------------------------------------------------------------
+# Right unit
+# ---------------------------------------------------------------------------
+
+
+@memoized
+def _eta_r_m_generator(ctx: Context, i: int) -> _Flat:
+    """Flat eta_R(m_i) = sum_{a+b=i} m_a t_b^(p^a), m-exponents in the low
+    fields and t from ``_T_SHIFT`` up.  Written out here rather than read
+    from the Cartan side's ``_factor_actions``, so that the coherence
+    cross-check does not compare one table with itself."""
+    p, terms = ctx.prime, {}
+    for a in range(0, i + 1):
+        b = i - a
+        m_a = 1 << _FIELD_BITS * (a - 1) if a else 0
+        t_b = p**a << _T_SHIFT + _FIELD_BITS * (b - 1) if b else 0
+        terms[m_a + t_b] = 1
+    return _Flat(terms)
+
+
+def eta_r_m(ctx: Context, x: Poly) -> TPoly:
+    """Right unit on a rational m-polynomial; coefficients stay in the
+    m-basis.  The flat right unit (products of memoized powers of
+    ``_eta_r_m_generator``) unpacked into a TPoly; ``_eta_v_generator``
+    reads the same flat images.
+
+    The packed m-fields hold m1..m3, the generators the Hazewinkel
+    relations cover, so x may involve only m1, m2, m3: a term in m4 or
+    above raises TruncationError.
+    """
+    if x.alphabet != ctx.M:
+        raise AlphabetError("eta_r_m expects an m-polynomial")
+    if any(len(e) > HAZEWINKEL_MAX_INDEX for e in x.terms):
+        raise TruncationError(
+            f"eta_r_m covers m1..m{HAZEWINKEL_MAX_INDEX}, the packed m-fields"
+        )
+    flat = _flat_image(ctx, x, _eta_r_m_generator, "eta_r_m")
+    return TPoly._raw(
+        ctx, {_unpack(tk): c for tk, c in _by_t(flat.terms, ctx.M).items()}
+    )
+
+
 @memoized
 def _eta_v_generator(ctx: Context, i: int) -> _Flat:
-    """Flat eta_R(v_i): the m-basis right unit of the Hazewinkel generator,
-    converted back to the v-basis."""
-    got = _Flat({})
-    for texps, c in eta_r_m(ctx, ctx.v_in_m(i)).terms.items():
-        cv = ctx.to_v_basis(c)
-        if not cv.is_integral(ctx.prime):
-            raise ValueError(f"eta_r(v{i}): non-integral coefficient at t^{texps}")
-        tkey = _pack(texps, _T_SHIFT)
-        for vexps, d in cv.terms.items():
-            got.terms[_pack(vexps) + tkey] = d
-    return got
+    """Flat eta_R(v_i): the flat m-basis right unit of the Hazewinkel
+    expansion ``ctx.v_in_m(i)`` (integer coefficients), changed back to
+    the v-basis by one exact division (``_m_to_v_rows``)."""
+
+    def where(tk):
+        return f"eta_r(v{i}): non-integral coefficient at t^{_unpack(tk)}"
+
+    x = ctx.v_in_m(i)
+    flat = _flat_image(ctx, x, _eta_r_m_generator, f"eta_r(v{i})")
+    K = _key_bound(ctx, x, f"eta_r(v{i})")
+    return _flat(_m_to_v_rows(ctx, flat.terms, K, where))
+
+
+@memoized
+def _eta_flat(ctx: Context, key: int) -> _Flat:
+    """Flat eta_R of the packed v-monomial: the product of memoized flat
+    powers eta_R(v_i)^e (``memo_power`` over ``_eta_v_generator``)."""
+    x = Poly._raw(ctx.V, {_unpack(key): 1})
+    return _flat_image(ctx, x, _eta_v_generator, "eta_r")
 
 
 def eta_r(ctx: Context, x: Poly) -> TPoly:
@@ -561,10 +714,10 @@ def eta_r(ctx: Context, x: Poly) -> TPoly:
     eta_R is a ring homomorphism, so eta_R(x) = sum c * prod_i
     eta_R(v_i)^(a_i) over the terms c * v^a of x.  The generator powers are
     memoized flat images with int coefficients (``memo_power`` over
-    ``_eta_v_generator``); a mixed
-    monomial's image is their product and is not stored.  Every term of
-    eta_R(v^a) has degree deg(v^a), so no exponent exceeds deg(v^a)/q; a
-    monomial for which that bound passes the field width raises
+    ``_eta_v_generator``, through ``_flat_image``); a mixed monomial's
+    image is their product and is not stored.  Every term of eta_R(v^a)
+    has degree deg(v^a), so no exponent exceeds deg(v^a)/q; a monomial
+    for which that bound passes the field width raises
     ExponentOverflowError before any arithmetic.
 
     The coefficient of t^I equals r_action(I, x) for every I; that standing
@@ -575,15 +728,7 @@ def eta_r(ctx: Context, x: Poly) -> TPoly:
         raise AlphabetError(
             "eta_r expects a v-polynomial (eta_r_m takes m-polynomials)"
         )
-    _key_bound(ctx, x, "eta_r")
-    acc = _Flat({})
-    for exps, c in x.terms.items():
-        image = _Flat({0: 1})
-        for i, e in enumerate(exps, start=1):
-            if e:
-                image = image * memo_power(ctx, _eta_v_generator, i, e)
-        acc = acc + image.scale(c)
-    by_t = {}
+    acc = _flat_image(ctx, x, _eta_v_generator, "eta_r")
     for k, c in acc.terms.items():
         # the images have int coefficients, so only a non-int input
         # coefficient can leave a p in a denominator
@@ -591,9 +736,8 @@ def eta_r(ctx: Context, x: Poly) -> TPoly:
             raise ValueError(
                 f"eta_r: non-integral coefficient at t^{_unpack(k >> _T_SHIFT)}"
             )
-        by_t.setdefault(k >> _T_SHIFT, {})[_unpack(k & _V_MASK)] = c
     return TPoly._raw(
-        ctx, {_unpack(tk): Poly._raw(ctx.V, vt) for tk, vt in by_t.items()}
+        ctx, {_unpack(tk): c for tk, c in _by_t(acc.terms, ctx.V).items()}
     )
 
 
@@ -666,22 +810,12 @@ def _mono_action_table(ctx: Context, exps, cap=None) -> dict:
     return table
 
 
-@memoized
-def _m_to_v_scaled(ctx: Context, key: int):
-    """(s, p^s * m^a as {packed v-key: int}) for the packed m-monomial m^a:
-    s = a1 + 2 a2 + 3 a3 clears the denominators of ``ctx.m_to_v``."""
-    exps = _unpack(key)
-    s = sum(i * e for i, e in enumerate(exps, start=1))
-    return s, {_pack(e): _num(c * ctx.prime**s) for e, c in ctx.m_to_v(exps).items()}
-
-
 def _cartan(ctx: Context, x: Poly, cap=None) -> dict:
     """{J: R_J(x)} for every J, or for J = cap only, from the flat Cartan
     tables: their counts, weighted by the m-basis coefficients of x, go back
-    to the v-basis through the scaled images p^s * m^b raised to one scale
-    p^K (K = max deg/q >= s), then one exact division by p^K; a p left in a
-    denominator is a non-integral R_J(x): ValueError."""
-    K, p = _key_bound(ctx, x, "r_action"), ctx.prime
+    to the v-basis through one exact division (``_m_to_v_rows``); a p left
+    in a denominator is a non-integral R_J(x): ValueError."""
+    K = _key_bound(ctx, x, "r_action")
     # the packed J to keep: None keeps all, -1 none (cap past the field)
     want = cap and (_pack(cap) if max(cap) <= _FIELD_MASK else -1)
     acc = {}
@@ -689,25 +823,14 @@ def _cartan(ctx: Context, x: Poly, cap=None) -> dict:
         for k, n in _mono_action_table(ctx, exps, cap).items():
             if want is None or k >> _T_SHIFT == want:
                 acc[k] = acc.get(k, 0) + c * n
-    scaled = {}
-    for k, c in acc.items():
-        s, image = _m_to_v_scaled(ctx, k & _V_MASK)
-        c *= p ** (K - s)
-        row = scaled.setdefault(k >> _T_SHIFT, {})
-        for vk, d in image.items():
-            row[vk] = row.get(vk, 0) + c * d
-    out, pK = {}, p**K
-    for jk, row in scaled.items():
-        terms = {}
-        for vk, c in row.items():
-            c, r = divmod(c, pK) if c.__class__ is int else (_num(c / pK), 0)
-            if r or c.__class__ is Fraction and padic_valuation(c, p) < 0:
-                raise ValueError(f"r_action: non-integral value at index {_unpack(jk)}")
-            if c:
-                terms[_unpack(vk)] = c
-        if terms:
-            out[_unpack(jk)] = Poly._raw(ctx.V, terms)
-    return out
+
+    def where(jk):
+        return f"r_action: non-integral value at index {_unpack(jk)}"
+
+    return {
+        _unpack(jk): Poly._raw(ctx.V, {_unpack(vk): c for vk, c in row.items()})
+        for jk, row in _m_to_v_rows(ctx, acc, K, where).items()
+    }
 
 
 def r_action_table(ctx: Context, x: Poly) -> dict:

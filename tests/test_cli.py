@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from bpcalc import cli, hopf
+from bpcalc import cli, hopf, opcalc
 from bpcalc import report as report_module
 from bpcalc.cli import (
     EXIT_CHECK_FAILURE,
@@ -14,7 +14,12 @@ from bpcalc.cli import (
     parse_inverted,
     parse_operation,
 )
-from bpcalc.errors import ParseError
+from bpcalc.errors import (
+    ExponentOverflowError,
+    NotDivisibleError,
+    ParseError,
+    PreconditionError,
+)
 from bpcalc.grading import Context
 
 INTERVAL_CAT = """
@@ -217,6 +222,54 @@ def test_psi_integral_failure_is_a_failed_record(monkeypatch, capsys):
     assert failed[0]["witness"] == "psi t_2: non-integral coefficient at ((1,), (4,))"
     assert failed[0]["computed"].startswith("psi t_1: ")
     assert "psi t_3: " in failed[0]["computed"]
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        ValueError("psi t_3: non-integral coefficient"),
+        ZeroDivisionError("division by zero"),
+        NotDivisibleError("coefficient 1 not divisible by 5 p-locally"),
+    ],
+)
+def test_verify_all_records_a_crashed_target(monkeypatch, capsys, exc):
+    def crash(ctx):
+        raise exc
+
+    monkeypatch.setattr(opcalc, "verify_lemma_7_9", crash)
+    argv = ["verify", "all", "--prime", "5", "--format", "json", "--no-timing"]
+    assert main(argv) == EXIT_CHECK_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = json.loads(captured.out)["checks"]
+    failed = [c for c in checks if c["status"] == "fail"]
+    assert [c["id"] for c in failed] == ["lemma7.9.crashed"]
+    assert failed[0]["witness"] == f"{type(exc).__name__}: {exc}"
+    # the targets before and after it still ran, and passed
+    for name in cli.VERIFY_ALL:
+        if name != "lemma7.9":
+            assert any(c["id"].startswith(name + ".") for c in checks), name
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (ExponentOverflowError("past the key field"), EXIT_TRUNCATION),
+        (PreconditionError("prime too small"), EXIT_USAGE),
+        (ParseError("bad literal"), EXIT_USAGE),
+    ],
+)
+def test_verify_all_still_aborts_on_truncation_and_usage(
+    monkeypatch, capsys, exc, code
+):
+    def crash(ctx, bound):
+        raise exc
+
+    monkeypatch.setattr(hopf, "verify_lemma_7_1", crash)
+    assert main(["verify", "all", "--prime", "5", "--format", "json"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith(str(exc))
 
 
 def test_env_override(monkeypatch, capsys):

@@ -1,10 +1,13 @@
+import contextlib
 import math
+import signal
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bpcalc import hopf
 from bpcalc.arith import padic_valuation
 from bpcalc.errors import (
     AlphabetError,
@@ -12,10 +15,11 @@ from bpcalc.errors import (
     ExponentOverflowError,
     TruncationError,
 )
-from bpcalc.grading import Context, Poly, monomials_up_to, reduce_mod
+from bpcalc.grading import Context, Poly, add_term, monomials_up_to, reduce_mod
 from bpcalc.hopf import (
     OperationCombo,
     OperationExpr,
+    TensorPoly,
     TPoly,
     coassociativity_check,
     compose_pair,
@@ -89,9 +93,146 @@ def test_psi_t4_at_small_prime():
     assert coassociativity_check(ctx, 3)
 
 
+@contextlib.contextmanager
+def _budget(seconds):
+    """Fail a guard test in time if the guard is missing: the build it
+    stops would otherwise run far past the budget."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"no guard stopped the build within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_psi_truncation_error(ctx7):
     with pytest.raises(TruncationError):
         psi_t(ctx7, 5)
+    # psi t_5 needs m4, past the Hazewinkel relations and the packed m-fields
+    ctx = Context(prime=3, truncation=5)
+    with _budget(10), pytest.raises(TruncationError):
+        psi_t(ctx, 5)
+
+
+def _psi_t_rational(ctx, k, memo):
+    """psi t_k by the nested recursion over Fraction-valued m-basis Polys:
+
+        sum_{i+j=k} m_i (psi t_j)^(p^i) = sum_{h+i+j=k} m_h t_i^(p^h) (x) t_j^(p^(h+i))
+
+    a test oracle that shares no code with the flat tables."""
+    if k == 0:
+        return TensorPoly.unit(ctx, ctx.M)
+    if k not in memo:
+        p = ctx.prime
+        acc = {}
+        # the (h,i,j)=(k,0,0) term cancels the i=k term of the left side
+        for h in range(0, k + 1):
+            for i in range(0, k - h + 1):
+                j = k - h - i
+                if i == 0 and j == 0:
+                    continue
+                left = (0,) * (i - 1) + (p**h,) if i else ()
+                right = (0,) * (j - 1) + (p ** (h + i),) if j else ()
+                coeff = Poly.gen(ctx.M, h) if h else Poly.constant(ctx.M, 1)
+                add_term(acc, (left, right), coeff)
+        rhs = TensorPoly(ctx, acc)
+        for i in range(1, k):
+            sub = _psi_t_rational(ctx, k - i, memo) ** (p**i)
+            rhs = rhs - sub.scale(Poly.gen(ctx.M, i))
+        memo[k] = rhs
+    return memo[k]
+
+
+@pytest.fixture(scope="module")
+def psi_oracle():
+    """psi t_k at the prime p from the nested recursion, each coefficient
+    changed to the v-basis, on contexts of its own."""
+    contexts, rational, done = {}, {}, {}
+
+    def get(p, k):
+        if (p, k) not in done:
+            ctx = contexts.setdefault(p, Context(prime=p))
+            value = _psi_t_rational(ctx, k, rational.setdefault(p, {}))
+            done[p, k] = value.map_coeffs(ctx.to_v_basis)
+        return done[p, k]
+
+    return get
+
+
+@pytest.mark.parametrize(
+    "p, k", [(3, k) for k in (1, 2, 3, 4)] + [(p, k) for p in (5, 7) for k in (1, 2, 3)]
+)
+def test_psi_t_matches_nested_rational_oracle(psi_oracle, p, k):
+    assert psi_t(Context(prime=p), k) == psi_oracle(p, k)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_psi_monomial_matches_oracle_powers(psi_oracle, p):
+    ctx = Context(prime=p)
+    for exps in [(2,), (p + 1,), (1, 1), (p, 1), (0, 2), (1, 0, 1), (2, 1, 1)]:
+        expected = TensorPoly.unit(ctx)
+        for i, e in enumerate(exps, start=1):
+            expected = expected * psi_oracle(p, i) ** e
+        assert psi_monomial(ctx, exps) == expected, exps
+
+
+def test_coassociativity_fails_on_a_perturbed_psi_table():
+    # negative control: the check reads the memoized flat tables, so one
+    # coefficient of psi t_2 changed by 1 must break it, whichever it is
+    ctx = Context(prime=5)
+    assert coassociativity_check(ctx, 2)
+    table = ctx.memo["_psi_t_v"][(2,)].terms
+    for key in list(table):
+        table[key] += 1
+        assert not coassociativity_check(ctx, 2), key
+        table[key] -= 1
+    assert coassociativity_check(ctx, 2)
+
+
+def test_psi_checks_reject_edited_m_tables():
+    # negative controls: the integrality, degree and counit checks run on
+    # the flat table, here psi t_2 at p = 5 over Z[m] with one edit
+    ctx = Context(prime=5)
+    T, width = hopf._T_SHIFT, hopf._block(ctx)
+
+    def key(m, left, right):  # m^m t^left (x) t^right
+        return hopf._pack(m) + hopf._pack(left, T) + hopf._pack(right, T + width)
+
+    def psi_t2_after(edit):
+        edited = Context(prime=5)
+        terms = dict(hopf._psi_t_m(ctx, 2).terms)
+        edit(terms)
+        edited.memo["_psi_t_m"][(2,)] = hopf._Flat(terms)
+        return psi_t(edited, 2)
+
+    # -5 m1 t1 (x) t1^4 becomes -4 m1 t1 (x) t1^4 = -4/5 v1 t1 (x) t1^4
+    with pytest.raises(ValueError, match="non-integral"):
+        psi_t2_after(lambda terms: terms.__setitem__(key((1,), (1,), (4,)), -4))
+    # t1^2 (x) t1^5 has degree 7q, deg t_2 = 6q
+    with pytest.raises(DegreeError):
+        psi_t2_after(lambda terms: terms.__setitem__(key((), (2,), (5,)), 1))
+    for side, gone in ((0, key((), (0, 1), ())), (1, key((), (), (0, 1)))):
+        with pytest.raises(ValueError, match=f"counit check failed on side {side}"):
+            psi_t2_after(lambda terms: terms.pop(gone))
+    assert psi_t2_after(lambda terms: None) == psi_t(ctx, 2)
+
+
+def test_psi_field_overflow_raises_before_any_table():
+    # at p = 257, deg(t_3)/q = 1 + 257 + 257^2 = 66307 passes the 16-bit field
+    ctx = Context(prime=257)
+    with _budget(10), pytest.raises(ExponentOverflowError):
+        psi_t(ctx, 3)
+    assert not any(ctx.memo.values())
+    # psi of a t-monomial: deg(t1^e)/q = e at any prime
+    ctx = Context(prime=5)
+    with _budget(10), pytest.raises(ExponentOverflowError):
+        psi_monomial(ctx, (1 << 16,))
+    assert not any(ctx.memo.values())
 
 
 def test_psi_multiplicative(ctx7):
@@ -132,6 +273,9 @@ def test_eta_r_values(ctx7):
         (p,): ctx7.m(1),
         (0, 1): Poly.constant(ctx7.M, 1),
     }
+    # the flat right unit packs m1..m3 only, like the Hazewinkel relations
+    with pytest.raises(TruncationError):
+        eta_r_m(ctx7, ctx7.m(4))
 
 
 def test_eta_r_is_ring_homomorphism(ctx7):
@@ -272,10 +416,48 @@ def test_pruned_r_action_matches_full_table(case):
     assert [r_action(full_first, I, x) for I in indices] == cold
 
 
+def _eta_r_m_oracle(ctx, x):
+    """The right unit on an m-polynomial by nested TPoly products of
+
+        eta_R(m_i) = sum_{a+b=i} m_a t_b^(p^a)
+
+    with Fraction-valued m-basis coefficients: a test oracle that shares no
+    code with the flat right unit or the flat Cartan tables."""
+    p = ctx.prime
+
+    def generator(i):
+        terms = {}
+        for a in range(0, i + 1):
+            b = i - a
+            exps = (0,) * (b - 1) + (p**a,) if b else ()
+            terms[exps] = Poly.gen(ctx.M, a) if a else Poly.constant(ctx.M, 1)
+        return TPoly(ctx, terms)
+
+    out = TPoly(ctx, {})
+    for exps, c in x.terms.items():
+        term = TPoly.unit(ctx, ctx.M).scale(Poly.constant(ctx.M, c))
+        for i, e in enumerate(exps, start=1):
+            if e:
+                term = term * generator(i) ** e
+        out = out + term
+    return out
+
+
 def _eta_r_oracle(ctx, x):
-    """The right unit through the m-basis: eta_R of every m-monomial, then
-    each coefficient back to the v-basis."""
-    return eta_r_m(ctx, ctx.to_m_basis(x)).map_coeffs(ctx.to_v_basis)
+    """The right unit through the m-basis: the nested oracle on every
+    m-monomial, then each coefficient back to the v-basis."""
+    return _eta_r_m_oracle(ctx, ctx.to_m_basis(x)).map_coeffs(ctx.to_v_basis)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_eta_r_m_matches_nested_oracle(p):
+    ctx = Context(prime=p)
+    monos = [(1,), (0, 1), (0, 0, 1), (2,), (p, 1), (1, 0, 1), (1, 2, 1)]
+    for exps in monos:
+        x = Poly(ctx.M, {exps: 1})
+        assert eta_r_m(ctx, x) == _eta_r_m_oracle(ctx, x), exps
+    x = Poly(ctx.M, {(1, 1): Fraction(2, 3), (0, 0, 2): -5})
+    assert eta_r_m(ctx, x) == _eta_r_m_oracle(ctx, x)
 
 
 def _pow_keys(ctx, table="_eta_v_generator_pow"):
@@ -289,7 +471,7 @@ POWER_MAPS = {
     "_eta_r_m_generator_pow": lambda ctx, exps: eta_r_m(ctx, Poly(ctx.M, {exps: 1})),
     "v_in_m_pow": lambda ctx, exps: ctx.to_m_basis(Poly(ctx.V, {exps: 1})),
     "m_in_v_pow": lambda ctx, exps: ctx.to_v_basis(Poly(ctx.M, {exps: 1})),
-    "psi_t_pow": psi_monomial,
+    "_psi_t_v_pow": psi_monomial,
 }
 
 
@@ -308,7 +490,7 @@ def _closed_form(table, ctx, n):
         },
         "v_in_m_pow": lambda: {(n,): p**n},
         "m_in_v_pow": lambda: {(n,): Fraction(1, p**n)},
-        "psi_t_pow": lambda: {
+        "_psi_t_v_pow": lambda: {
             (t(k), t(n - k)): Poly.constant(ctx.V, C(n, k)) for k in range(n + 1)
         },
     }[table]()
@@ -364,10 +546,11 @@ def test_eta_r_matches_m_basis_oracle(eta_contexts, case):
 @given(eta_cases)
 @example((5, {(1,): Fraction(1, 25)}))  # a p left over after to_m_basis
 @example((7, {(0, 1): Fraction(2, 49), (7,): Fraction(1, 2)}))
+@example((5, {(0, 0, 1): 1}))  # every factor action of m3, e.g. R[0,p] m3 = m1
 @settings(max_examples=40, deadline=None)
 def test_cartan_side_matches_m_basis_oracle(eta_contexts, case):
-    # the oracle shares no code with the flat Cartan tables; where it has a
-    # non-integral coefficient the Cartan side must raise instead
+    # the nested oracle shares no code with the flat Cartan tables; where
+    # it has a non-integral coefficient the Cartan side must raise instead
     p, terms = case
     _, octx = eta_contexts[p]
     expected = _eta_r_oracle(octx, Poly(octx.V, terms)).terms

@@ -50,8 +50,9 @@ def test_tracer_counts_kernel_products_and_uninstalls_cleanly(monkeypatch):
     before = _bindings(tracer, bp)
     tracer.install()
     try:
-        bp.hopf.psi_t(Context(5), 2)
         ctx = Context(5)
+        diagonal = bp.hopf.psi_t(ctx, 1)
+        diagonal * diagonal
         ctx.v(1) * ctx.v(2)
         metrics = tracer.metrics()
     finally:
