@@ -186,7 +186,9 @@ def is_s_local(M: FGAbelianGroup, S: InvertedSet) -> bool:
 
 class FiniteTable:
     """A finite abelian group presented by cyclic orders; elements are
-    exponent tuples with componentwise addition."""
+    exponent tuples with componentwise addition.  ``index`` codes an
+    element as its position in ``elements()`` (mixed radix, last
+    coordinate fastest), so tables over the group can be int lists."""
 
     def __init__(self, orders):
         self.orders = tuple(int(n) for n in orders if n > 1)
@@ -196,6 +198,21 @@ class FiniteTable:
         if not self.orders:
             return [()]
         return list(itertools.product(*(range(n) for n in self.orders)))
+
+    def index(self, a):
+        i = 0
+        for x, n in zip(a, self.orders):
+            i = i * n + x
+        return i
+
+    def scale_indices(self, k):
+        """Multiplication by k as an index table: entry i is the index of
+        k times the i-th element."""
+        out = [0]
+        for n in self.orders:
+            step = [(k * x) % n for x in range(n)]
+            out = [i * n + c for i in out for c in step]
+        return out
 
     def add(self, a, b):
         return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
@@ -210,6 +227,34 @@ class FiniteTable:
         return math.lcm(
             *(n // math.gcd(x, n) for x, n in zip(a, self.orders))
         ) if self.orders else 1
+
+
+def _u_levels(table: FiniteTable, u: int):
+    """Multiplication by u on element indices, down to where it stabilizes.
+
+    Returns (stable, e, levels): ``stable`` is the set of indices of
+    u^e M, where e is least with u^e M = u^(e+1) M, and for a <= 2e,
+    levels[a][i] is the index of the unique x in u^e M with u^a x = u^e m,
+    m the i-th element (multiplication by u is bijective on u^e M).
+    """
+    times_u = table.scale_indices(u)
+    stable = set(range(table.order))
+    e = 0
+    while True:
+        nxt = {times_u[i] for i in stable}
+        if nxt == stable:
+            break
+        stable = nxt
+        e += 1
+    inverse_of_u = {times_u[x]: x for x in stable}
+    level = list(range(table.order))
+    for _ in range(e):
+        level = [times_u[i] for i in level]
+    levels = [level]
+    for _ in range(2 * e):
+        level = [inverse_of_u[i] for i in level]
+        levels.append(level)
+    return stable, e, levels
 
 
 def structure_from_orders(order_counts: dict) -> FGAbelianGroup:
@@ -270,6 +315,15 @@ def fraction_oracle(
     enough products to stabilize, quotients by the fraction equivalence
     ((m, s) ~ (m', s') iff m s' s'' = m' s s'' for some s''), and reads the
     group structure off the classes.
+
+    The sum of fractions is checked to be well defined on a sample of at
+    most 400 pairs of classes: every pair when there are at most 20
+    classes, otherwise a stride walk through the k*k pairs of the k
+    classes (``_pair_sample``) that puts every class on the left when
+    k <= 400 and spreads the right summand over all classes.  Each sampled
+    pair is summed over the first and the last representative of each
+    class and must give one class.  With e = 0 every class is a single
+    pair and there is nothing to sample.
     """
     table = FiniteTable(orders)
     if table.order > max_order:
@@ -278,41 +332,33 @@ def fraction_oracle(
         )
     relevant = [p for p in sorted(_factor(table.order)) if S.inverts(p)]
     u = math.prod(relevant) if relevant else 1
-    # stabilization exponent: u^e M = u^(e+1) M
-    e = 0
-    current = set(table.elements())
-    while True:
-        nxt = {table.scale(u, a) for a in current}
-        if nxt == current:
-            break
-        current = nxt
-        e += 1
-    stable = current  # the set u^e M
-    segment = [u**a for a in range(e + 1)]
-    # canonical representative of (m, u^a): the unique x in u^e M with
-    # u^a x = u^e m (multiplication by u is bijective on u^e M)
-    inverse_of_u = {}
-    for x in stable:
-        inverse_of_u[table.scale(u, x)] = x
+    elements = table.elements()
+    # the canonical representative of (m, u^a) is levels[a][m]; sums of
+    # two fractions reach a = 2e
+    stable, e, levels = _u_levels(table, u)
 
     def rep(m, a):
-        x = table.scale(u**e, m)
-        for _ in range(a):
-            x = inverse_of_u[x]
+        return levels[a][table.index(m)]
+
+    classes = {x: [] for x in levels[0]}  # every class meets a = 0
+    for a in range(e + 1):
+        for x, m in zip(levels[a], elements):
+            classes[x].append((m, a))
+    # addition (m,s) + (m',s') = (m s' + m' s, s s') is well defined on the
+    # classes: the sum's class must not depend on the representatives.  With
+    # e = 0 every class is a single pair, so there is nothing to compare.
+    scaled = {}  # (m, b) -> u^b m; a class recurs across the sampled pairs
+
+    def times(m, b):
+        x = scaled.get((m, b))
+        if x is None:
+            x = scaled[(m, b)] = table.scale(u**b, m)
         return x
 
-    classes = {}
-    for a, s in enumerate(segment):
-        for m in table.elements():
-            classes.setdefault(rep(m, a), []).append((m, a))
-    # addition (m,s) + (m',s') = (m s' + m' s, s s') is well defined on the
-    # classes: the sum's class must not depend on the representatives
     sample = list(classes.values())
-    for pairs1, pairs2 in itertools.islice(
-        itertools.product(sample, sample), 400
-    ):
+    for pairs1, pairs2 in _pair_sample(sample, 400) if e else ():
         sums = {
-            rep(table.add(table.scale(u**a2, m1), table.scale(u**a1, m2)), a1 + a2)
+            rep(table.add(times(m1, a2), times(m2, a1)), a1 + a2)
             for m1, a1 in (pairs1[0], pairs1[-1])
             for m2, a2 in (pairs2[0], pairs2[-1])
         }
@@ -321,7 +367,25 @@ def fraction_oracle(
                 f"fraction oracle: the sum of the classes of {pairs1[0]} and "
                 f"{pairs2[0]} depends on the representatives"
             )
-    return table_structure(table, subset=stable)
+    return table_structure(table, subset=[elements[i] for i in stable])
+
+
+def _pair_sample(items, count):
+    """Up to ``count`` distinct pairs of the k items: all k*k of them when
+    that is few enough, otherwise the pairs (q mod k, q div k) for
+    q = n * step mod k*k, n < count.  The step is coprime to k, so the
+    left item runs through all k items in any k consecutive pairs, and
+    near 0.618 k*k, so the right item spreads over all of them."""
+    k = len(items)
+    if k * k <= count:
+        return [(x, y) for x in items for y in items]
+    step = k * k * 618 // 1000
+    while math.gcd(step, k) != 1:
+        step += 1
+    return [
+        (items[q % k], items[q // k])
+        for q in (n * step % (k * k) for n in range(count))
+    ]
 
 
 # ---------------------------------------------------------------------------

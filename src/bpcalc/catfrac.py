@@ -42,6 +42,15 @@ class FiniteCategory:
         self.morphisms = dict(morphisms)  # id -> (src, tgt)
         self.identities = dict(identities)  # object -> morphism id
         self.comp = dict(comp)  # (g, f) -> g.f  for f then g
+        # hom-sets as tuples sorted by name, and the arrows out of each
+        # object in declaration order; both built once, read by every query
+        homs, out = {}, {x: [] for x in self.objects}
+        for f in sorted(self.morphisms):
+            homs.setdefault(self.morphisms[f], []).append(f)
+        for f, (s, _) in self.morphisms.items():
+            out.setdefault(s, []).append(f)
+        self.homs = {k: tuple(v) for k, v in homs.items()}
+        self.out = {k: tuple(v) for k, v in out.items()}
         self._validate()
 
     # -- basic queries ---------------------------------------------------
@@ -62,15 +71,13 @@ class FiniteCategory:
         return self.comp[(g, f)]
 
     def hom(self, x, y):
-        return [
-            f for f, (s, t) in sorted(self.morphisms.items()) if s == x and t == y
-        ]
+        """The morphisms x -> y sorted by name, as a fresh list."""
+        return list(self.homs.get((x, y), ()))
 
     def composable_pairs(self):
-        for f, (fs, ft) in self.morphisms.items():
-            for g, (gs, gt) in self.morphisms.items():
-                if ft == gs:
-                    yield g, f
+        for f, (_, ft) in self.morphisms.items():
+            for g in self.out[ft]:
+                yield g, f
 
     def inverse(self, f):
         """Two-sided inverse if one exists, else None."""
@@ -111,18 +118,12 @@ class FiniteCategory:
                 raise ValueError(f"right identity law fails at {f}")
             if self.comp[(self.identities[self.tgt(f)], f)] != f:
                 raise ValueError(f"left identity law fails at {f}")
-        for f in self.morphisms:
-            for g in self.morphisms:
-                if self.tgt(f) != self.src(g):
-                    continue
-                gf = self.comp[(g, f)]
-                for h in self.morphisms:
-                    if self.tgt(g) != self.src(h):
-                        continue
-                    if self.comp[(h, gf)] != self.comp[(self.comp[(h, g)], f)]:
-                        raise ValueError(
-                            f"associativity fails at ({h}, {g}, {f})"
-                        )
+        comp = self.comp
+        for g, f in self.composable_pairs():
+            gf = comp[(g, f)]
+            for h in self.out[self.tgt(g)]:
+                if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
+                    raise ValueError(f"associativity fails at ({h}, {g}, {f})")
 
     def __repr__(self):
         return (
@@ -158,6 +159,22 @@ def make_category(objects, arrows, compositions, name="C"):
 # ---------------------------------------------------------------------------
 
 
+def _marked_out(C, S):
+    """object -> the marked morphisms out of it, sorted by name."""
+    out = {}
+    for t in sorted(S):
+        out.setdefault(C.src(t), []).append(t)
+    return out
+
+
+def _marked_homs(C, S):
+    """(x, y) -> the marked morphisms x -> y, sorted by name."""
+    out = {}
+    for t in sorted(S):
+        out.setdefault(C.morphisms[t], []).append(t)
+    return out
+
+
 def check_fraction_axioms(C: FiniteCategory, S) -> Report:
     """Exhaustive check of closure under composition, square completion,
     and equalizer completion for the marked class S."""
@@ -181,22 +198,21 @@ def check_fraction_axioms(C: FiniteCategory, S) -> Report:
         status=bad is None,
         witness=bad or "",
     )
+    comp = C.comp
+    marked_out = _marked_out(C, S)
+    out_sorted = {x: sorted(C.out[x]) for x in C.objects}
     bad = None
     for s in sorted(S):
-        for f in sorted(C.morphisms):
-            if C.src(f) != C.src(s):
-                continue
-            found = False
-            for t in sorted(S):
-                if C.src(t) != C.tgt(f):
-                    continue
-                for g in C.hom(C.tgt(s), C.tgt(t)):
-                    if C.compose(g, s) == C.compose(t, f):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
+        x, y = C.morphisms[s]
+        # the composites g s, grouped by the target of g
+        through_s = {}
+        for g in C.out[y]:
+            through_s.setdefault(C.tgt(g), set()).add(comp[(g, s)])
+        for f in out_sorted[x]:
+            if not any(
+                comp[(t, f)] in through_s.get(C.tgt(t), ())
+                for t in marked_out.get(C.tgt(f), ())
+            ):
                 bad = f"no completion of (s={s}, f={f})"
                 break
         if bad:
@@ -211,22 +227,15 @@ def check_fraction_axioms(C: FiniteCategory, S) -> Report:
     bad = None
     for s in sorted(S):
         y = C.tgt(s)
-        for f in sorted(C.morphisms):
-            for g in sorted(C.morphisms):
-                if g <= f:
+        for f in out_sorted[y]:
+            fs = comp[(f, s)]
+            z = C.tgt(f)
+            for g in C.homs[(y, z)]:
+                if g <= f or comp[(g, s)] != fs:
                     continue
-                if C.src(f) != y or C.src(g) != y or C.tgt(f) != C.tgt(g):
-                    continue
-                if C.compose(f, s) != C.compose(g, s):
-                    continue
-                found = False
-                for t in sorted(S):
-                    if C.src(t) != C.tgt(f):
-                        continue
-                    if C.compose(t, f) == C.compose(t, g):
-                        found = True
-                        break
-                if not found:
+                if not any(
+                    comp[(t, f)] == comp[(t, g)] for t in marked_out.get(z, ())
+                ):
                     bad = f"no equalizing t for (s={s}, f={f}, g={g})"
                     break
             if bad:
@@ -256,27 +265,29 @@ class ShortWord:
     s: str
 
 
-def _short_words(C, S, x, y):
+def _short_words(C, marked, x, y):
     words = []
     for w in C.objects:
-        for f in C.hom(x, w):
-            for s in C.hom(y, w):
-                if s in S:
-                    words.append(ShortWord(f, s))
+        for f in C.homs.get((x, w), ()):
+            for s in marked.get((y, w), ()):
+                words.append(ShortWord(f, s))
     return words
 
 
 def _words_equivalent(C, S, w1: ShortWord, w2: ShortWord) -> bool:
     """Search all completions (g1, g2) with g1 f1 = g2 f2 and
     g1 s1 = g2 s2 in S; exhaustive, no heuristics."""
+    comp = C.comp
     y1, y2 = C.tgt(w1.f), C.tgt(w2.f)
     for y3 in C.objects:
-        for g1 in C.hom(y1, y3):
-            for g2 in C.hom(y2, y3):
-                if C.compose(g1, w1.f) != C.compose(g2, w2.f):
+        homs2 = C.homs.get((y2, y3), ())
+        for g1 in C.homs.get((y1, y3), ()):
+            g1f1 = comp[(g1, w1.f)]
+            for g2 in homs2:
+                if g1f1 != comp[(g2, w2.f)]:
                     continue
-                through = C.compose(g1, w1.s)
-                if through == C.compose(g2, w2.s) and through in S:
+                through = comp[(g1, w1.s)]
+                if through == comp[(g2, w2.s)] and through in S:
                     return True
     return False
 
@@ -303,27 +314,38 @@ class _UnionFind:
         return [sorted(v) for v in sorted(groups.values())]
 
 
+class FractionAxiomsError(ValueError):
+    """``localize`` was given a class that fails the fraction axioms;
+    ``report`` holds the axiom records."""
+
+    def __init__(self, report: Report):
+        super().__init__(
+            "marked class fails the fraction axioms: "
+            + "; ".join(r.id for r in report.failures())
+        )
+        self.report = report
+
+
 def localize(C: FiniteCategory, S):
     """The category of fractions with its projection functor.
 
     Returns (L, Q, classes) where L is a FiniteCategory whose morphisms are
     equivalence classes of short words, Q maps each morphism of C to its
     class, and classes maps the new morphism names back to representative
-    short words.  Requires the fraction axioms (checked first).
+    short words.  Requires the fraction axioms (checked first; a class
+    that fails them raises FractionAxiomsError).
     """
     S = frozenset(S)
     axioms = check_fraction_axioms(C, S)
     if not axioms.passed:
-        raise ValueError(
-            "marked class fails the fraction axioms: "
-            + "; ".join(r.id for r in axioms.failures())
-        )
+        raise FractionAxiomsError(axioms)
 
+    marked = _marked_homs(C, S)
     class_rep = {}  # (x, y) -> list of representative ShortWords
     word_class = {}  # (x, y, word) -> class index
     for x in C.objects:
         for y in C.objects:
-            words = _short_words(C, S, x, y)
+            words = _short_words(C, marked, x, y)
             uf = _UnionFind(range(len(words)))
             for i in range(len(words)):
                 for j in range(i + 1, len(words)):
@@ -349,17 +371,19 @@ def localize(C: FiniteCategory, S):
             raise ValueError(f"word {word} not found in hom({x}, {y})")
         return names[(x, y, gi)]
 
+    objects_sorted = sorted(C.objects)
+
     def compose_words(w2: ShortWord, w1: ShortWord):
         """(w2 after w1) via a square completion of (s1, f2)."""
-        for y3 in sorted(C.objects):
-            for t in sorted(S):
-                if C.src(t) != C.tgt(w2.f) or C.tgt(t) != y3:
-                    continue
-                for g in C.hom(C.tgt(w1.f), y3):
-                    if C.compose(g, w1.s) == C.compose(t, w2.f):
-                        return ShortWord(
-                            C.compose(g, w1.f), C.compose(t, w2.s)
-                        )
+        c = C.comp
+        w, w_ = C.tgt(w1.f), C.tgt(w2.f)
+        for y3 in objects_sorted:
+            homs = C.homs.get((w, y3), ())
+            for t in marked.get((w_, y3), ()):
+                tf2 = c[(t, w2.f)]
+                for g in homs:
+                    if c[(g, w1.s)] == tf2:
+                        return ShortWord(c[(g, w1.f)], c[(t, w2.s)])
         raise ValueError("square completion not found (axioms should forbid this)")
 
     comp = {}

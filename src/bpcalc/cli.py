@@ -4,7 +4,9 @@ group localization, and finite-category checks.
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error
 (or a pipeline precondition the configuration fails), 3 truncation
 exceeded; under ``verify all`` a target that stops on an arithmetic
-error is one failed record ``<target>.crashed`` and the others still run.
+error is one failed record ``<target>.crashed`` and the others still run,
+and ``cat localize`` on a class that fails the fraction axioms reports
+the class's axiom records (``class[S].*``) and exits 1.
 Reports are deterministic apart from each record's measured
 ``runtime_ms``: JSON output omits that field under ``--no-timing``, and
 text output never shows it.
@@ -405,11 +407,16 @@ def main(argv=None) -> int:
             if name not in classes:
                 print(f"error: no class {name!r} in {args.file}", file=sys.stderr)
                 return EXIT_USAGE
-            L, Q, _ = catfrac.localize(C, classes[name])
             report = Report(
                 f"localization of {args.file} at class {name}",
                 config={"objects": " ".join(C.objects)},
             )
+            try:
+                L, Q, _ = catfrac.localize(C, classes[name])
+            except catfrac.FractionAxiomsError as exc:
+                # no localization to compare: the axiom records are the report
+                report.extend(exc.report, prefix=f"class[{name}]")
+                return _emit(report, config)
             for x in C.objects:
                 for y in C.objects:
                     hom = L.hom(x, y)

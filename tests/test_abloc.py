@@ -224,3 +224,34 @@ def test_localize_table_is_canonical_map():
     for a in t.elements():
         for b in t.elements():
             assert loc(t.add(a, b)) == t.add(loc(a), loc(b))
+
+
+def test_fraction_oracle_sum_sample_reaches_nonzero_left_classes(monkeypatch):
+    # Z/2 + Z/401 with 2 inverted: u = 2, e = 1, and 401 classes; the zero
+    # class is the 2-torsion.  This addition is right whenever a summand lies
+    # in the zero class and off by one elsewhere, so only a sampled pair
+    # with a nonzero class on each side can expose it.
+    def add(self, a, b):
+        in_zero_class = any(
+            all((2 * x) % n == 0 for x, n in zip(c, self.orders)) for c in (a, b)
+        )
+        shift = 0 if in_zero_class else 1
+        return tuple((x + y + shift) % n for x, y, n in zip(a, b, self.orders))
+
+    assert fraction_oracle([2, 401], InvertedSet({2})) == parse_group("Z/401")
+    monkeypatch.setattr(FiniteTable, "add", add)
+    with pytest.raises(OracleError):
+        fraction_oracle([2, 401], InvertedSet({2}))
+
+
+def test_index_tables_match_tuple_arithmetic():
+    rng = random.Random(424242)
+    for _ in range(40):
+        for orders in random_short_exact(rng)[0]:
+            t = FiniteTable(orders)
+            elements = t.elements()
+            assert [t.index(a) for a in elements] == list(range(t.order))
+            for k in (2, 3, 6):
+                scaled = t.scale_indices(k)
+                assert [elements[j] for j in scaled] == [t.scale(k, a) for a in elements]
+    assert FiniteTable([1]).scale_indices(5) == [0]

@@ -246,3 +246,66 @@ def test_parse_category_rejects_partial_tables():
 def test_short_word_type():
     w = ShortWord("f", "s")
     assert w.f == "f" and w.s == "s"
+
+
+def _product(C, D):
+    """C x D built as the benchmark's product categories are: objects
+    ``x.y``, arrows ``(f,g)`` unless both are identities."""
+
+    def obj(x, y):
+        return f"{x}.{y}"
+
+    def name(f, g):
+        if C.is_identity(f) and D.is_identity(g):
+            return f"id_{obj(C.src(f), D.src(g))}"
+        return f"({f},{g})"
+
+    objects = [obj(x, y) for x in C.objects for y in D.objects]
+    arrows = {
+        name(f, g): (obj(s1, s2), obj(t1, t2))
+        for f, (s1, t1) in C.morphisms.items()
+        for g, (s2, t2) in D.morphisms.items()
+        if not (C.is_identity(f) and D.is_identity(g))
+    }
+    comps = {}
+    for f1, f2 in C.composable_pairs():
+        for g1, g2 in D.composable_pairs():
+            outer, inner = name(f1, g1), name(f2, g2)
+            if not (outer.startswith("id_") or inner.startswith("id_")):
+                comps[(outer, inner)] = name(C.compose(f1, f2), D.compose(g1, g2))
+    return make_category(objects, arrows, comps, name=f"{C.name}x{D.name}")
+
+
+def _scanned_hom(C, x, y):
+    return [f for f, (s, t) in sorted(C.morphisms.items()) if s == x and t == y]
+
+
+def test_hom_index_matches_a_sorted_scan():
+    entries = [C for _, C, _ in library()]
+    categories = entries + [_product(C, D) for C in entries for D in entries]
+    for C in categories:
+        for x in C.objects:
+            for y in C.objects:
+                assert C.hom(x, y) == _scanned_hom(C, x, y), (C.name, x, y)
+
+
+def test_hom_returns_a_fresh_list():
+    C = coequalizer_shape()
+    got = C.hom("X", "Y")
+    assert got == ["f", "g"]
+    got.append("h")
+    got.sort(reverse=True)
+    assert C.hom("X", "Y") == ["f", "g"]
+
+
+def test_product_with_a_corrupted_composite_fails_associativity():
+    P = _product(coequalizer_shape(), chain3())
+    comp = dict(P.comp)
+    key = ("(f,id_x1)", "(id_X,a)")
+    assert comp[key] == "(f,a)"
+    # (g,a) is parallel to (f,a), so the endpoint and identity checks pass
+    comp[key] = "(g,a)"
+    with pytest.raises(
+        ValueError, match=r"associativity fails at \(\(id_Y,b\), \(f,id_x1\), \(id_X,a\)\)"
+    ):
+        FiniteCategory(P.objects, P.morphisms, P.identities, comp)

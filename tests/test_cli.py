@@ -181,6 +181,8 @@ def test_eval_power_at_and_past_the_key_field(capsys):
         ["localize-group", "Z/99999999999", "--invert", "3", "--oracle"],
         ["verify", "lemma7.1", "--degree-bound", "0", "--prime", "5"],
         ["verify", "lemma7.1", "--degree-bound", "-2", "--prime", "5"],
+        ["cat", "check", "no-such-file.cat"],
+        ["cat", "localize", "no-such-file.cat"],
     ],
 )
 def test_bad_input_exits_usage_with_one_line_error(argv, capsys):
@@ -286,3 +288,60 @@ def test_env_override(monkeypatch, capsys):
     assert exc.value.code == EXIT_USAGE
     err = capsys.readouterr().err
     assert "invalid int value: 'x'" in err and "Traceback" not in err
+
+
+FAILING_CLASS_CAT = """
+objects: x y z
+mor f : x -> y
+mor g : x -> z
+class S = { f }
+"""
+
+MUTANT_MONAD_CAT = """
+objects: x0 x1
+mor u : x0 -> x1
+functor E = { x0: x0, x1: x0 | u: u }
+nat eta E = { x0: id_x0, x1: id_x1 }
+"""
+
+
+def _json_report(argv, capsys):
+    code = main(argv + ["--format", "json", "--no-timing"])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out) if captured.out else None, captured.err
+
+
+def test_cat_localize_reports_a_class_that_fails_the_axioms(tmp_path, capsys):
+    path = tmp_path / "fails.cat"
+    path.write_text(FAILING_CLASS_CAT)
+    code, report, err = _json_report(["cat", "localize", str(path)], capsys)
+    assert code == EXIT_CHECK_FAILURE
+    assert err == ""
+    assert report["status"] == "fail"
+    assert [r["id"] for r in report["checks"] if r["status"] == "fail"] == [
+        "class[S].square-completion"
+    ]
+    assert all(r["id"].startswith("class[S].") for r in report["checks"])
+    assert main(["cat", "localize", str(path)]) == EXIT_CHECK_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "class[S].square-completion" in captured.out
+
+
+def test_cat_check_rejects_a_mutant_monad(tmp_path, capsys):
+    path = tmp_path / "mutant.cat"
+    path.write_text(MUTANT_MONAD_CAT)
+    code, report, err = _json_report(["cat", "check", str(path)], capsys)
+    assert code == EXIT_CHECK_FAILURE and err == ""
+    assert [r["id"] for r in report["checks"] if r["status"] == "fail"] == [
+        "monad[E].table-wellformed"
+    ]
+
+
+def test_localize_group_oracle_disagreement_exits_check_failure(monkeypatch, capsys):
+    # a localization that keeps the torsion it should delete
+    monkeypatch.setattr(
+        cli.abloc, "localize", lambda M, S: cli.abloc.LocalizedGroup(M.rank, M.torsion, S)
+    )
+    assert main(["localize-group", "Z/12", "--invert", "2", "--oracle"]) == EXIT_CHECK_FAILURE
+    assert capsys.readouterr().out == "Z/4 + Z/3\noracle: Z/3 (DISAGREES)\n"
