@@ -175,17 +175,56 @@ def _marked_homs(C, S):
     return out
 
 
+def _square_gap(C, S, marked_out, out_sorted):
+    """The first (s, f) with no square completion, as a witness, or None."""
+    comp = C.comp
+    for s in sorted(S):
+        x, y = C.morphisms[s]
+        # the composites g s, grouped by the target of g
+        through_s = {}
+        for g in C.out[y]:
+            through_s.setdefault(C.tgt(g), set()).add(comp[(g, s)])
+        for f in out_sorted[x]:
+            if not any(
+                comp[(t, f)] in through_s.get(C.tgt(t), ())
+                for t in marked_out.get(C.tgt(f), ())
+            ):
+                return f"no completion of (s={s}, f={f})"
+    return None
+
+
+def _equalizer_gap(C, S, marked_out, out_sorted):
+    """The first (s, f, g) with f s = g s and no equalizing t, or None."""
+    comp = C.comp
+    for s in sorted(S):
+        y = C.tgt(s)
+        for f in out_sorted[y]:
+            fs = comp[(f, s)]
+            z = C.tgt(f)
+            for g in C.homs[(y, z)]:
+                if g <= f or comp[(g, s)] != fs:
+                    continue
+                if not any(
+                    comp[(t, f)] == comp[(t, g)] for t in marked_out.get(z, ())
+                ):
+                    return f"no equalizing t for (s={s}, f={f}, g={g})"
+    return None
+
+
 def check_fraction_axioms(C: FiniteCategory, S) -> Report:
     """Exhaustive check of closure under composition, square completion,
-    and equalizer completion for the marked class S."""
+    and equalizer completion for the marked class S.  A class naming
+    morphisms the category lacks fails both completions, which are not
+    defined on them, with those names as the witness."""
     S = frozenset(S)
     report = Report(f"fraction axioms for S on {C.name}", config={"category": C.name})
     unknown = S - set(C.morphisms)
+    names = ", ".join(sorted(unknown))
     report.check(
         id="class-wellformed",
         anchor="S is a subset of the category's morphisms containing identities",
         status=not unknown and all(i in S for i in C.identities.values()),
-        witness=", ".join(sorted(unknown)),
+        witness=names,
     )
     bad = None
     for g, f in C.composable_pairs():
@@ -198,25 +237,10 @@ def check_fraction_axioms(C: FiniteCategory, S) -> Report:
         status=bad is None,
         witness=bad or "",
     )
-    comp = C.comp
-    marked_out = _marked_out(C, S)
+    undefined = f"not in the category: {names}" if unknown else None
+    marked_out = _marked_out(C, S - unknown)
     out_sorted = {x: sorted(C.out[x]) for x in C.objects}
-    bad = None
-    for s in sorted(S):
-        x, y = C.morphisms[s]
-        # the composites g s, grouped by the target of g
-        through_s = {}
-        for g in C.out[y]:
-            through_s.setdefault(C.tgt(g), set()).add(comp[(g, s)])
-        for f in out_sorted[x]:
-            if not any(
-                comp[(t, f)] in through_s.get(C.tgt(t), ())
-                for t in marked_out.get(C.tgt(f), ())
-            ):
-                bad = f"no completion of (s={s}, f={f})"
-                break
-        if bad:
-            break
+    bad = undefined or _square_gap(C, S, marked_out, out_sorted)
     report.check(
         id="square-completion",
         anchor="given s in S and f with a common source, there are g and "
@@ -224,24 +248,7 @@ def check_fraction_axioms(C: FiniteCategory, S) -> Report:
         status=bad is None,
         witness=bad or "",
     )
-    bad = None
-    for s in sorted(S):
-        y = C.tgt(s)
-        for f in out_sorted[y]:
-            fs = comp[(f, s)]
-            z = C.tgt(f)
-            for g in C.homs[(y, z)]:
-                if g <= f or comp[(g, s)] != fs:
-                    continue
-                if not any(
-                    comp[(t, f)] == comp[(t, g)] for t in marked_out.get(z, ())
-                ):
-                    bad = f"no equalizing t for (s={s}, f={f}, g={g})"
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    bad = undefined or _equalizer_gap(C, S, marked_out, out_sorted)
     report.check(
         id="equalizer-completion",
         anchor="given s in S with f s = g s, some t in S has t f = t g",

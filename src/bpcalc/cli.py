@@ -3,9 +3,9 @@ group localization, and finite-category checks.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error
 (or a pipeline precondition the configuration fails), 3 truncation
-exceeded; under ``verify all`` a target that stops on an arithmetic
-error is one failed record ``<target>.crashed`` and the others still run,
-and ``cat localize`` on a class that fails the fraction axioms reports
+exceeded.  A verify target that stops on an arithmetic error is one
+failed record ``<target>.crashed`` (under ``verify all`` the others still
+run), and ``cat localize`` on a class that fails the fraction axioms reports
 the class's axiom records (``class[S].*``) and exits 1.
 Reports are deterministic apart from each record's measured
 ``runtime_ms``: JSON output omits that field under ``--no-timing``, and
@@ -251,9 +251,36 @@ def parse_inverted(spec: str) -> abloc.InvertedSet:
 # ---------------------------------------------------------------------------
 
 
+def _run_pipeline(name: str, build, config: dict, into: Report | None = None) -> Report:
+    """build()'s report, or with ``into`` given, ``into`` with build()'s
+    records appended under the prefix name.  A pipeline that stops on an
+    arithmetic error (ValueError, ArithmeticError, or a BPCalcError that
+    is neither truncation nor usage) is one failed record
+    ``<name>.crashed`` instead; truncation and usage errors propagate
+    (exit 3 or 2)."""
+    report = into if into is not None else Report(f"the {name} pipeline", config)
+    try:
+        part = build()
+    except (TruncationError, ParseError, PreconditionError):
+        raise
+    except (ValueError, ArithmeticError, BPCalcError) as exc:
+        report.check(
+            id=f"{name}.crashed",
+            anchor=f"the {name} pipeline runs to completion",
+            status=False,
+            witness=f"{type(exc).__name__}: {exc}",
+        )
+        return report
+    if into is None:
+        return part
+    report.extend(part, prefix=name)
+    return report
+
+
 def run_verify(target: str, config: Config) -> Report:
     ctx = config.context()
     bound = config.bound_q
+    summary = {"prime": ctx.prime, "truncation": ctx.truncation, "window_q": bound}
 
     def with_complex(report: Report) -> Report:
         d0, d1, d2 = opcalc.d_matrices(ctx)
@@ -284,33 +311,14 @@ def run_verify(target: str, config: Config) -> Report:
         "structural": lambda: hopf.verify_structural(ctx),
     }
     if target == "all":
-        merged = Report(
-            "all verification pipelines",
-            config={
-                "prime": ctx.prime,
-                "truncation": ctx.truncation,
-                "window_q": bound,
-            },
-        )
+        merged = Report("all verification pipelines", config=summary)
         for name in VERIFY_ALL:
-            try:
-                part = builders[name]()
-            except (TruncationError, ParseError, PreconditionError):
-                raise  # exit 3 or 2, as for a single target
-            except (ValueError, ArithmeticError, BPCalcError) as exc:
-                # a crash is one failed record; the other targets still run
-                merged.check(
-                    id=f"{name}.crashed",
-                    anchor=f"the {name} pipeline runs to completion",
-                    status=False,
-                    witness=f"{type(exc).__name__}: {exc}",
-                )
-                continue
-            merged.extend(part, prefix=name)
+            # a crash is one failed record; the other targets still run
+            _run_pipeline(name, builders[name], summary, into=merged)
         return merged
     if target not in builders:
         raise ValueError(f"unknown verify target {target}")
-    return builders[target]()
+    return _run_pipeline(target, builders[target], summary)
 
 
 # ---------------------------------------------------------------------------

@@ -437,18 +437,21 @@ class _Flat(SparseRing):
 def _flat_image(ctx: Context, x: Poly, generator, name: str) -> _Flat:
     """The flat image of x under the ring map with generator images
     ``generator(ctx, i)``: sum c * prod_i generator(ctx, i)^(a_i) over the
-    terms c * x^a, from memoized powers (``memo_power``); a mixed
-    monomial's image is not stored.  Every exponent of the image of x^a is
-    at most deg(x^a)/q, so ExponentOverflowError comes first when that
-    bound passes the field width (``_key_bound``)."""
+    terms c * x^a, from memoized powers (``memo_power``), each image starting
+    from a copy of its first power; a mixed monomial's image is not stored.
+    Every exponent of the image of x^a is at most deg(x^a)/q, so
+    ExponentOverflowError comes first when that bound passes the field
+    width (``_key_bound``)."""
     _key_bound(ctx, x, name)
     acc = _Flat({})
     for exps, c in x.terms.items():
-        image = _Flat({0: 1})
+        image = None
         for i, e in enumerate(exps, start=1):
             if e:
-                image = image * memo_power(ctx, generator, i, e)
-        acc = acc + image.scale(c)
+                power = memo_power(ctx, generator, i, e)
+                image = _Flat(dict(power.terms)) if image is None else image * power
+        image = _Flat({0: c}) if image is None else image if c == 1 else image.scale(c)
+        acc = acc + image if acc.terms else image
     return acc
 
 
@@ -700,24 +703,28 @@ def _eta_v_generator(ctx: Context, i: int) -> _Flat:
     return _flat(_m_to_v_rows(ctx, flat.terms, K, where))
 
 
+def _eta_r_flat(ctx: Context, x: Poly) -> _Flat:
+    """Flat eta_R(x) for a v-polynomial: v-exponents in the low fields, t
+    from ``_T_SHIFT`` up (``_flat_image`` over ``_eta_v_generator``)."""
+    return _flat_image(ctx, x, _eta_v_generator, "eta_r")
+
+
 @memoized
 def _eta_flat(ctx: Context, key: int) -> _Flat:
     """Flat eta_R of the packed v-monomial: the product of memoized flat
     powers eta_R(v_i)^e (``memo_power`` over ``_eta_v_generator``)."""
-    x = Poly._raw(ctx.V, {_unpack(key): 1})
-    return _flat_image(ctx, x, _eta_v_generator, "eta_r")
+    return _eta_r_flat(ctx, Poly._raw(ctx.V, {_unpack(key): 1}))
 
 
 def eta_r(ctx: Context, x: Poly) -> TPoly:
     """Right unit on an integral v-polynomial, coefficients in the v-basis.
 
     eta_R is a ring homomorphism, so eta_R(x) = sum c * prod_i
-    eta_R(v_i)^(a_i) over the terms c * v^a of x.  The generator powers are
-    memoized flat images with int coefficients (``memo_power`` over
-    ``_eta_v_generator``, through ``_flat_image``); a mixed monomial's
-    image is their product and is not stored.  Every term of eta_R(v^a)
-    has degree deg(v^a), so no exponent exceeds deg(v^a)/q; a monomial
-    for which that bound passes the field width raises
+    eta_R(v_i)^(a_i) over the terms c * v^a of x: the flat core
+    ``_eta_r_flat`` (memoized flat powers with int coefficients), checked
+    for integrality here and unpacked into a TPoly.  Every term of
+    eta_R(v^a) has degree deg(v^a), so no exponent exceeds deg(v^a)/q; a
+    monomial for which that bound passes the field width raises
     ExponentOverflowError before any arithmetic.
 
     The coefficient of t^I equals r_action(I, x) for every I; that standing
@@ -728,7 +735,7 @@ def eta_r(ctx: Context, x: Poly) -> TPoly:
         raise AlphabetError(
             "eta_r expects a v-polynomial (eta_r_m takes m-polynomials)"
         )
-    acc = _flat_image(ctx, x, _eta_v_generator, "eta_r")
+    acc = _eta_r_flat(ctx, x)
     for k, c in acc.terms.items():
         # the images have int coefficients, so only a non-int input
         # coefficient can leave a p in a denominator
@@ -810,10 +817,10 @@ def _mono_action_table(ctx: Context, exps, cap=None) -> dict:
     return table
 
 
-def _cartan(ctx: Context, x: Poly, cap=None) -> dict:
-    """{J: R_J(x)} for every J, or for J = cap only, from the flat Cartan
-    tables: their counts, weighted by the m-basis coefficients of x, go back
-    to the v-basis through one exact division (``_m_to_v_rows``); a p left
+def _cartan_rows(ctx: Context, x: Poly, cap=None) -> dict:
+    """{packed J: {packed v-key: int}} for every J, or for J = cap only: the
+    flat Cartan tables' counts, weighted by the m-basis coefficients of x,
+    back in the v-basis by one exact division (``_m_to_v_rows``); a p left
     in a denominator is a non-integral R_J(x): ValueError."""
     K = _key_bound(ctx, x, "r_action")
     # the packed J to keep: None keeps all, -1 none (cap past the field)
@@ -827,17 +834,22 @@ def _cartan(ctx: Context, x: Poly, cap=None) -> dict:
     def where(jk):
         return f"r_action: non-integral value at index {_unpack(jk)}"
 
+    return _m_to_v_rows(ctx, acc, K, where)
+
+
+def _cartan(ctx: Context, x: Poly, cap=None) -> dict:
+    """{J: R_J(x)}: the rows of ``_cartan_rows`` unpacked into v-Polys."""
     return {
         _unpack(jk): Poly._raw(ctx.V, {_unpack(vk): c for vk, c in row.items()})
-        for jk, row in _m_to_v_rows(ctx, acc, K, where).items()
+        for jk, row in _cartan_rows(ctx, x, cap).items()
     }
 
 
 def r_action_table(ctx: Context, x: Poly) -> dict:
     """All nonzero R_I(x) for a v-polynomial, as {index: integral v-Poly},
-    from the full flat Cartan tables (``_cartan``).  Raises ValueError on a
-    non-integral value, and ExponentOverflowError before any arithmetic
-    when an exponent could pass the key field."""
+    from the full flat Cartan tables (``_cartan_rows``, unpacked).  Raises
+    ValueError on a non-integral value, and ExponentOverflowError before any
+    arithmetic when an exponent could pass the key field."""
     return _cartan(ctx, x)
 
 
@@ -1187,9 +1199,8 @@ def recomputed_pairing_table(ctx: Context) -> list:
 def verify_structural(ctx: Context) -> Report:
     """Structural coherence: exact basis round trip, integral diagonal for
     k <= 3, and Cartan action == right-unit coefficients on every v-monomial
-    of degree <= 2(p^3 - 1)."""
-    from .grading import monomials_up_to as _monos
-
+    of degree <= 2(p^3 - 1), comparing the flat cores (one key layout) that
+    ``eta_r`` and ``r_action_table`` unpack: ``_eta_r_flat``, ``_cartan_rows``."""
     p = ctx.prime
     report = Report(
         "structural coherence of the operation calculus",
@@ -1226,12 +1237,10 @@ def verify_structural(ctx: Context) -> Report:
     bound = 2 * (p**3 - 1)
     mismatches = []
     checked = 0
-    for mono in _monos(bound, ctx.V):
+    for mono in monomials_up_to(bound, ctx.V):
         x = Poly(ctx.V, {mono.exps: 1})
-        via_eta = {e: c for e, c in eta_r(ctx, x).terms.items()}
-        via_cartan = r_action_table(ctx, x)
         checked += 1
-        if via_eta != via_cartan:
+        if _eta_r_flat(ctx, x).terms != _flat(_cartan_rows(ctx, x)).terms:
             mismatches.append(str(mono))
             if len(mismatches) > 3:
                 break

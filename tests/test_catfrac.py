@@ -78,6 +78,19 @@ def test_fraction_axioms_failure_reported():
     assert any(r.id == "square-completion" for r in rep.failures())
 
 
+def test_fraction_axioms_report_a_class_naming_unknown_morphisms():
+    # completion is not defined on a name outside the category: the report
+    # comes back with both completions failed, never a KeyError or a pass
+    C = chain3()
+    rep = check_fraction_axioms(C, ids_of(C) | {"zz", "a"})
+    failed = {r.id: r.witness for r in rep.failures()}
+    assert failed == {
+        "class-wellformed": "zz",
+        "square-completion": "not in the category: zz",
+        "equalizer-completion": "not in the category: zz",
+    }
+
+
 def test_whole_library_passes_axioms():
     entries = library()
     assert len(entries) >= 6

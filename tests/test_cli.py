@@ -21,6 +21,7 @@ from bpcalc.errors import (
     PreconditionError,
 )
 from bpcalc.grading import Context
+from bpcalc.report import Report
 
 INTERVAL_CAT = """
 objects: x0 x1
@@ -272,6 +273,91 @@ def test_verify_all_still_aborts_on_truncation_and_usage(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().endswith(str(exc))
+
+
+def _failing_report(ctx):
+    report = Report("a pipeline with one failed check")
+    report.check(id="planted", anchor="a check that fails", status=False)
+    return report
+
+
+def _raising(exc):
+    def build(ctx):
+        raise exc
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "argv, patch, code",
+    [
+        (["--prime", "5"], None, EXIT_PASS),
+        (["--prime", "5"], _failing_report, EXIT_CHECK_FAILURE),
+        (["--prime", "9"], None, EXIT_USAGE),
+        (["--prime", "5", "--degree-bound", "0"], None, EXIT_USAGE),
+        (["--prime", "5"], _raising(PreconditionError("prime too small")), EXIT_USAGE),
+        (["--prime", "5"], _raising(ParseError("bad literal")), EXIT_USAGE),
+        (
+            ["--prime", "5"],
+            _raising(ExponentOverflowError("past the key field")),
+            EXIT_TRUNCATION,
+        ),
+    ],
+)
+def test_verify_target_exit_codes(monkeypatch, capsys, argv, patch, code):
+    if patch is not None:
+        monkeypatch.setattr(opcalc, "verify_lemma_7_9", patch)
+    assert main(["verify", "lemma7.9", "--no-timing"] + argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == EXIT_PASS:
+        assert captured.err == "" and "status: PASS" in captured.out
+    elif code == EXIT_CHECK_FAILURE:
+        assert captured.err == "" and "[FAIL] planted" in captured.out
+    else:  # usage and truncation: one line on stderr, no report
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        ValueError("psi t_3: non-integral coefficient"),
+        ZeroDivisionError("division by zero"),
+        NotDivisibleError("coefficient 1 not divisible by 5 p-locally"),
+    ],
+)
+def test_verify_target_records_a_crash(monkeypatch, capsys, exc):
+    # a single target crashes into one failed record, as under verify all
+    monkeypatch.setattr(opcalc, "verify_lemma_7_9", _raising(exc))
+    argv = ["verify", "lemma7.9", "--prime", "5", "--format", "json", "--no-timing"]
+    assert main(argv) == EXIT_CHECK_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "fail"
+    assert [(c["id"], c["status"]) for c in report["checks"]] == [
+        ("lemma7.9.crashed", "fail")
+    ]
+    assert report["checks"][0]["witness"] == f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["R[1]", "v1^2", "--prime", "5"], EXIT_PASS, "10*v1\n"),
+        (["R[1]", "v1 +* v2"], EXIT_USAGE, ""),
+        (["R[1]", "v1", "--prime", "4"], EXIT_USAGE, ""),
+        (["R[0,0,0,0,1]", "v1"], EXIT_TRUNCATION, ""),
+    ],
+)
+def test_eval_exit_codes(capsys, argv, code, out):
+    assert main(["eval"] + argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert "Traceback" not in captured.err
+    if code != EXIT_PASS:
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_env_override(monkeypatch, capsys):

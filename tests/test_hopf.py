@@ -15,7 +15,14 @@ from bpcalc.errors import (
     ExponentOverflowError,
     TruncationError,
 )
-from bpcalc.grading import Context, Poly, add_term, monomials_up_to, reduce_mod
+from bpcalc.grading import (
+    Context,
+    Poly,
+    _trim,
+    add_term,
+    monomials_up_to,
+    reduce_mod,
+)
 from bpcalc.hopf import (
     OperationCombo,
     OperationExpr,
@@ -568,6 +575,91 @@ def test_cartan_side_matches_m_basis_oracle(eta_contexts, case):
     else:
         with pytest.raises(ValueError):
             r_action_table(ctx, x)
+
+
+def _decode(key):
+    """(v-exponents, t-exponents) of a packed key, field by field: the low
+    fields hold the v-monomial, the fields from ``_T_SHIFT`` up t^I or J."""
+    fields = []
+    while key:
+        key, e = divmod(key, 1 << hopf._FIELD_BITS)
+        fields.append(e)
+    low = hopf._T_SHIFT // hopf._FIELD_BITS
+    return _trim(fields[:low]), _trim(fields[low:])
+
+
+def _decoded_rows(terms):
+    """{t-exponents: {v-exponents: c}} of a flat table."""
+    rows = {}
+    for key, c in terms.items():
+        v, t = _decode(key)
+        rows.setdefault(t, {})[v] = c
+    return rows
+
+
+def test_sweep_flat_cores_unpack_to_the_public_functions():
+    # the coherence sweep compares _eta_r_flat with _cartan_rows; on every
+    # monomial of its window they decode to what eta_r and r_action_table
+    # return, so equal flat forms mean equal public values and back
+    ctx = Context(prime=5)
+    for exps in WINDOWS[ctx.prime]:
+        x = Poly(ctx.V, {exps: 1})
+        flat = hopf._eta_r_flat(ctx, x).terms
+        assert _decoded_rows(flat) == {
+            t: c.terms for t, c in eta_r(ctx, x).terms.items()
+        }, exps
+        rows = hopf._cartan_rows(ctx, x)
+        assert _decoded_rows(hopf._flat(rows).terms) == {
+            I: c.terms for I, c in r_action_table(ctx, x).items()
+        }, exps
+        assert flat == hopf._flat(rows).terms, exps
+
+
+def test_flat_image_hands_out_no_memo_object():
+    # a one-term image starts from a copy of its memoized power: clearing
+    # what _flat_image returns leaves the memo tables as they were
+    ctx = Context(prime=5)
+    for x, generator in (
+        (ctx.v(2), hopf._eta_v_generator),
+        (Poly.gen(ctx.T, 2), hopf._psi_t_v),
+    ):
+        image = hopf._flat_image(ctx, x, generator, generator.__name__)
+        assert image.terms == generator(Context(prime=5), 2).terms
+        image.terms.clear()
+        assert generator(ctx, 2).terms == generator(Context(prime=5), 2).terms
+
+
+def _coherence(report):
+    return {r.id: r for r in report.records}["cartan-right-unit-coherence"]
+
+
+def test_coherence_fails_on_a_perturbed_right_unit():
+    # negative control on the eta side: eta_R(v2) with any one coefficient
+    # changed by 1 must break the flat comparison
+    keys = list(hopf._eta_v_generator(Context(prime=5), 2).terms)
+    for key in keys:
+        ctx = Context(prime=5)
+        hopf._eta_v_generator(ctx, 2).terms[key] += 1
+        sweep = _coherence(hopf.verify_structural(ctx))
+        assert not sweep.status and sweep.witness, key
+        assert sweep.witness.split("; ")[0] == "v2", key
+
+
+def test_coherence_fails_on_a_perturbed_cartan_basis_change():
+    # negative control on the Cartan side: the right unit's generators are
+    # built first, then one entry of the scaled image of m1 (v1 = p m1)
+    # changed by 1, which only the Cartan side reads afterwards
+    ctx = Context(prime=5)
+    for i in (1, 2, 3):
+        hopf._eta_v_generator(ctx, i)
+    s, image = hopf._m_to_v_scaled(ctx, hopf._pack((1,)))
+    assert (s, image) == (1, {hopf._pack((1,)): 1})
+    image[hopf._pack((1,))] += 1
+    sweep = _coherence(hopf.verify_structural(ctx))
+    assert not sweep.status
+    # the sweep stops at its fourth witness: 1, v1, ..., v1^4 checked
+    assert sweep.witness == "v1; v1^2; v1^3; v1^4"
+    assert sweep.computed == "5 monomials checked"
 
 
 def test_cartan_field_overflow_raises_before_any_table():
