@@ -209,7 +209,10 @@ def parse_operation(text: str, ctx: Context) -> OperationExpr:
         m = re.match(r"\s*(\d+(?:/\d+)?)\s*\*?", s[pos:])
         coeff = Fraction(1)
         if m and m.group(1):
-            coeff = Fraction(m.group(1))
+            num, _, den = m.group(1).partition("/")
+            if den and int(den) == 0:
+                raise ParseError(f"bad coefficient {m.group(1)!r} in {text!r}")
+            coeff = Fraction(int(num), int(den or 1))
             pos += m.end()
         indices = []
         while True:

@@ -8,7 +8,7 @@ All values are immutable by convention and safe to share between threads.
 Every sparse algebra of the package -- ``Poly`` here, and in ``hopf`` the
 co-operations ``TPoly``, the tensor square ``TensorPoly``, the operation
 combinations ``OperationCombo`` and the packed-key tables ``_Flat`` of the
-diagonal and the right unit -- runs on one kernel: ``Sparse`` holds a
+diagonal, the right unit and the Cartan side -- runs on one kernel: ``Sparse`` holds a
 terms dict ``{key: nonzero coefficient}`` and implements sum, difference,
 negation, scaling and ``map_coeffs``; ``SparseRing`` adds the product and
 powers.  ``add_term`` is the accumulate step that keeps a terms dict free
@@ -36,14 +36,17 @@ the context; ``memo_power`` fills ``<base>_pow``, keyed by (i, e).  Here:
 ``v_in_m``, ``m_in_v``, their ``_pow`` tables, and the basis-change images
 ``v_to_m`` and ``m_to_v`` (terms dict per source monomial, which
 ``Poly.substitute`` reads).  In ``hopf``, as flat ``{packed int key: int}``
-tables: the diagonal ``_psi_t_m`` (over Z[m]) and ``_psi_t_v`` (v-basis)
-with ``_psi_t_v_pow`` and ``_psi_flat`` (per t-monomial), the right unit's
+tables, its one internal form (it keeps no rows or other layouts): the
+diagonal ``_psi_t_m`` (over Z[m]) and ``_psi_t_v`` (v-basis) with
+``_psi_t_v_pow`` and ``_psi_flat`` (per t-monomial), the right unit's
 ``_eta_r_m_generator(_pow)``, ``_eta_v_generator(_pow)`` and ``_eta_flat``
-(per v-monomial), the Cartan tables ``rtable`` and ``rtable_pruned``
-(counts), and the scaled images ``_m_to_v_scaled`` (p^s * ``m_to_v``);
-unpacked or otherwise: ``psi_monomial``, ``_factor_actions``,
-``pair_word`` and ``_eta_r_cached``.  Callers must not mutate a memo
-entry.
+(per v-monomial), and the scaled images ``_m_to_v_scaled`` (p^s *
+``m_to_v``); decoded at its edge or otherwise: ``psi_monomial``,
+``_factor_actions``, ``pair_word`` and ``_eta_r_cached`` (eta_r per inner
+value of the nested pairing, keyed by the hashable ``Poly``).  Only the
+Cartan side's tables are filled by hand, in ``hopf._mono_action_table``:
+``rtable`` and ``rtable_pruned`` (counts), whose build walks down to the
+nearest cached suffix.  Callers must not mutate a memo entry.
 """
 
 from __future__ import annotations

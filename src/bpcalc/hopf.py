@@ -10,15 +10,21 @@ recursively over Z[m] -- every coefficient the recursion produces is an
 integer polynomial in the m_i -- as flat int tables under packed keys
 (m-exponents, then the left and the right t-exponents), changed to the
 integral v-basis once per t_k by one exact division.  psi of a t-monomial
-multiplies memoized flat powers psi(t_i)^e and is unpacked once into a
-TensorPoly.  The dual operations R_I are indexed by finite sequences
-(i_1, ..., i_n), R_I dual to t_1^(i_1)...t_n^(i_n) under the left-linear
-Kronecker pairing <R_I, t^J> = delta_IJ.
+multiplies memoized flat powers psi(t_i)^e.  The diagonal, the right unit
+and the Cartan side all compute in that one form, flat tables {packed int
+key: coefficient} (``_Flat``); ``_by_t`` is the one edge where a table is
+decoded into the tuple-keyed TPoly, TensorPoly and Poly values that callers
+and the pairing read.  The dual
+operations R_I are indexed by finite sequences (i_1, ..., i_n), R_I dual
+to t_1^(i_1)...t_n^(i_n) under the left-linear Kronecker pairing
+<R_I, t^J> = delta_IJ.
 
 Conventions (validated wholesale by verify_lemma_7_1):
   * coefficients live on the LEFT tensor factor;
   * the composition product evaluates <ab, x> = sum_i <a, e_i <b, x_i>>
-    with <b, x_i> multiplied into the left coefficient of e_i;
+    with <b, x_i> multiplied into the left coefficient of e_i through the
+    right unit; ``compose_pair`` and the nested ``pair_word`` share that
+    one step, ``_through_diagonal``;
   * all Koszul signs are +1 -- every degree in play is even (asserted).
 
 The action of R_I on the coefficient ring is computed two independent ways:
@@ -30,7 +36,7 @@ The right unit is a ring homomorphism, so ``eta_r`` multiplies memoized
 powers of the generator images eta_R(v_i) in the integral v-basis, as flat
 dicts of int coefficients under packed-int keys (product key = key sum).
 The generator images eta_R(v1), eta_R(v2), eta_R(v3) come from the flat
-m-basis right unit (``eta_r_m`` unpacks the same images) on the integral
+m-basis right unit (``eta_r_m`` decodes the same images) on the integral
 Hazewinkel expansions ``ctx.v_in_m(i)``, changed back to the v-basis by
 the same exact division.  The Cartan side stays on its own path on every
 monomial: m-basis factor actions, the table recursion, then the
@@ -464,48 +470,39 @@ def _m_to_v_scaled(ctx: Context, key: int):
     return s, {_pack(e): _num(c * ctx.prime**s) for e, c in ctx.m_to_v(exps).items()}
 
 
-def _m_to_v_rows(ctx: Context, terms: dict, K: int, where) -> dict:
+def _m_to_v_flat(ctx: Context, terms: dict, K: int, where) -> _Flat:
     """A flat table with m-monomials in its low fields, rewritten in the
-    v-basis as rows {t-part of the key: {packed v-key: int}}: each term
-    times its scaled image p^s * m^a (``_m_to_v_scaled``) raised to the
-    scale p^K (K >= every s; deg/q bounds s), then one exact division by
-    p^K.  A remainder, or a p left in a Fraction's denominator, is a
-    non-integral value: ValueError(where(t-part))."""
+    v-basis: each term times its scaled image p^s * m^a
+    (``_m_to_v_scaled``) raised to the scale p^K (K >= every s; deg/q
+    bounds s), then one exact division by p^K.  A remainder, or a p left
+    in a Fraction's denominator, is a non-integral value:
+    ValueError(where(t-part of the key))."""
     p = ctx.prime
-    rows = {}
+    acc = {}
     for k, c in terms.items():
         s, image = _m_to_v_scaled(ctx, k & _V_MASK)
         c *= p ** (K - s)
-        row = rows.setdefault(k >> _T_SHIFT, {})
+        t = k & ~_V_MASK
         for vk, d in image.items():
-            row[vk] = row.get(vk, 0) + c * d
+            vk += t
+            acc[vk] = acc.get(vk, 0) + c * d
     out, pK = {}, p**K
-    for tk, row in rows.items():
-        got = {}
-        for vk, c in row.items():
-            c, r = divmod(c, pK) if c.__class__ is int else (_num(c / pK), 0)
-            if r or c.__class__ is Fraction and padic_valuation(c, p) < 0:
-                raise ValueError(where(tk))
-            if c:
-                got[vk] = c
-        if got:
-            out[tk] = got
-    return out
+    for k, c in acc.items():
+        c, r = divmod(c, pK) if c.__class__ is int else (_num(c / pK), 0)
+        if r or c.__class__ is Fraction and padic_valuation(c, p) < 0:
+            raise ValueError(where(k >> _T_SHIFT))
+        if c:
+            out[k] = c
+    return _Flat(out)
 
 
-def _flat(rows: dict) -> _Flat:
-    """The flat table of rows {t-part: {v-key: c}}."""
-    return _Flat(
-        {tk << _T_SHIFT | vk: c for tk, row in rows.items() for vk, c in row.items()}
-    )
-
-
-def _by_t(terms: dict, alphabet) -> dict:
-    """{t-part of the key: Poly over alphabet from the low fields}."""
+def _by_t(flat: _Flat, alphabet, t_of=_unpack) -> dict:
+    """{t_of(t-part of the key): Poly over alphabet from the low fields}:
+    the one place a flat table is decoded into tuple-keyed values."""
     by_t = {}
-    for k, c in terms.items():
+    for k, c in flat.terms.items():
         by_t.setdefault(k >> _T_SHIFT, {})[_unpack(k & _V_MASK)] = c
-    return {tk: Poly._raw(alphabet, vt) for tk, vt in by_t.items()}
+    return {t_of(tk): Poly._raw(alphabet, vt) for tk, vt in by_t.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -556,29 +553,27 @@ def _psi_t_v(ctx: Context, k: int) -> _Flat:
     # every exponent of every term of psi t_k, and of the powers of psi t_j
     # (j < k) that build it, is at most deg(t_k)/q = 1 + p + ... + p^(k-1)
     K = _key_bound(ctx, Poly.gen(ctx.T, k), f"psi t_{k}")
-    rows = _m_to_v_rows(ctx, _psi_t_m(ctx, k).terms, K, where)
+    table = _m_to_v_flat(ctx, _psi_t_m(ctx, k).terms, K, where)
     V, T, degree = ctx.V, ctx.T, ctx.T.gen_degree(k)
-    for tk, row in rows.items():
-        le, re = _t_blocks(ctx, tk, 2)
-        t_degree = T.degree_of(le) + T.degree_of(re)
-        if any(V.degree_of(_unpack(vk)) + t_degree != degree for vk in row):
+    for key in table.terms:
+        le, re = _t_blocks(ctx, key >> _T_SHIFT, 2)
+        v_degree = V.degree_of(_unpack(key & _V_MASK))
+        if v_degree + T.degree_of(le) + T.degree_of(re) != degree:
             raise DegreeError(f"psi t_{k}: degree drift at {(le, re)}")
     # counits: the terms with one factor 1 are t_k (x) 1 and 1 (x) t_k alone
-    width, t_k = _block(ctx), 1 << _FIELD_BITS * (k - 1)
-    block = (1 << width) - 1
+    width, t_k = _block(ctx), 1 << _T_SHIFT + _FIELD_BITS * (k - 1)
+    block, terms = (1 << width) - 1, table.terms.items()
     for side, (one, expect) in enumerate(((width, t_k), (0, t_k << width))):
-        edge = {tk: row for tk, row in rows.items() if not tk >> one & block}
-        if edge != {expect: {0: 1}}:
+        edge = {key: c for key, c in terms if not key >> _T_SHIFT + one & block}
+        if edge != {expect: 1}:
             raise ValueError(f"psi t_{k}: counit check failed on side {side}")
-    return _flat(rows)
+    return table
 
 
 def _to_tensor(ctx: Context, flat: _Flat) -> TensorPoly:
-    """A flat tensor table unpacked into a TensorPoly."""
-    return TensorPoly._raw(
-        ctx,
-        {_t_blocks(ctx, tk, 2): c for tk, c in _by_t(flat.terms, ctx.V).items()},
-    )
+    """A flat tensor table decoded into a TensorPoly, the t-part split into
+    its left and right blocks."""
+    return TensorPoly._raw(ctx, _by_t(flat, ctx.V, lambda tk: _t_blocks(ctx, tk, 2)))
 
 
 def psi_t(ctx: Context, k: int) -> TensorPoly:
@@ -683,16 +678,14 @@ def eta_r_m(ctx: Context, x: Poly) -> TPoly:
             f"eta_r_m covers m1..m{HAZEWINKEL_MAX_INDEX}, the packed m-fields"
         )
     flat = _flat_image(ctx, x, _eta_r_m_generator, "eta_r_m")
-    return TPoly._raw(
-        ctx, {_unpack(tk): c for tk, c in _by_t(flat.terms, ctx.M).items()}
-    )
+    return TPoly._raw(ctx, _by_t(flat, ctx.M))
 
 
 @memoized
 def _eta_v_generator(ctx: Context, i: int) -> _Flat:
     """Flat eta_R(v_i): the flat m-basis right unit of the Hazewinkel
     expansion ``ctx.v_in_m(i)`` (integer coefficients), changed back to
-    the v-basis by one exact division (``_m_to_v_rows``)."""
+    the v-basis by one exact division (``_m_to_v_flat``)."""
 
     def where(tk):
         return f"eta_r(v{i}): non-integral coefficient at t^{_unpack(tk)}"
@@ -700,7 +693,7 @@ def _eta_v_generator(ctx: Context, i: int) -> _Flat:
     x = ctx.v_in_m(i)
     flat = _flat_image(ctx, x, _eta_r_m_generator, f"eta_r(v{i})")
     K = _key_bound(ctx, x, f"eta_r(v{i})")
-    return _flat(_m_to_v_rows(ctx, flat.terms, K, where))
+    return _m_to_v_flat(ctx, flat.terms, K, where)
 
 
 def _eta_r_flat(ctx: Context, x: Poly) -> _Flat:
@@ -743,9 +736,7 @@ def eta_r(ctx: Context, x: Poly) -> TPoly:
             raise ValueError(
                 f"eta_r: non-integral coefficient at t^{_unpack(k >> _T_SHIFT)}"
             )
-    return TPoly._raw(
-        ctx, {_unpack(tk): c for tk, c in _by_t(acc.terms, ctx.V).items()}
-    )
+    return TPoly._raw(ctx, _by_t(acc, ctx.V))
 
 
 # ---------------------------------------------------------------------------
@@ -817,11 +808,12 @@ def _mono_action_table(ctx: Context, exps, cap=None) -> dict:
     return table
 
 
-def _cartan_rows(ctx: Context, x: Poly, cap=None) -> dict:
-    """{packed J: {packed v-key: int}} for every J, or for J = cap only: the
-    flat Cartan tables' counts, weighted by the m-basis coefficients of x,
-    back in the v-basis by one exact division (``_m_to_v_rows``); a p left
-    in a denominator is a non-integral R_J(x): ValueError."""
+def _cartan_flat(ctx: Context, x: Poly, cap=None) -> _Flat:
+    """R_J(x) for every J, or for J = cap only, as one flat table (v-key in
+    the low fields, J from ``_T_SHIFT`` up): the flat Cartan tables'
+    counts, weighted by the m-basis coefficients of x, back in the v-basis
+    by one exact division (``_m_to_v_flat``); a p left in a denominator is
+    a non-integral R_J(x): ValueError."""
     K = _key_bound(ctx, x, "r_action")
     # the packed J to keep: None keeps all, -1 none (cap past the field)
     want = cap and (_pack(cap) if max(cap) <= _FIELD_MASK else -1)
@@ -834,20 +826,17 @@ def _cartan_rows(ctx: Context, x: Poly, cap=None) -> dict:
     def where(jk):
         return f"r_action: non-integral value at index {_unpack(jk)}"
 
-    return _m_to_v_rows(ctx, acc, K, where)
+    return _m_to_v_flat(ctx, acc, K, where)
 
 
 def _cartan(ctx: Context, x: Poly, cap=None) -> dict:
-    """{J: R_J(x)}: the rows of ``_cartan_rows`` unpacked into v-Polys."""
-    return {
-        _unpack(jk): Poly._raw(ctx.V, {_unpack(vk): c for vk, c in row.items()})
-        for jk, row in _cartan_rows(ctx, x, cap).items()
-    }
+    """{J: R_J(x)}: ``_cartan_flat`` decoded into v-Polys (``_by_t``)."""
+    return _by_t(_cartan_flat(ctx, x, cap), ctx.V)
 
 
 def r_action_table(ctx: Context, x: Poly) -> dict:
     """All nonzero R_I(x) for a v-polynomial, as {index: integral v-Poly},
-    from the full flat Cartan tables (``_cartan_rows``, unpacked).  Raises
+    from the full flat Cartan tables (``_cartan_flat``, decoded).  Raises
     ValueError on a non-integral value, and ExponentOverflowError before any
     arithmetic when an exponent could pass the key field."""
     return _cartan(ctx, x)
@@ -950,50 +939,65 @@ def pair(a: OperationCombo, x: TPoly) -> Poly:
     return out
 
 
+@memoized
 def _eta_r_cached(ctx: Context, x: Poly) -> TPoly:
-    """eta_r(x) memoized under the frozen terms of x."""
-    table, key = ctx.memo["_eta_r_cached"], frozenset(x.terms.items())
-    got = table.get(key)
-    if got is None:
-        got = table[key] = eta_r(ctx, x)
-    return got
+    """eta_r(x), memoized under x: the inner values of the nested pairing."""
+    return eta_r(ctx, x)
+
+
+def _through_diagonal(ctx: Context, head: tuple, exps: tuple, inner) -> Poly:
+    """<R_head b, t^exps> for the operation b with <b, t^re> = inner(re)
+    (None for 0): the sum over psi t^exps = sum c t^le (x) t^re of c times
+    the t^(head - le)-coefficient of eta_R(inner(re)).  The inner value
+    multiplies the left factor through the right unit; a scalar crosses as
+    itself, so only le = head takes it.  inner is called only on the
+    right factors of terms whose le divides head."""
+    acc = Poly.zero(ctx.V)
+    for (le, re), c in psi_monomial(ctx, exps).terms.items():
+        if not exps_divides(le, head):
+            continue
+        value = inner(re)
+        if not value:
+            continue
+        if value.terms.keys() == {()}:
+            if le == head:
+                acc = acc + c * value
+            continue
+        u = _trim(tuple(h - (le[i] if i < len(le) else 0) for i, h in enumerate(head)))
+        d = _eta_r_cached(ctx, value).terms.get(u)
+        if d is not None:
+            acc = acc + c * d
+    return acc
 
 
 def compose_pair(a: OperationCombo, b: OperationCombo, x: TPoly) -> Poly:
     """<ab, x> = sum_i <a, e_i <b, x_i>> over psi x = sum e_i (x) x_i.
 
-    The inner value <b, x_i> multiplies the left factor e_i through the
-    right unit (e_i . d = eta_R(d)-multiplication), which lands it in the
-    left coefficient of e_i after normalization; on binary products with
-    scalar inner values this is plain left-coefficient multiplication.
-    Signs are all +1: every degree in play is even, asserted on entry.
+    Left-linear over the terms of x and the indices of a: each pair is one
+    step of the nested evaluation (``_through_diagonal``), where the inner
+    value <b, x_i> multiplies the left factor e_i through the right unit
+    (e_i . d = eta_R(d)-multiplication), landing in its left coefficient;
+    a scalar inner value is plain left-coefficient multiplication.  Signs
+    are all +1: every degree in play is even, asserted on entry.
     """
     ctx = a.ctx
     for e, c in x.terms.items():
         if (ctx.T.degree_of(e) + (c.degree() or 0)) % 2:
             raise DegreeError("odd degree in pairing input")
-    diag = psi(x)
-    carried = {}
-    for (le, re), c in diag.terms.items():
-        bre = b.terms.get(re)
-        if bre is None or bre.is_zero():
-            continue
-        if bre.terms.keys() == {()}:  # scalar inner value: no crossing
-            add_term(carried, le, c * bre)
-            continue
-        for u, d in _eta_r_cached(ctx, bre).terms.items():
-            add_term(carried, add_exps(le, u), c * d)
     out = Poly.zero(ctx.V)
-    for idx, c in a.terms.items():
-        got = carried.get(idx)
-        if got is not None:
-            out = out + c * got
+    for exps, c in x.terms.items():
+        for idx, d in a.terms.items():
+            got = _through_diagonal(ctx, idx, exps, b.terms.get)
+            if got:
+                out = out + d * c * got
     return out
 
 
 @memoized
 def pair_word(ctx: Context, word: tuple, exps: tuple) -> Poly:
-    """<R_(w1) R_(w2) ... , t^exps> by nested evaluation of the diagonal.
+    """<R_(w1) R_(w2) ... , t^exps> by nested evaluation of the diagonal:
+    the one-letter word pairs by the dual basis, a longer one is one step
+    ``_through_diagonal`` over the pairing of its tail.
 
     Inner values cross the left tensor factor through the right unit, so
     the nested evaluation is associative (see the associativity checks).
@@ -1002,25 +1006,8 @@ def pair_word(ctx: Context, word: tuple, exps: tuple) -> Poly:
     exps = _trim(exps)
     if len(word) == 1:
         return Poly.constant(ctx.V, 1 if exps == word[0] else 0)
-    head, rest = word[0], word[1:]
-    acc = Poly.zero(ctx.V)
-    for (le, re), c in psi_monomial(ctx, exps).terms.items():
-        if not exps_divides(le, head):
-            continue
-        inner = pair_word(ctx, rest, re)
-        if inner.is_zero():
-            continue
-        if le == head and inner.terms.keys() == {()}:
-            acc = acc + c * inner
-            continue
-        u = tuple(
-            (head[i] if i < len(head) else 0) - (le[i] if i < len(le) else 0)
-            for i in range(max(len(head), len(le)))
-        )
-        d = _eta_r_cached(ctx, inner).terms.get(_trim(u))
-        if d is not None:
-            acc = acc + c * d
-    return acc
+    rest = word[1:]
+    return _through_diagonal(ctx, word[0], exps, lambda re: pair_word(ctx, rest, re))
 
 
 def product_in_basis(
@@ -1200,7 +1187,7 @@ def verify_structural(ctx: Context) -> Report:
     """Structural coherence: exact basis round trip, integral diagonal for
     k <= 3, and Cartan action == right-unit coefficients on every v-monomial
     of degree <= 2(p^3 - 1), comparing the flat cores (one key layout) that
-    ``eta_r`` and ``r_action_table`` unpack: ``_eta_r_flat``, ``_cartan_rows``."""
+    ``eta_r`` and ``r_action_table`` decode: ``_eta_r_flat``, ``_cartan_flat``."""
     p = ctx.prime
     report = Report(
         "structural coherence of the operation calculus",
@@ -1240,7 +1227,7 @@ def verify_structural(ctx: Context) -> Report:
     for mono in monomials_up_to(bound, ctx.V):
         x = Poly(ctx.V, {mono.exps: 1})
         checked += 1
-        if _eta_r_flat(ctx, x).terms != _flat(_cartan_rows(ctx, x)).terms:
+        if _eta_r_flat(ctx, x).terms != _cartan_flat(ctx, x).terms:
             mismatches.append(str(mono))
             if len(mismatches) > 3:
                 break

@@ -14,6 +14,7 @@ records its expected term list, computed term list, and modulus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -709,8 +710,6 @@ def ext1_invariant(ctx: Context, r: int) -> Report:
     p, q = ctx.prime, ctx.q
     if not p * p < r < p * p + p:
         raise ValueError(f"r must satisfy p^2 < r < p^2 + p, got r={r} at p={p}")
-    import math
-
     report = Report(
         "order-p extension invariant is well-defined",
         config={"prime": p, "r": r},
@@ -741,19 +740,20 @@ def ext1_invariant(ctx: Context, r: int) -> Report:
         note="the constant is reported, not asserted: no target value exists",
     )
 
-    # (b) coboundary congruence table
+    # (b) coboundary congruence table; the rows d0 = [R1; Rp; R[p^2]] of
+    # each column are computed once here and read again by (c)
+    ops = ((1,), (p,), (p * p,))
     columns = [("c", r, 0)]  # v1^r
     for j in range(1, p):
         i = r - j * (p + 1)
         if i >= 0:
             columns.append((f"c[{i},{j}]", i, j))
-    rows_ok, notes = [], []
+    rows_ok, notes, images = [], [], []
     mod_p = ctx.ideal((1, ()))
     for label, i, j in columns:
         x = ctx.v(1) ** i * ctx.v(2) ** j if j else ctx.v(1) ** r
-        row1 = r_action(ctx, (1,), x)
-        row2 = r_action(ctx, (p,), x)
-        row3 = r_action(ctx, (p * p,), x)
+        row1, row2, row3 = rows = [r_action(ctx, idx, x) for idx in ops]
+        images.append(rows)
         if j == 0:
             ok1 = row1 == p * r * ctx.v(1) ** (r - 1)
             ok2 = reduce_mod(row2, ctx.ideal((p, ()))).is_zero()
@@ -786,17 +786,14 @@ def ext1_invariant(ctx: Context, r: int) -> Report:
 
     # (c) exact linear system: an integral coboundary forces integral c_ij
     # and p-integral c
-    target_rows = []
     target_index = {}
-    for idx in ((1,), (p,), (p * p,)):
+    for idx in ops:
         d = r * q - ctx.T.degree_of(idx)
         for mono in monomials_of_degree(d, ctx.V):
             target_index[(idx, mono.exps)] = len(target_index)
     matrix = [[Fraction(0)] * len(columns) for _ in range(len(target_index))]
-    for cidx, (label, i, j) in enumerate(columns):
-        x = ctx.v(1) ** i * ctx.v(2) ** j if j else ctx.v(1) ** r
-        for idx in ((1,), (p,), (p * p,)):
-            image = r_action(ctx, idx, x)
+    for cidx, rows in enumerate(images):
+        for idx, image in zip(ops, rows):
             for exps, c in image.terms.items():
                 matrix[target_index[(idx, exps)]][cidx] = Fraction(c)
     vals, C = _plocal_smith(matrix, p)

@@ -349,6 +349,9 @@ def test_verify_target_records_a_crash(monkeypatch, capsys, exc):
         (["R[1]", "v1 +* v2"], EXIT_USAGE, ""),
         (["R[1]", "v1", "--prime", "4"], EXIT_USAGE, ""),
         (["R[0,0,0,0,1]", "v1"], EXIT_TRUNCATION, ""),
+        (["R[1]", "1/0*v1"], EXIT_USAGE, ""),
+        (["2/0*R[1]", "v1"], EXIT_USAGE, ""),
+        (["3/2*R[1]", "v1^2", "--prime", "5"], EXIT_PASS, "15*v1\n"),
     ],
 )
 def test_eval_exit_codes(capsys, argv, code, out):

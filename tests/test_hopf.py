@@ -19,6 +19,7 @@ from bpcalc.grading import (
     Context,
     Poly,
     _trim,
+    add_exps,
     add_term,
     monomials_up_to,
     reduce_mod,
@@ -356,6 +357,86 @@ def test_pair_word_associativity_sample(ctx7):
         assert left_assoc == nested == right_assoc
 
 
+def _compose_pair_oracle(a, b, x):
+    """<ab, x> by the carried loop: psi x = sum e_i (x) x_i in full, each
+    inner value <b, x_i> carried into the left factor e_i through eta_r,
+    then the result paired with a.  A test oracle for the nested step that
+    compose_pair and pair_word share: it reads every term of psi x, where
+    that step reads only the terms whose left factor divides an index of a."""
+    ctx = a.ctx
+    carried = {}
+    for (le, re), c in psi(x).terms.items():
+        inner = b.terms.get(re)
+        if inner is not None:
+            for u, d in eta_r(ctx, inner).terms.items():
+                add_term(carried, add_exps(le, u), c * d)
+    return pair(a, TPoly(ctx, carried))
+
+
+# the lemma 7.1 pairing window at p = 5: t-monomials of degree <= (2p + 4)q
+WINDOW_T5 = [m.exps for m in monomials_up_to(14 * 8, Context(prime=5).T)]
+small_polys = st.dictionaries(
+    st.sampled_from([(), (1,), (2,), (0, 1), (1, 1)]),
+    st.integers(-3, 3).filter(bool),
+    min_size=1,
+    max_size=2,
+)
+small_combos = st.dictionaries(
+    st.sampled_from(WINDOW_T5), small_polys, min_size=1, max_size=2
+)
+
+
+def _compose_inputs(ab):
+    """x with homogeneous monomial coefficients on t^(I + J), on
+    t^(I + J - (1,)) (where the inner v1's p t1 from eta_R(v1) = v1 + p t1
+    crosses into the left factor) and on the window."""
+    a, b = ab
+    sums = {add_exps(I, J) for I in a for J in b}
+    shifted = {_trim((e[0] - 1,) + e[1:]) for e in sums if e and e[0]}
+    x = st.dictionaries(
+        st.sampled_from(sorted(sums | shifted | set(WINDOW_T5))),
+        st.tuples(st.sampled_from([(), (1,), (0, 1)]), st.integers(-3, 3).filter(bool)),
+        min_size=1,
+        max_size=2,
+    )
+    return st.tuples(st.just(a), st.just(b), x)
+
+
+compose_cases = st.tuples(small_combos, small_combos).flatmap(_compose_inputs)
+
+
+@pytest.fixture(scope="module")
+def compose_contexts():
+    """One context for compose_pair and one for the carried-loop oracle."""
+    return Context(prime=5), Context(prime=5)
+
+
+@given(compose_cases)
+@example(({(2,): {(): 1}}, {(1,): {(1,): 1}}, {(2,): ((), 1)}))
+@settings(max_examples=40, deadline=None)
+def test_compose_pair_matches_carried_loop_oracle(compose_contexts, case):
+    values = []
+    for ctx, evaluate in zip(compose_contexts, (compose_pair, _compose_pair_oracle)):
+        a, b = (
+            OperationCombo(ctx, {I: Poly(ctx.V, c) for I, c in terms.items()})
+            for terms in case[:2]
+        )
+        x = TPoly(ctx, {e: Poly(ctx.V, {v: n}) for e, (v, n) in case[2].items()})
+        values.append(evaluate(a, b, x))
+    assert values[0] == values[1]
+
+
+def test_compose_pair_crosses_inner_values_through_the_right_unit(ctx5):
+    # <R[2] (v1 R[1]), t1^2>: psi t1^2 has the term 2 t1 (x) t1, the inner
+    # value v1 crosses t1 as eta_R(v1) = v1 + p t1, and R[2] reads the
+    # t1^2-coefficient 2p
+    a = OperationCombo.basis(ctx5, 2)
+    b = OperationCombo(ctx5, {(1,): ctx5.v(1)})
+    x = TPoly.monomial(ctx5, (2,))
+    assert compose_pair(a, b, x) == 2 * ctx5.prime
+    assert _compose_pair_oracle(a, b, x) == 2 * ctx5.prime
+
+
 def test_r_action_examples(ctx5, ctx7):
     for ctx in (ctx5, ctx7):
         p = ctx.prime
@@ -598,7 +679,7 @@ def _decoded_rows(terms):
 
 
 def test_sweep_flat_cores_unpack_to_the_public_functions():
-    # the coherence sweep compares _eta_r_flat with _cartan_rows; on every
+    # the coherence sweep compares _eta_r_flat with _cartan_flat; on every
     # monomial of its window they decode to what eta_r and r_action_table
     # return, so equal flat forms mean equal public values and back
     ctx = Context(prime=5)
@@ -608,11 +689,11 @@ def test_sweep_flat_cores_unpack_to_the_public_functions():
         assert _decoded_rows(flat) == {
             t: c.terms for t, c in eta_r(ctx, x).terms.items()
         }, exps
-        rows = hopf._cartan_rows(ctx, x)
-        assert _decoded_rows(hopf._flat(rows).terms) == {
+        cartan = hopf._cartan_flat(ctx, x).terms
+        assert _decoded_rows(cartan) == {
             I: c.terms for I, c in r_action_table(ctx, x).items()
         }, exps
-        assert flat == hopf._flat(rows).terms, exps
+        assert flat == cartan, exps
 
 
 def test_flat_image_hands_out_no_memo_object():
