@@ -533,13 +533,13 @@ def _zigzag_classes(C, S, x, y, cap):
     return [sorted(v) for v in sorted(groups.values(), key=lambda v: v[0])]
 
 
-def zigzag_oracle(C: FiniteCategory, S, x, y, cap=None):
+def zigzag_oracle(C: FiniteCategory, S, x, y):
     """Hom-classes from x to y in the localization, computed independently
     of the short-word construction: brute-force closure over alternating
     words under the least congruence inverting S, explored with increasing
     word-length caps until the class count stabilizes."""
     S = frozenset(S)
-    base_cap = cap if cap is not None else len(C.objects) + 2
+    base_cap = len(C.objects) + 2
     classes = _zigzag_classes(C, S, x, y, base_cap)
     for attempt in range(1, 4):
         again = _zigzag_classes(C, S, x, y, base_cap + attempt)

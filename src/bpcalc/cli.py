@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import __version__, abloc, catfrac, hopf, opcalc
 from .arith import is_prime
 from .errors import BPCalcError, ParseError, PreconditionError, TruncationError
-from .grading import Context, format_poly, parse_poly
+from .grading import Context, format_poly, parse_poly, split_signed_terms
 from .hopf import OperationExpr
 from .report import Report
 
@@ -74,11 +74,7 @@ class Config:
 
     @property
     def bound_q(self) -> int:
-        return (
-            self.degree_bound_q
-            if self.degree_bound_q is not None
-            else 2 * self.prime + 4
-        )
+        return hopf.pairing_window_q(self.prime, self.degree_bound_q)
 
     def context(self) -> Context:
         return Context(prime=self.prime, truncation=self.truncation)
@@ -189,44 +185,31 @@ def _parse_index_entry(tok: str, p: int) -> int:
 def parse_operation(text: str, ctx: Context) -> OperationExpr:
     """Sums of [rational *] R[..] words, juxtaposition = composition.
     R[p] and R[p^k] expand with the configured prime."""
-    s = text.strip()
-    if not s:
+    if not text.strip():
         raise ParseError("empty operation literal")
     expr = OperationExpr.zero(ctx)
-    sign = 1
-    pos = 0
-    n = len(s)
-    while pos < n:
-        while pos < n and s[pos] in " \t":
-            pos += 1
-        if pos >= n:
-            break
-        if s[pos] in "+-":
-            sign = -1 if s[pos] == "-" else 1
-            pos += 1
-            continue
+    for sign, chunk in split_signed_terms(text):
         # one term: optional coefficient then one or more R[...] factors
-        m = re.match(r"\s*(\d+(?:/\d+)?)\s*\*?", s[pos:])
-        coeff = Fraction(1)
-        if m and m.group(1):
+        m = re.match(r"(\d+(?:/\d+)?)\s*\*?", chunk)
+        coeff, pos = Fraction(1), 0
+        if m:
             num, _, den = m.group(1).partition("/")
             if den and int(den) == 0:
                 raise ParseError(f"bad coefficient {m.group(1)!r} in {text!r}")
             coeff = Fraction(int(num), int(den or 1))
-            pos += m.end()
+            pos = m.end()
         indices = []
         while True:
-            m = re.match(r"\s*R\[([^\]]*)\]", s[pos:])
+            m = re.match(r"\s*R\[([^\]]*)\]", chunk[pos:])
             if not m:
                 break
             entries = [e for e in m.group(1).split(",")]
             idx = tuple(_parse_index_entry(e, ctx.prime) for e in entries if e.strip())
             indices.append(idx)
             pos += m.end()
-        if not indices:
-            raise ParseError(f"expected R[..] factor at {s[pos:pos+12]!r}")
+        if not indices or chunk[pos:].strip():
+            raise ParseError(f"expected R[..] factor at {chunk[pos:pos+12]!r}")
         expr = expr + OperationExpr.word(ctx, *indices, scalar=sign * coeff)
-        sign = 1
     return expr
 
 

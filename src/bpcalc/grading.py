@@ -24,6 +24,14 @@ differs:
 * ``_operand`` and ``_product``: here ``Poly`` coerces int/Fraction
   operands, checks alphabets and checks products against the truncation.
 
+The three tuple-keyed values of ``hopf`` with ``Poly`` coefficients share
+one further base there, ``hopf._Coeffs``: it owns their constructor,
+``_like``, ``_one``, ``coeff``, equality and printing, and each of
+``TPoly``, ``TensorPoly`` and ``OperationCombo`` supplies only its key
+normal form, print order and printed key.  ``single_degree`` is the one
+"common degree of these terms" rule that ``Poly.degree`` and the degrees
+of ``hopf`` share.
+
 The module also owns the change of basis between the integral v-generators
 and the rational m-generators (Hazewinkel relations, supported for indices
 1..3), term ideals with their normal-form reduction, and exhaustive
@@ -155,6 +163,17 @@ class Monomial:
                 continue
             parts.append(self.alphabet.name(i) + (f"^{e}" if e > 1 else ""))
         return "*".join(parts)
+
+
+def single_degree(degrees, mixed: str):
+    """The one degree among ``degrees``: None when there are none,
+    DegreeError(f"{mixed} [sorted degrees]") when they differ."""
+    degs = set(degrees)
+    if not degs:
+        return None
+    if len(degs) > 1:
+        raise DegreeError(f"{mixed} {sorted(degs)}")
+    return degs.pop()
 
 
 def add_term(terms: dict, key, c) -> None:
@@ -365,12 +384,10 @@ class Poly(SparseRing):
 
     def degree(self):
         """Common degree of all terms; None for 0; raises if inhomogeneous."""
-        degs = {self.alphabet.degree_of(e) for e in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise DegreeError(f"inhomogeneous polynomial: degrees {sorted(degs)}")
-        return degs.pop()
+        return single_degree(
+            (self.alphabet.degree_of(e) for e in self.terms),
+            "inhomogeneous polynomial: degrees",
+        )
 
     def is_integral(self, p: int) -> bool:
         """True iff every coefficient has padic_valuation >= 0 at p."""

@@ -80,6 +80,7 @@ from .grading import (
     memo_power,
     memoized,
     monomials_up_to,
+    single_degree,
     split_signed_terms,
 )
 from .report import Report
@@ -94,10 +95,6 @@ def opindex(*parts) -> tuple:
     return _trim(tuple(parts))
 
 
-def opindex_degree(idx: tuple, ctx: Context) -> int:
-    return ctx.T.degree_of(idx)
-
-
 def format_opindex(idx: tuple) -> str:
     if not idx:
         return "R[0]"
@@ -109,7 +106,7 @@ def format_word(word) -> str:
 
 
 # ---------------------------------------------------------------------------
-# T-polynomials and tensor squares
+# Values with coefficients in the coefficient ring
 # ---------------------------------------------------------------------------
 
 
@@ -118,19 +115,49 @@ def _coeff_alphabet(x):
     return next(iter(x.terms.values())).alphabet if x.terms else x.ctx.V
 
 
-class TPoly(SparseRing):
-    """Element of BP_*(BP): finite mapping t-monomial -> left coefficient."""
+def _term(cs: str, body: str) -> str:
+    """One printed term: the coefficient cs alone on the body 1, the body
+    alone (or negated) for a coefficient 1 (or -1), else cs*body with a
+    coefficient that has spaces in parentheses."""
+    if body == "1":
+        return cs
+    if cs == "1":
+        return body
+    if cs == "-1":
+        return f"-{body}"
+    return f"({cs})*{body}" if " " in cs else f"{cs}*{body}"
+
+
+def _join_signed(parts):
+    chunks = []
+    for part in parts:
+        if not chunks:
+            chunks.append(part)
+        elif part.startswith("-"):
+            chunks.append("- " + part[1:])
+        else:
+            chunks.append("+ " + part)
+    return " ".join(chunks)
+
+
+class _Coeffs(Sparse):
+    """Finite mapping key -> nonzero coefficient Poly under one context: the
+    value layer of TPoly, TensorPoly and OperationCombo.  A subclass
+    supplies its key normal form ``_key``, its print order ``_order`` and
+    the printed body of a key ``_body``; the defaults are those of keys that
+    are one exponent tuple of the t-alphabet."""
 
     __slots__ = ("ctx",)
     _scalars = (int, Fraction, Poly)
+    _key = staticmethod(_trim)
 
     def __init__(self, ctx: Context, terms=None):
         self.ctx = ctx
         clean = {}
-        for exps, c in (terms or {}).items():
+        for k, c in (terms or {}).items():
             add_term(
                 clean,
-                _trim(exps),
+                self._key(k),
                 c if isinstance(c, Poly) else Poly.constant(ctx.V, c),
             )
         self.terms = clean
@@ -142,14 +169,41 @@ class TPoly(SparseRing):
         return out
 
     def _like(self, terms):
-        return TPoly._raw(self.ctx, terms)
-
-    def _one(self):
-        return TPoly.unit(self.ctx, _coeff_alphabet(self))
+        return self._raw(self.ctx, terms)
 
     @classmethod
     def zero(cls, ctx):
         return cls._raw(ctx, {})
+
+    def _one(self):
+        return self.unit(self.ctx, _coeff_alphabet(self))
+
+    def coeff(self, exps) -> Poly:
+        got = self.terms.get(self._key(exps))
+        return got if got is not None else Poly.zero(_coeff_alphabet(self))
+
+    def __eq__(self, other):
+        return (
+            other.__class__ is self.__class__
+            and self.ctx.prime == other.ctx.prime
+            and self.terms == other.terms
+        )
+
+    def _order(self, key):
+        return (self.ctx.T.degree_of(key), key)
+
+    def __str__(self):
+        parts = (
+            _term(format_poly(self.terms[k]), self._body(k))
+            for k in sorted(self.terms, key=self._order)
+        )
+        return _join_signed(parts) or "0"
+
+
+class TPoly(_Coeffs, SparseRing):
+    """Element of BP_*(BP): finite mapping t-monomial -> left coefficient."""
+
+    __slots__ = ()
 
     @classmethod
     def unit(cls, ctx, coeff_alphabet=None):
@@ -175,35 +229,8 @@ class TPoly(SparseRing):
             return cls.zero(ctx)
         return cls._raw(ctx, {exps: coeff})
 
-    def coeff(self, exps) -> Poly:
-        got = self.terms.get(_trim(exps))
-        return got if got is not None else Poly.zero(_coeff_alphabet(self))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TPoly)
-            and self.ctx.prime == other.ctx.prime
-            and self.terms == other.terms
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=lambda e: (self.ctx.T.degree_of(e), e)):
-            c = self.terms[e]
-            mono = _format_tmono(e)
-            cs = format_poly(c)
-            if mono == "1":
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            else:
-                cs = f"({cs})" if (" " in cs) else cs
-                parts.append(f"{cs}*{mono}")
-        return _join_signed(parts)
+    def _body(self, exps):
+        return _format_tmono(exps)
 
 
 def _format_tmono(exps):
@@ -216,56 +243,24 @@ def _format_tmono(exps):
     return "*".join(out)
 
 
-def _join_signed(parts):
-    chunks = []
-    for part in parts:
-        if not chunks:
-            chunks.append(part)
-        elif part.startswith("-"):
-            chunks.append("- " + part[1:])
-        else:
-            chunks.append("+ " + part)
-    return " ".join(chunks)
-
-
 def _add_exp_pairs(k1, k2) -> tuple:
     """Product key rule of the tensor square: add left and right exponents."""
     return (add_exps(k1[0], k2[0]), add_exps(k1[1], k2[1]))
 
 
-class TensorPoly(SparseRing):
+class TensorPoly(_Coeffs, SparseRing):
     """Element of BP_*(BP) (x) BP_*(BP), coefficients on the left factor.
 
     Keyed by (left exponents, right exponents).  A sibling of TPoly, not a
     subclass, so the two never multiply into each other by accident.
     """
 
-    __slots__ = ("ctx",)
-    _scalars = (int, Fraction, Poly)
+    __slots__ = ()
     _add_keys = staticmethod(_add_exp_pairs)
 
-    def __init__(self, ctx: Context, terms=None):
-        self.ctx = ctx
-        clean = {}
-        for (le, re_), c in (terms or {}).items():
-            add_term(
-                clean,
-                (_trim(le), _trim(re_)),
-                c if isinstance(c, Poly) else Poly.constant(ctx.V, c),
-            )
-        self.terms = clean
-
-    @classmethod
-    def _raw(cls, ctx, terms):
-        out = cls.__new__(cls)
-        out.ctx, out.terms = ctx, terms
-        return out
-
-    def _like(self, terms):
-        return TensorPoly._raw(self.ctx, terms)
-
-    def _one(self):
-        return TensorPoly.unit(self.ctx, _coeff_alphabet(self))
+    @staticmethod
+    def _key(key):
+        return (_trim(key[0]), _trim(key[1]))
 
     @classmethod
     def unit(cls, ctx, coeff_alphabet=None):
@@ -276,36 +271,17 @@ class TensorPoly(SparseRing):
     def simple(cls, ctx, left_exps, right_exps, coeff):
         key = (_trim(left_exps), _trim(right_exps))
         if coeff.is_zero():
-            return cls._raw(ctx, {})
+            return cls.zero(ctx)
         return cls._raw(ctx, {key: coeff})
 
     def coeff(self, left_exps, right_exps) -> Poly:
-        got = self.terms.get((_trim(left_exps), _trim(right_exps)))
-        return got if got is not None else Poly.zero(_coeff_alphabet(self))
+        return _Coeffs.coeff(self, (left_exps, right_exps))
 
-    def __eq__(self, other):
-        return isinstance(other, TensorPoly) and self.terms == other.terms
+    def _order(self, key):
+        return (self.ctx.T.degree_of(key[0]) + self.ctx.T.degree_of(key[1]), key)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        keyfn = lambda k: (
-            self.ctx.T.degree_of(k[0]) + self.ctx.T.degree_of(k[1]),
-            k,
-        )
-        parts = []
-        for k in sorted(self.terms, key=keyfn):
-            c = self.terms[k]
-            cs = format_poly(c)
-            body = f"{_format_tmono(k[0])}(x){_format_tmono(k[1])}"
-            if cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append(f"-{body}")
-            else:
-                cs = f"({cs})" if " " in cs else cs
-                parts.append(f"{cs}*{body}")
-        return _join_signed(parts)
+    def _body(self, key):
+        return f"{_format_tmono(key[0])}(x){_format_tmono(key[1])}"
 
 
 def _parse_coeff_and_tmono(chunk: str, ctx: Context):
@@ -356,7 +332,7 @@ def parse_tpoly(text: str, ctx: Context) -> TPoly:
 
 def parse_tensor(text: str, ctx: Context) -> TensorPoly:
     """Parse a tensor literal, e.g. ``t1^2(x)t2 + (-v1)*t1(x)t1^4``."""
-    out = TensorPoly._raw(ctx, {})
+    out = TensorPoly.zero(ctx)
     for sign, chunk in split_signed_terms(text):
         if "(x)" not in chunk:
             raise ParseError(f"tensor term {chunk!r} lacks an (x) separator")
@@ -605,7 +581,7 @@ def psi_monomial(ctx: Context, exps: tuple) -> TensorPoly:
 def psi(x: TPoly) -> TensorPoly:
     """Multiplicative extension of the diagonal; left coefficients pass through."""
     ctx = x.ctx
-    out = TensorPoly._raw(ctx, {})
+    out = TensorPoly.zero(ctx)
     for exps, c in x.terms.items():
         out = out + psi_monomial(ctx, exps).scale(c)
     return out
@@ -872,25 +848,11 @@ def r_action_word(ctx: Context, word, x: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-class OperationCombo(Sparse):
+class OperationCombo(_Coeffs):
     """Finite left-coefficient combination of dual operations R_I:
     index -> coefficient Poly over V."""
 
-    __slots__ = ("ctx",)
-
-    def __init__(self, ctx: Context, terms=None):
-        self.ctx = ctx
-        clean = {}
-        for idx, c in (terms or {}).items():
-            add_term(
-                clean,
-                _trim(tuple(idx)),
-                c if isinstance(c, Poly) else Poly.constant(ctx.V, c),
-            )
-        self.terms = clean
-
-    def _like(self, terms):
-        return OperationCombo(self.ctx, terms)
+    __slots__ = ()
 
     @classmethod
     def basis(cls, ctx, *index):
@@ -898,34 +860,13 @@ class OperationCombo(Sparse):
 
     def degree(self):
         """Operation degree deg(t^I) - deg(coefficient), consistent across terms."""
-        degs = {
-            opindex_degree(i, self.ctx) - c.degree()
-            for i, c in self.terms.items()
-        }
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise DegreeError(f"mixed operation degrees {sorted(degs)}")
-        return degs.pop()
+        return single_degree(
+            (self.ctx.T.degree_of(i) - c.degree() for i, c in self.terms.items()),
+            "mixed operation degrees",
+        )
 
-    def __eq__(self, other):
-        return isinstance(other, OperationCombo) and self.terms == other.terms
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for i in sorted(self.terms, key=lambda i: (opindex_degree(i, self.ctx), i)):
-            c = format_poly(self.terms[i])
-            r = format_opindex(i)
-            if c == "1":
-                parts.append(r)
-            elif c == "-1":
-                parts.append(f"-{r}")
-            else:
-                c = f"({c})" if " " in c else c
-                parts.append(f"{c}*{r}")
-        return _join_signed(parts)
+    def _body(self, idx):
+        return format_opindex(idx)
 
 
 def pair(a: OperationCombo, x: TPoly) -> Poly:
@@ -1070,19 +1011,15 @@ class OperationExpr:
         return OperationExpr(self.ctx, tuple(parts))
 
     def degree(self):
-        degs = {
-            sum(opindex_degree(i, self.ctx) for i in w) for _, w in self.parts
-        }
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise DegreeError(f"mixed word degrees {sorted(degs)}")
-        return degs.pop()
+        return single_degree(
+            (sum(self.ctx.T.degree_of(i) for i in w) for _, w in self.parts),
+            "mixed word degrees",
+        )
 
     def indices_positive(self) -> bool:
         """Grading guard: every non-identity letter raises degree."""
         return all(
-            opindex_degree(i, self.ctx) > 0
+            self.ctx.T.degree_of(i) > 0
             for _, w in self.parts
             for i in w
             if i != ()
@@ -1101,18 +1038,8 @@ class OperationExpr:
         return out
 
     def __str__(self):
-        if not self.parts:
-            return "0"
-        chunks = []
-        for s, w in self.parts:
-            body = format_word(w)
-            if s == 1:
-                chunks.append(body)
-            elif s == -1:
-                chunks.append(f"-{body}")
-            else:
-                chunks.append(f"{s}*{body}")
-        return _join_signed(chunks)
+        parts = (_term(str(s), format_word(w)) for s, w in self.parts)
+        return _join_signed(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -1249,11 +1176,16 @@ def verify_structural(ctx: Context) -> Report:
     return report
 
 
+def pairing_window_q(prime: int, degree_bound_q: int | None = None) -> int:
+    """The pairing window in units of q: degree_bound_q, by default 2p + 4."""
+    return degree_bound_q if degree_bound_q is not None else 2 * prime + 4
+
+
 def verify_lemma_7_1(ctx: Context, degree_bound_q: int | None = None) -> Report:
     """Check the commutator and derived identities by pairing both sides
     against every t-monomial up to the degree window; residuals must vanish
     identically (exact arithmetic, no tolerance)."""
-    bound_q = degree_bound_q if degree_bound_q is not None else 2 * ctx.prime + 4
+    bound_q = pairing_window_q(ctx.prime, degree_bound_q)
     bound = ctx.qdeg(bound_q)
     report = Report(
         "commutator relations among R[1], R[p], R[0,1]",

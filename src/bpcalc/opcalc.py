@@ -34,6 +34,7 @@ from .grading import (
 from .hopf import (
     OperationExpr,
     format_word,
+    pairing_window_q,
     r_action,
     r_action_table,
 )
@@ -266,7 +267,7 @@ def d1_misprint(ctx: Context) -> OpMatrix:
 def check_complex(ctx: Context, matrices: list, degree_bound_q: int | None = None) -> Report:
     """Pair every entry of each consecutive composite against all t-monomials
     up to the bound; nonzero residuals are reported with a witness."""
-    bound_q = degree_bound_q if degree_bound_q is not None else 2 * ctx.prime + 4
+    bound_q = pairing_window_q(ctx.prime, degree_bound_q)
     bound = ctx.qdeg(bound_q)
     monos = monomials_up_to(bound, ctx.T)
     report = Report(
@@ -929,17 +930,18 @@ def verify_lemma_7_3(ctx: Context) -> Report:
 
     # the recomputed action tables, emitted rather than asserted: the
     # blanket line "R_I v_i = 0 for |I| > 1" holds only for v1
+    tables = {
+        name: r_action_table(ctx, x) for name, x in (("v1", v1), ("v2", v2), ("v3", v3))
+    }
     lines = []
-    for name, x in (("v1", v1), ("v2", v2), ("v3", v3)):
-        table = r_action_table(ctx, x)
+    for name, table in tables.items():
         entries = ", ".join(
             f"R{list(idx)} -> {format_poly(val)}"
             for idx, val in sorted(table.items())
             if idx != ()
         )
         lines.append(f"{name}: {entries}")
-    v1_table = r_action_table(ctx, v1)
-    only_r1 = set(v1_table) <= {(), (1,)}
+    only_r1 = set(tables["v1"]) <= {(), (1,)}
     report.check(
         id="lemma7.3.recomputed-table",
         anchor="full recomputed action table on v1, v2, v3",

@@ -352,6 +352,13 @@ def test_verify_target_records_a_crash(monkeypatch, capsys, exc):
         (["R[1]", "1/0*v1"], EXIT_USAGE, ""),
         (["2/0*R[1]", "v1"], EXIT_USAGE, ""),
         (["3/2*R[1]", "v1^2", "--prime", "5"], EXIT_PASS, "15*v1\n"),
+        # a dangling sign is a usage error, as in a polynomial literal
+        (["--prime", "5", "--", "R[1] -", "v2"], EXIT_USAGE, ""),
+        (["--prime", "5", "--", "-", "v2"], EXIT_USAGE, ""),
+        (["--prime", "5", "--", "R[1] - - R[p]", "v2"], EXIT_USAGE, ""),
+        (["--prime", "5", "--", "R[1] +", "v2"], EXIT_USAGE, ""),
+        # a word ends at its last R[..]: "2R[p]" is not a second term
+        (["R[1]2R[p]", "v2", "--prime", "5"], EXIT_USAGE, ""),
     ],
 )
 def test_eval_exit_codes(capsys, argv, code, out):

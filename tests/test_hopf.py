@@ -882,6 +882,68 @@ def test_tensor_and_tpoly_literals(ctx7):
         parse_tensor("t1 + t2", ctx7)  # missing (x) separator
 
 
+def _printed_values(ctx):
+    """(value, its printed form) pairs over the four printed value kinds:
+    zero, coefficients 1 and -1, coefficients printed in parentheses, the
+    constant t-monomial and Fraction scalars of an OperationExpr."""
+    v1, v2 = ctx.v(1), ctx.v(2)
+    F = Fraction
+    return [
+        (TPoly.zero(ctx), "0"),
+        (TensorPoly(ctx), "0"),
+        (OperationCombo(ctx), "0"),
+        (OperationExpr.zero(ctx), "0"),
+        (
+            TPoly(ctx, {(): v1 - 1, (1,): -1, (2,): 2 * v1, (0, 1): v1 + v2}),
+            "-1 + v1 - t1 + 2*v1*t1^2 + (v1 + v2)*t2",
+        ),
+        (TPoly(ctx, {(): -1, (1,): -v1}), "-1 - v1*t1"),
+        (
+            TensorPoly(
+                ctx,
+                {
+                    ((), ()): -1,
+                    ((1,), ()): v1 - 3 * v2,
+                    ((), (1,)): 1,
+                    ((1,), (0, 1)): -7 * v1,
+                },
+            ),
+            "-1(x)1 + 1(x)t1 + (v1 - 3*v2)*t1(x)1 - 7*v1*t1(x)t2",
+        ),
+        (
+            OperationCombo(ctx, {(): 1, (1,): -1, (7,): v1 + v2, (0, 1): -2 * v1}),
+            "R[0] - R[1] + (v1 + v2)*R[7] - 2*v1*R[0,1]",
+        ),
+        (
+            OperationExpr(
+                ctx,
+                (
+                    (F(3, 2), ((1,),)),
+                    (F(-1), ((7,), (1,))),
+                    (F(-2, 3), ((0, 1),)),
+                    (1, ()),
+                ),
+            ),
+            "3/2*R[1] - R[7]R[1] - 2/3*R[0,1] + R[0]",
+        ),
+    ]
+
+
+def test_printed_forms(ctx7):
+    for value, printed in _printed_values(ctx7):
+        assert str(value) == printed
+
+
+def test_printed_forms_parse_back(ctx7):
+    from bpcalc.hopf import parse_tensor, parse_tpoly
+
+    for value, printed in _printed_values(ctx7):
+        if isinstance(value, TPoly):
+            assert parse_tpoly(printed, ctx7) == value
+        elif isinstance(value, TensorPoly) and value:
+            assert parse_tensor(printed, ctx7) == value
+
+
 def test_binomial_expansion_in_diagonal(ctx7):
     # right-factor t1^p coefficient of psi(t1^(p+1)) is (p+1) t1
     p = ctx7.prime
