@@ -43,18 +43,22 @@ the table named after the function it wraps, keyed by the arguments after
 the context; ``memo_power`` fills ``<base>_pow``, keyed by (i, e).  Here:
 ``v_in_m``, ``m_in_v``, their ``_pow`` tables, and the basis-change images
 ``v_to_m`` and ``m_to_v`` (terms dict per source monomial, which
-``Poly.substitute`` reads).  In ``hopf``, as flat ``{packed int key: int}``
-tables, its one internal form (it keeps no rows or other layouts): the
-diagonal ``_psi_t_m`` (over Z[m]) and ``_psi_t_v`` (v-basis) with
-``_psi_t_v_pow`` and ``_psi_flat`` (per t-monomial), the right unit's
-``_eta_r_m_generator(_pow)``, ``_eta_v_generator(_pow)`` and ``_eta_flat``
-(per v-monomial), and the scaled images ``_m_to_v_scaled`` (p^s *
-``m_to_v``); decoded at its edge or otherwise: ``psi_monomial``,
-``_factor_actions``, ``pair_word`` and ``_eta_r_cached`` (eta_r per inner
-value of the nested pairing, keyed by the hashable ``Poly``).  Only the
-Cartan side's tables are filled by hand, in ``hopf._mono_action_table``:
-``rtable`` and ``rtable_pruned`` (counts), whose build walks down to the
-nearest cached suffix.  Callers must not mutate a memo entry.
+``Poly.substitute`` reads), now filled only by ``to_m_basis`` and
+``to_v_basis``, the tuple-keyed reference maps.  In ``hopf``, as flat
+``{packed int key: int}`` tables, its one internal form (it keeps no rows
+or other layouts): the diagonal ``_psi_t_m`` (over Z[m]) and ``_psi_t_v``
+(v-basis) with ``_psi_t_v_pow`` and ``_psi_flat`` (per t-monomial), the
+right unit's ``_eta_r_m_generator(_pow)``, ``_eta_v_generator(_pow)`` and
+``_eta_flat`` (per v-monomial), the Cartan side's generator tables
+``_v_in_m_flat(_pow)`` (v_i in the m-basis) and ``_m_in_v_scaled(_pow)``
+(p^i m_i in the v-basis, integral), and the scaled images
+``_m_to_v_scaled`` (p^s * m^a per m-monomial, over ``_m_in_v_scaled``);
+decoded at its edge or otherwise: ``psi_monomial``, ``_factor_actions``,
+``pair_word`` and ``_eta_r_cached`` (eta_r per inner value of the nested
+pairing, keyed by the hashable ``Poly``).  Only the Cartan side's tables
+are filled by hand, in ``hopf._mono_action_table``: ``rtable`` and
+``rtable_pruned`` (counts), whose build walks down to the nearest cached
+suffix.  Callers must not mutate a memo entry.
 """
 
 from __future__ import annotations
@@ -822,7 +826,11 @@ class Context:
         return Fraction(1, p) * out
 
     def to_m_basis(self, x: Poly) -> Poly:
-        """Rewrite a v-polynomial in the rational m-basis (indices <= 3)."""
+        """Rewrite a v-polynomial in the rational m-basis (indices <= 3).
+
+        The tuple-keyed reference map: ``hopf`` computes on its flat tables
+        (``_v_in_m_flat``) and reads this one only in its round-trip check.
+        """
         if x.alphabet == self.M:
             return x
         if x.alphabet != self.V:
@@ -830,7 +838,11 @@ class Context:
         return x.substitute(self.v_to_m, self.M)
 
     def to_v_basis(self, x: Poly) -> Poly:
-        """Rewrite an m-polynomial in the v-basis (indices <= 3)."""
+        """Rewrite an m-polynomial in the v-basis (indices <= 3).
+
+        The tuple-keyed reference map: ``hopf`` computes on its flat tables
+        (``_m_in_v_scaled``) and reads this one only in its round-trip check.
+        """
         if x.alphabet == self.V:
             return x
         if x.alphabet != self.M:

@@ -39,10 +39,15 @@ The generator images eta_R(v1), eta_R(v2), eta_R(v3) come from the flat
 m-basis right unit (``eta_r_m`` decodes the same images) on the integral
 Hazewinkel expansions ``ctx.v_in_m(i)``, changed back to the v-basis by
 the same exact division.  The Cartan side stays on its own path on every
-monomial: m-basis factor actions, the table recursion, then the
-Hazewinkel change back to the v-basis, on flat int tables of its own
-(m-exponents and J packed in one key) and p-power-scaled integral images
-of ``ctx.m_to_v``, divided exactly by p^K once at the end.  It must not be
+monomial, on flat int tables of its own (m-exponents and J packed in one
+key): the change to the m-basis as the flat image over the packed
+expansions v_i in the m-basis (``_v_in_m_flat``), m-basis factor actions,
+the table recursion, then the change back to the v-basis as the flat image
+over the integral scaled generators p^i m_i in the v-basis
+(``_m_in_v_scaled``), divided exactly by p^K once at the end.  Both
+generator tables are read off ``Context``'s Hazewinkel relations; its
+tuple-keyed maps ``to_m_basis``/``to_v_basis`` serve only as the reference
+in the round-trip check.  It must not be
 made multiplicative in the v-basis: the Cartan formula is exactly the
 multiplicativity of eta_R, so the cross-check would then compare one
 computation with itself.  For the same reason the right unit's
@@ -438,12 +443,29 @@ def _flat_image(ctx: Context, x: Poly, generator, name: str) -> _Flat:
 
 
 @memoized
+def _v_in_m_flat(ctx: Context, i: int) -> _Flat:
+    """v_i in the m-basis (``ctx.v_in_m(i)``, integer coefficients) as a
+    flat table {packed m-key: int}."""
+    return _Flat({_pack(e): c for e, c in ctx.v_in_m(i).terms.items()})
+
+
+@memoized
+def _m_in_v_scaled(ctx: Context, i: int) -> _Flat:
+    """p^i * m_i in the v-basis (p^i * ``ctx.m_in_v(i)``) as a flat table
+    {packed v-key: int}; integral: p m1 = v1, p^2 m2 = p v2 + v1^(p+1), ..."""
+    scale = ctx.prime**i
+    return _Flat({_pack(e): _num(c * scale) for e, c in ctx.m_in_v(i).terms.items()})
+
+
+@memoized
 def _m_to_v_scaled(ctx: Context, key: int):
-    """(s, p^s * m^a as {packed v-key: int}) for the packed m-monomial m^a:
-    s = a1 + 2 a2 + 3 a3 clears the denominators of ``ctx.m_to_v``."""
+    """(s, p^s * m^a as {packed v-key: int}) for the packed m-monomial m^a,
+    s = a1 + 2 a2 + 3 a3: p^s * m^a = prod_i (p^i m_i)^(a_i), the flat image
+    over ``_m_in_v_scaled``."""
     exps = _unpack(key)
     s = sum(i * e for i, e in enumerate(exps, start=1))
-    return s, {_pack(e): _num(c * ctx.prime**s) for e, c in ctx.m_to_v(exps).items()}
+    mono = Poly._raw(ctx.M, {exps: 1})
+    return s, _flat_image(ctx, mono, _m_in_v_scaled, "m_to_v").terms
 
 
 def _m_to_v_flat(ctx: Context, terms: dict, K: int, where) -> _Flat:
@@ -784,17 +806,41 @@ def _mono_action_table(ctx: Context, exps, cap=None) -> dict:
     return table
 
 
+def _m_terms(ctx: Context, x: Poly):
+    """The (m-exponents, coefficient) terms of x in the rational m-basis:
+    an m-polynomial as it is, a v-polynomial through the flat image over
+    ``_v_in_m_flat``.  The input contract of ``ctx.to_m_basis``: another
+    alphabet raises AlphabetError, and a term in v4 or above
+    TruncationError, both before any arithmetic.  The packed m-fields hold
+    m1..m3 (m4 would land in the index fields), so a term in m4 or above
+    raises TruncationError too."""
+    if x.alphabet == ctx.M:
+        if any(len(e) > HAZEWINKEL_MAX_INDEX for e in x.terms):
+            raise TruncationError(
+                f"r_action covers m1..m{HAZEWINKEL_MAX_INDEX}, the packed m-fields"
+            )
+        return x.terms.items()
+    if x.alphabet != ctx.V:
+        raise AlphabetError("to_m_basis expects a v-polynomial")
+    for exps in x.terms:
+        for i in range(HAZEWINKEL_MAX_INDEX, len(exps)):
+            if exps[i]:
+                raise TruncationError(f"no substitution image for {ctx.V.name(i + 1)}")
+    flat = _flat_image(ctx, x, _v_in_m_flat, "r_action")
+    return [(_unpack(k), c) for k, c in flat.terms.items()]
+
+
 def _cartan_flat(ctx: Context, x: Poly, cap=None) -> _Flat:
     """R_J(x) for every J, or for J = cap only, as one flat table (v-key in
     the low fields, J from ``_T_SHIFT`` up): the flat Cartan tables'
-    counts, weighted by the m-basis coefficients of x, back in the v-basis
-    by one exact division (``_m_to_v_flat``); a p left in a denominator is
-    a non-integral R_J(x): ValueError."""
+    counts, weighted by the m-basis coefficients of x (``_m_terms``), back
+    in the v-basis by one exact division (``_m_to_v_flat``); a p left in a
+    denominator is a non-integral R_J(x): ValueError."""
     K = _key_bound(ctx, x, "r_action")
     # the packed J to keep: None keeps all, -1 none (cap past the field)
     want = cap and (_pack(cap) if max(cap) <= _FIELD_MASK else -1)
     acc = {}
-    for exps, c in ctx.to_m_basis(x).terms.items():
+    for exps, c in _m_terms(ctx, x):
         for k, n in _mono_action_table(ctx, exps, cap).items():
             if want is None or k >> _T_SHIFT == want:
                 acc[k] = acc.get(k, 0) + c * n
@@ -823,7 +869,8 @@ def r_action(ctx: Context, index, x: Poly) -> Poly:
 
     Reads R_I off each m-monomial's flat Cartan table pruned to the indices
     J <= I, the only entries R_I depends on (see ``_mono_action_table``);
-    errors as in ``r_action_table``.
+    errors as in ``r_action_table``, except that only a non-integral R_I(x)
+    raises ValueError: R_1(v1/p) = 1, though R_0(v1/p) is not integral.
     """
     index = _trim(tuple(index))
     if len(index) > ctx.truncation:
@@ -1110,6 +1157,18 @@ def recomputed_pairing_table(ctx: Context) -> list:
     return table
 
 
+def _flat_round_trip(ctx: Context, x: Poly) -> bool:
+    """True iff the v-polynomial x comes back from its flat m-basis image
+    (``_v_in_m_flat``) through the scaled change back (``_m_to_v_flat``),
+    the two basis changes of the Cartan side."""
+    image = _flat_image(ctx, x, _v_in_m_flat, "round trip")
+    try:
+        back = _m_to_v_flat(ctx, image.terms, _key_bound(ctx, x, "round trip"), str)
+    except ValueError:
+        return False
+    return back.terms == {_pack(e): c for e, c in x.terms.items()}
+
+
 def verify_structural(ctx: Context) -> Report:
     """Structural coherence: exact basis round trip, integral diagonal for
     k <= 3, and Cartan action == right-unit coefficients on every v-monomial
@@ -1127,7 +1186,10 @@ def verify_structural(ctx: Context) -> Report:
         ctx.v(1) ** p * ctx.v(2) - 3 * ctx.v(3),
         (ctx.v(1) + 17) ** 3 * ctx.v(2),
     ]
-    ok = all(ctx.to_v_basis(ctx.to_m_basis(x)) == x for x in samples)
+    ok = all(
+        ctx.to_v_basis(ctx.to_m_basis(x)) == x and _flat_round_trip(ctx, x)
+        for x in samples
+    )
     report.check(
         id="hazewinkel-round-trip",
         anchor="to_v_basis . to_m_basis = id on v-polynomials with indices <= 3",
@@ -1154,8 +1216,13 @@ def verify_structural(ctx: Context) -> Report:
     for mono in monomials_up_to(bound, ctx.V):
         x = Poly(ctx.V, {mono.exps: 1})
         checked += 1
-        if _eta_r_flat(ctx, x).terms != _cartan_flat(ctx, x).terms:
-            mismatches.append(str(mono))
+        witness = str(mono)
+        try:
+            same = _eta_r_flat(ctx, x).terms == _cartan_flat(ctx, x).terms
+        except ValueError as exc:  # a non-integral value is a mismatch
+            same, witness = False, f"{mono}: {exc}"
+        if not same:
+            mismatches.append(witness)
             if len(mismatches) > 3:
                 break
     report.check(

@@ -1,4 +1,5 @@
-"""The memoized v <-> m basis change against an independent sympy expansion.
+"""The memoized v <-> m basis change against an independent sympy expansion,
+and the flat basis changes of ``hopf``'s Cartan side against it.
 
 The oracle expands the Hazewinkel relations (Ravenel, *Complex Cobordism*,
 ch. 4) with sympy rationals:
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from bpcalc import hopf
 from bpcalc.cli import EXIT_TRUNCATION, main
 from bpcalc.errors import AlphabetError, TruncationError
 from bpcalc.grading import Alphabet, Context, Poly, _trim, monomials_up_to
@@ -132,3 +134,28 @@ def test_equal_but_distinct_alphabets_mix():
         x + Poly.gen(Alphabet("v", ctx.V.size, 5), 1)
     with pytest.raises(AlphabetError):
         x * ctx.m(1)
+
+
+@pytest.mark.parametrize("prime", [3, 5, 7])
+def test_flat_images_match_context_maps(prime):
+    # the Cartan side's flat basis changes against the tuple-keyed maps:
+    # v^a in the m-basis (over _v_in_m_flat), and p^s * m^a in the v-basis
+    # (over _m_in_v_scaled, s = a1 + 2 a2 + 3 a3), all with int coefficients
+    ctx, flat = Context(prime=prime), Context(prime=prime)
+    bound = 2 * (prime**3 - 1)
+    for mono in monomials_up_to(bound, ctx.V):
+        x = Poly(flat.V, {mono.exps: 1})
+        image = hopf._flat_image(flat, x, hopf._v_in_m_flat, "test").terms
+        assert {hopf._unpack(k): c for k, c in image.items()} == ctx.v_to_m(mono.exps)
+        assert all(type(c) is int for c in image.values()), str(mono)
+    for mono in monomials_up_to(bound, ctx.M):
+        s, image = hopf._m_to_v_scaled(flat, hopf._pack(mono.exps))
+        assert s == sum(i * e for i, e in enumerate(mono.exps, start=1))
+        expected = {e: c * prime**s for e, c in ctx.m_to_v(mono.exps).items()}
+        assert {hopf._unpack(k): c for k, c in image.items()} == expected
+        assert all(type(c) is int for c in image.values()), str(mono)
+    # the Cartan side reads neither tuple-keyed map
+    cold = Context(prime=prime)
+    hopf.r_action(cold, (1,), cold.v(1) ** prime * cold.v(2) + cold.v(3))
+    assert cold.memo["v_to_m"] == {} and cold.memo["m_to_v"] == {}
+    assert cold.memo["_v_in_m_flat"] and cold.memo["_m_in_v_scaled"]

@@ -359,6 +359,7 @@ def test_verify_target_records_a_crash(monkeypatch, capsys, exc):
         (["--prime", "5", "--", "R[1] +", "v2"], EXIT_USAGE, ""),
         # a word ends at its last R[..]: "2R[p]" is not a second term
         (["R[1]2R[p]", "v2", "--prime", "5"], EXIT_USAGE, ""),
+        (["--prime", "5", "--", "R[1]", "v1*v4"], EXIT_TRUNCATION, ""),
     ],
 )
 def test_eval_exit_codes(capsys, argv, code, out):
@@ -368,6 +369,9 @@ def test_eval_exit_codes(capsys, argv, code, out):
     assert "Traceback" not in captured.err
     if code != EXIT_PASS:
         assert len(captured.err.splitlines()) == 1
+    if argv[-1] == "v1*v4":
+        # the Cartan side names v4, not the Hazewinkel table's range
+        assert captured.err == "truncation error: no substitution image for v4\n"
 
 
 def test_env_override(monkeypatch, capsys):

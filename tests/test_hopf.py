@@ -743,6 +743,80 @@ def test_coherence_fails_on_a_perturbed_cartan_basis_change():
     assert sweep.computed == "5 monomials checked"
 
 
+def test_coherence_fails_on_a_perturbed_cartan_v_to_m():
+    # negative control on the Cartan side's change to the m-basis: any one
+    # coefficient of v2 = p m2 - v1^p m1 changed by 1 leaves R_0(v2)
+    # non-integral, which the sweep records as a mismatch at v2
+    keys = list(hopf._v_in_m_flat(Context(prime=5), 2).terms)
+    assert len(keys) == 2
+    for key in keys:
+        ctx = Context(prime=5)
+        for i in (1, 2, 3):
+            hopf._eta_v_generator(ctx, i)
+        hopf._v_in_m_flat(ctx, 2).terms[key] += 1
+        sweep = _coherence(hopf.verify_structural(ctx))
+        assert not sweep.status, key
+        assert sweep.witness.split("; ")[0].startswith("v2: "), key
+        assert "v1;" not in sweep.witness, key
+
+
+# (input, r_action(R[1], x), r_action_table(x)) at p = 5, captured from the
+# tuple-keyed basis change (``ctx.to_m_basis``) the Cartan side used to read;
+# a str is an exception's "type: message"
+CARTAN_CONTRACT = [
+    ("m1", "1", "ValueError: r_action: non-integral value at index ()"),
+    (
+        "m1^5",
+        "ValueError: r_action: non-integral value at index (1,)",
+        "ValueError: r_action: non-integral value at index ()",
+    ),
+    ("p*m1", "5", {(): "v1", (1,): "5"}),
+    ("t1", *["AlphabetError: to_m_basis expects a v-polynomial"] * 2),
+    ("v1*v4", *["TruncationError: no substitution image for v4"] * 2),
+]
+
+
+def _outcome(fn):
+    try:
+        value = fn()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(value, dict):
+        return {k: str(v) for k, v in value.items()}
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "literal, action, table", CARTAN_CONTRACT, ids=[c[0] for c in CARTAN_CONTRACT]
+)
+def test_cartan_input_contract_is_the_parents(literal, action, table):
+    # the flat v -> m change keeps the input contract of ctx.to_m_basis: an
+    # m-polynomial goes in as it is, another alphabet is an AlphabetError,
+    # a term in v4 a TruncationError naming v4
+    make = {
+        "m1": lambda c: c.m(1),
+        "m1^5": lambda c: c.m(1, 5),
+        "p*m1": lambda c: c.prime * c.m(1),
+        "t1": lambda c: Poly.gen(c.T, 1),
+        "v1*v4": lambda c: c.v(1) * c.v(4),
+    }[literal]
+    ctx = Context(prime=5)
+    assert _outcome(lambda: r_action(ctx, (1,), make(ctx))) == action
+    ctx = Context(prime=5)
+    assert _outcome(lambda: r_action_table(ctx, make(ctx))) == table
+
+
+def test_cartan_rejects_m4():
+    # m4 would be packed into the first index field: R_(1) m4 read as 1
+    ctx = Context(prime=5)
+    for x in (ctx.m(4), ctx.m(1) + ctx.prime**4 * ctx.m(4)):
+        with pytest.raises(TruncationError, match="m1..m3"):
+            r_action(ctx, (1,), x)
+        with pytest.raises(TruncationError, match="m1..m3"):
+            r_action_table(ctx, x)
+    assert not ctx.memo["rtable"] and not ctx.memo["rtable_pruned"]
+
+
 def test_cartan_field_overflow_raises_before_any_table():
     # at p = 5, deg(v1^e)/q = e: 2^16 is one past the 16-bit field
     ctx = Context(prime=5)
