@@ -2,14 +2,14 @@
 group localization, and finite-category checks.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error
-(or a pipeline precondition the configuration fails), 3 truncation
-exceeded.  A verify target that stops on an arithmetic error is one
-failed record ``<target>.crashed`` (under ``verify all`` the others still
-run), and ``cat localize`` on a class that fails the fraction axioms reports
-the class's axiom records (``class[S].*``) and exits 1.
+(or a pipeline precondition the configuration fails, or a non-integral
+``eval`` value), 3 truncation exceeded.  A verify target that stops on an
+arithmetic error is one failed record ``<target>.crashed`` (under ``verify
+all`` the others still run), and ``cat localize`` on a class that fails the
+fraction axioms reports its axiom records (``class[S].*``) and exits 1.
 Reports are deterministic apart from each record's measured
 ``runtime_ms``: JSON output omits that field under ``--no-timing``, and
-text output never shows it.
+text output never shows it.  Each invocation builds one subparser.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ VERIFY_TARGETS = (
 )
 # the parts of "all", in report order; thm7.2 runs lemma7.5 and lemma7.7
 VERIFY_ALL = ("lemma7.1", "lemma7.3", "thm7.2", "lemma7.9", "thm7.10", "structural")
+COMMANDS = ("verify", "eval", "localize-group", "cat")
 
 
 @dataclass
@@ -85,7 +86,9 @@ def _env_default(name, fallback):
     return os.environ.get(ENV_PREFIX + name, fallback)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with ``command``'s subparser only, or with all of them when
+    it names none; the usage line lists every command either way."""
     parser = argparse.ArgumentParser(
         prog="bpcalc",
         description="exact-arithmetic workbench: operation calculus on the "
@@ -124,44 +127,48 @@ def build_parser() -> argparse.ArgumentParser:
         help="omit runtime fields for byte-identical output",
     )
     sub = parser.add_subparsers(dest="command")
+    wanted = (command,) if command in COMMANDS else COMMANDS
+    sub.metavar = "{%s}" % ",".join(COMMANDS) if command in COMMANDS else None
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run a verification pipeline"
-    )
-    p_verify.add_argument("target", choices=VERIFY_TARGETS)
+    if "verify" in wanted:
+        p_verify = sub.add_parser(
+            "verify", parents=[common], help="run a verification pipeline"
+        )
+        p_verify.add_argument("target", choices=VERIFY_TARGETS)
 
-    p_eval = sub.add_parser(
-        "eval",
-        parents=[common],
-        help="apply an operation to a polynomial",
-        epilog='a literal that starts with a minus sign reads as an option '
-        'unless "--" comes before the literals: bpcalc eval -- "R[1]" -3*v1',
-    )
-    p_eval.add_argument("operation", help="e.g. R[1], R[p]R[1], R[1]R[p] - R[p]R[1]")
-    p_eval.add_argument("poly", help="v-polynomial literal, e.g. v2 or -2*v2^4")
+    if "eval" in wanted:
+        p_eval = sub.add_parser(
+            "eval",
+            parents=[common],
+            help="apply an operation to a polynomial",
+            epilog='a literal that starts with a minus sign reads as an option '
+            'unless "--" comes before the literals: bpcalc eval -- "R[1]" -3*v1',
+        )
+        p_eval.add_argument("operation", help="e.g. R[1], R[p]R[1], R[1]R[p] - R[p]R[1]")
+        p_eval.add_argument("poly", help="v-polynomial literal, e.g. v2 or -2*v2^4")
 
-    p_loc = sub.add_parser(
-        "localize-group", parents=[common], help="localize a finitely "
-        "generated abelian group"
-    )
-    p_loc.add_argument("group", help='group literal, e.g. "Z/12" or "Z^2 + Z/5"')
-    p_loc.add_argument(
-        "--invert",
-        required=True,
-        help='primes to invert: "2", "2,3", "all", or "not 2"',
-    )
-    p_loc.add_argument(
-        "--oracle",
-        action="store_true",
-        help="also run the literal fraction construction (finite groups only)",
-    )
+    if "localize-group" in wanted:
+        p_loc = sub.add_parser(
+            "localize-group", parents=[common], help="localize a finitely "
+            "generated abelian group"
+        )
+        p_loc.add_argument("group", help='group literal, e.g. "Z/12" or "Z^2 + Z/5"')
+        p_loc.add_argument(
+            "--invert",
+            required=True,
+            help='primes to invert: "2", "2,3", "all", or "not 2"',
+        )
+        p_loc.add_argument(
+            "--oracle",
+            action="store_true",
+            help="also run the literal fraction construction (finite groups only)",
+        )
 
-    p_cat = sub.add_parser(
-        "cat", parents=[common], help="finite-category checks"
-    )
-    p_cat.add_argument("action", choices=("localize", "check"))
-    p_cat.add_argument("file", help="category description file")
-    p_cat.add_argument("--marked-class", default="S", help="class name (default S)")
+    if "cat" in wanted:
+        p_cat = sub.add_parser("cat", parents=[common], help="finite-category checks")
+        p_cat.add_argument("action", choices=("localize", "check"))
+        p_cat.add_argument("file", help="category description file")
+        p_cat.add_argument("--marked-class", default="S", help="class name (default S)")
 
     return parser
 
@@ -338,7 +345,7 @@ def _config_from(args) -> Config:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(next(iter(sys.argv[1:] if argv is None else argv), None))
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
@@ -356,9 +363,10 @@ def main(argv=None) -> int:
         if args.command == "eval":
             ctx = config.context()
             op = parse_operation(args.operation, ctx)
-            poly = parse_poly(args.poly, ctx.V)
-            result = op.act(poly)
-            print(format_poly(result))
+            try:
+                print(format_poly(op.act(parse_poly(args.poly, ctx.V))))
+            except ValueError as exc:  # a value with a p left in a denominator
+                raise ParseError(exc) from None
             return EXIT_PASS
 
         if args.command == "localize-group":

@@ -830,30 +830,29 @@ def _m_terms(ctx: Context, x: Poly):
     return [(_unpack(k), c) for k, c in flat.terms.items()]
 
 
-def _cartan_flat(ctx: Context, x: Poly, cap=None) -> _Flat:
-    """R_J(x) for every J, or for J = cap only, as one flat table (v-key in
-    the low fields, J from ``_T_SHIFT`` up): the flat Cartan tables'
-    counts, weighted by the m-basis coefficients of x (``_m_terms``), back
-    in the v-basis by one exact division (``_m_to_v_flat``); a p left in a
-    denominator is a non-integral R_J(x): ValueError."""
-    K = _key_bound(ctx, x, "r_action")
+def _cartan_m(ctx: Context, terms, cap=None) -> dict:
+    """R_J of the (m-exponents, coefficient) terms for every J, or for J = cap
+    only, as {m-key + J << _T_SHIFT: coefficient}, zeros kept."""
+    if cap and len(cap) > ctx.truncation:
+        raise TruncationError(f"operation index {cap} outside truncation")
     # the packed J to keep: None keeps all, -1 none (cap past the field)
     want = cap and (_pack(cap) if max(cap) <= _FIELD_MASK else -1)
     acc = {}
-    for exps, c in _m_terms(ctx, x):
+    for exps, c in terms:
         for k, n in _mono_action_table(ctx, exps, cap).items():
             if want is None or k >> _T_SHIFT == want:
                 acc[k] = acc.get(k, 0) + c * n
-
-    def where(jk):
-        return f"r_action: non-integral value at index {_unpack(jk)}"
-
-    return _m_to_v_flat(ctx, acc, K, where)
+    return acc
 
 
-def _cartan(ctx: Context, x: Poly, cap=None) -> dict:
-    """{J: R_J(x)}: ``_cartan_flat`` decoded into v-Polys (``_by_t``)."""
-    return _by_t(_cartan_flat(ctx, x, cap), ctx.V)
+def _cartan_flat(ctx: Context, x: Poly, cap=None) -> _Flat:
+    """``_cartan_m`` on the m-basis terms of x (``_m_terms``), back in the
+    v-basis by one exact division (``_m_to_v_flat``), J from ``_T_SHIFT`` up;
+    a p left in a denominator is a non-integral R_J(x): ValueError."""
+    K = _key_bound(ctx, x, "r_action")
+    acc = _cartan_m(ctx, _m_terms(ctx, x), cap)
+    where = "r_action: non-integral value at index {}".format
+    return _m_to_v_flat(ctx, acc, K, lambda jk: where(_unpack(jk)))
 
 
 def r_action_table(ctx: Context, x: Poly) -> dict:
@@ -861,7 +860,7 @@ def r_action_table(ctx: Context, x: Poly) -> dict:
     from the full flat Cartan tables (``_cartan_flat``, decoded).  Raises
     ValueError on a non-integral value, and ExponentOverflowError before any
     arithmetic when an exponent could pass the key field."""
-    return _cartan(ctx, x)
+    return _by_t(_cartan_flat(ctx, x), ctx.V)
 
 
 def r_action(ctx: Context, index, x: Poly) -> Poly:
@@ -873,21 +872,9 @@ def r_action(ctx: Context, index, x: Poly) -> Poly:
     raises ValueError: R_1(v1/p) = 1, though R_0(v1/p) is not integral.
     """
     index = _trim(tuple(index))
-    if len(index) > ctx.truncation:
-        raise TruncationError(f"operation index {index} outside truncation")
     if not index:
         return x
-    return _cartan(ctx, x, index).get(index, Poly.zero(ctx.V))
-
-
-def r_action_word(ctx: Context, word, x: Poly) -> Poly:
-    """Apply a composition word of indices right-to-left: (R_a R_b)(x) = R_a(R_b(x))."""
-    out = x
-    for idx in reversed(tuple(word)):
-        out = r_action(ctx, idx, out)
-        if out.is_zero():
-            break
-    return out
+    return _by_t(_cartan_flat(ctx, x, index), ctx.V).get(index, Poly.zero(ctx.V))
 
 
 # ---------------------------------------------------------------------------
@@ -1073,10 +1060,30 @@ class OperationExpr:
         )
 
     def act(self, x: Poly) -> Poly:
-        out = Poly.zero(self.ctx.V)
-        for scalar, word in self.parts:
-            out = out + scalar * r_action_word(self.ctx, word, x)
-        return out
+        """The value on a v-polynomial: x goes to the m-basis once, each word
+        acts right-to-left on m-tables (``_cartan_m``), and the sum of s * D
+        times each word (D = p^k clears every p in a scalar's denominator)
+        comes back once (``_m_to_v_flat``), over D: only that value must be
+        integral, else ValueError.  Identity words add s * x as it is."""
+        ctx, p = self.ctx, self.ctx.prime
+        words = [(s, w) for s, w in self.parts if any(w)]
+        out = sum((s * x for s, w in self.parts if not any(w)), Poly.zero(ctx.V))
+        if not words:
+            return out
+        D = p ** max(padic_valuation(Fraction(s).denominator, p) for s, _ in words)
+        K, m, acc = _key_bound(ctx, x, "r_action"), _m_terms(ctx, x), {}
+        for s, word in words:
+            terms = m
+            for idx in reversed(word):
+                if idx:
+                    step = _cartan_m(ctx, terms, idx).items()
+                    terms = [(_unpack(k & _V_MASK), c) for k, c in step if c]
+                if not terms:
+                    break
+            for exps, c in terms:
+                add_term(acc, _pack(exps), c * _num(s * D))
+        flat = _m_to_v_flat(ctx, acc, K, lambda _: f"non-integral value of {self}")
+        return out + _by_t(flat, ctx.V).get((), Poly.zero(ctx.V)).scale(Fraction(1, D))
 
     def pair_monomial(self, exps) -> Poly:
         out = Poly.zero(self.ctx.V)

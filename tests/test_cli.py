@@ -167,25 +167,25 @@ def test_eval_power_at_and_past_the_key_field(capsys):
     assert len(lines) == 1 and "error:" in lines[0]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "lemma7.1", "--prime", "9"],
-        ["eval", "R[1]", "v1", "--prime", "9"],
-        ["eval", "R[1]", "0.5*v1", "--prime", "5"],
-        ["localize-group", "Z/0", "--invert", "2"],
-        ["localize-group", "Z/12", "--invert", "x"],
-        ["localize-group", "Z/12", "--invert", "4"],
-        ["verify", "thm7.2", "--prime", "3"],
-        ["verify", "thm7.10", "--prime", "3"],
-        ["verify", "all", "--prime", "3"],
-        ["localize-group", "Z/99999999999", "--invert", "3", "--oracle"],
-        ["verify", "lemma7.1", "--degree-bound", "0", "--prime", "5"],
-        ["verify", "lemma7.1", "--degree-bound", "-2", "--prime", "5"],
-        ["cat", "check", "no-such-file.cat"],
-        ["cat", "localize", "no-such-file.cat"],
-    ],
-)
+BAD_INPUT_ARGVS = [
+    ["verify", "lemma7.1", "--prime", "9"],
+    ["eval", "R[1]", "v1", "--prime", "9"],
+    ["eval", "R[1]", "0.5*v1", "--prime", "5"],
+    ["localize-group", "Z/0", "--invert", "2"],
+    ["localize-group", "Z/12", "--invert", "x"],
+    ["localize-group", "Z/12", "--invert", "4"],
+    ["verify", "thm7.2", "--prime", "3"],
+    ["verify", "thm7.10", "--prime", "3"],
+    ["verify", "all", "--prime", "3"],
+    ["localize-group", "Z/99999999999", "--invert", "3", "--oracle"],
+    ["verify", "lemma7.1", "--degree-bound", "0", "--prime", "5"],
+    ["verify", "lemma7.1", "--degree-bound", "-2", "--prime", "5"],
+    ["cat", "check", "no-such-file.cat"],
+    ["cat", "localize", "no-such-file.cat"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT_ARGVS)
 def test_bad_input_exits_usage_with_one_line_error(argv, capsys):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -342,26 +342,34 @@ def test_verify_target_records_a_crash(monkeypatch, capsys, exc):
     assert report["checks"][0]["witness"] == f"{type(exc).__name__}: {exc}"
 
 
-@pytest.mark.parametrize(
-    "argv, code, out",
-    [
-        (["R[1]", "v1^2", "--prime", "5"], EXIT_PASS, "10*v1\n"),
-        (["R[1]", "v1 +* v2"], EXIT_USAGE, ""),
-        (["R[1]", "v1", "--prime", "4"], EXIT_USAGE, ""),
-        (["R[0,0,0,0,1]", "v1"], EXIT_TRUNCATION, ""),
-        (["R[1]", "1/0*v1"], EXIT_USAGE, ""),
-        (["2/0*R[1]", "v1"], EXIT_USAGE, ""),
-        (["3/2*R[1]", "v1^2", "--prime", "5"], EXIT_PASS, "15*v1\n"),
-        # a dangling sign is a usage error, as in a polynomial literal
-        (["--prime", "5", "--", "R[1] -", "v2"], EXIT_USAGE, ""),
-        (["--prime", "5", "--", "-", "v2"], EXIT_USAGE, ""),
-        (["--prime", "5", "--", "R[1] - - R[p]", "v2"], EXIT_USAGE, ""),
-        (["--prime", "5", "--", "R[1] +", "v2"], EXIT_USAGE, ""),
-        # a word ends at its last R[..]: "2R[p]" is not a second term
-        (["R[1]2R[p]", "v2", "--prime", "5"], EXIT_USAGE, ""),
-        (["--prime", "5", "--", "R[1]", "v1*v4"], EXIT_TRUNCATION, ""),
-    ],
-)
+EVAL_EXIT_CASES = [
+    (["R[1]", "v1^2", "--prime", "5"], EXIT_PASS, "10*v1\n"),
+    (["R[1]", "v1 +* v2"], EXIT_USAGE, ""),
+    (["R[1]", "v1", "--prime", "4"], EXIT_USAGE, ""),
+    (["R[0,0,0,0,1]", "v1"], EXIT_TRUNCATION, ""),
+    (["R[1]", "1/0*v1"], EXIT_USAGE, ""),
+    (["2/0*R[1]", "v1"], EXIT_USAGE, ""),
+    (["3/2*R[1]", "v1^2", "--prime", "5"], EXIT_PASS, "15*v1\n"),
+    # a dangling sign is a usage error, as in a polynomial literal
+    (["--prime", "5", "--", "R[1] -", "v2"], EXIT_USAGE, ""),
+    (["--prime", "5", "--", "-", "v2"], EXIT_USAGE, ""),
+    (["--prime", "5", "--", "R[1] - - R[p]", "v2"], EXIT_USAGE, ""),
+    (["--prime", "5", "--", "R[1] +", "v2"], EXIT_USAGE, ""),
+    # a word ends at its last R[..]: "2R[p]" is not a second term
+    (["R[1]2R[p]", "v2", "--prime", "5"], EXIT_USAGE, ""),
+    (["--prime", "5", "--", "R[1]", "v1*v4"], EXIT_TRUNCATION, ""),
+    # integrality is checked on the value of the whole expression:
+    # R[1](v2/7) is not integral, R[1]R[1](v2)/7 = -392/7*v1^6 is
+    (["--prime", "7", "--", "R[1]R[1]", "1/7*v2"], EXIT_PASS, "-56*v1^6\n"),
+    (["--prime", "7", "--", "R[1]", "1/49*v1^2"], EXIT_USAGE, ""),
+    # identity words pass x through; scalars may have a p in a denominator
+    (["--prime", "7", "--", "R[0]", "1/7*v1"], EXIT_PASS, "1/7*v1\n"),
+    (["--prime", "7", "--", "R[1] + R[0]", "1/7*v1"], EXIT_PASS, "1 + 1/7*v1\n"),
+    (["--prime", "7", "--", "1/7*R[1]", "v2"], EXIT_PASS, "-8/7*v1^7\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", EVAL_EXIT_CASES)
 def test_eval_exit_codes(capsys, argv, code, out):
     assert main(["eval"] + argv) == code
     captured = capsys.readouterr()
@@ -372,6 +380,9 @@ def test_eval_exit_codes(capsys, argv, code, out):
     if argv[-1] == "v1*v4":
         # the Cartan side names v4, not the Hazewinkel table's range
         assert captured.err == "truncation error: no substitution image for v4\n"
+    if argv[-1] == "1/49*v1^2":
+        # 2/7*v1: a value with a p in a denominator is a bad input, not a crash
+        assert captured.err == "error: non-integral value of R[1]\n"
 
 
 def test_env_override(monkeypatch, capsys):
@@ -388,6 +399,65 @@ def test_env_override(monkeypatch, capsys):
     assert exc.value.code == EXIT_USAGE
     err = capsys.readouterr().err
     assert "invalid int value: 'x'" in err and "Traceback" not in err
+
+
+# the eval and bad-input argvs above, and more that name each command
+PARSER_ARGVS = [
+    ["verify", "lemma7.5", "--prime", "7", "--format", "json", "--no-timing"],
+    ["verify", "thm7.10", "--prime", "5", "--format", "json", "--out", "r.json"],
+    ["verify", "bogus"],
+    ["eval", "Q[1]", "v1"],
+    ["eval", "R[1]", "v2", "extra"],
+    ["localize-group", "Z/12", "--invert", "3", "--oracle"],
+    ["localize-group", "Z/12"],
+    ["cat", "localize", "x.cat", "--marked-class", "T"],
+    ["cat", "bogus", "x.cat"],
+    *(["eval"] + argv for argv, _, _ in EVAL_EXIT_CASES),
+    *BAD_INPUT_ARGVS,
+]
+
+
+@pytest.mark.parametrize("env", [{}, {"BPCALC_PRIME": "5", "BPCALC_DEGREE_BOUND": "3"}])
+@pytest.mark.parametrize("argv", PARSER_ARGVS)
+def test_one_subparser_parses_as_every_subparser(monkeypatch, capsys, env, argv):
+    # main builds only the subparser its first argument names
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+
+    def parse(parser):
+        try:
+            got = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            got = exc.code
+        return got, capsys.readouterr()
+
+    assert parse(cli.build_parser(argv[0])) == parse(cli.build_parser())
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_one_subparser_help_is_every_subparser_help(capsys, command):
+    helps = []
+    for parser in (cli.build_parser(command), cli.build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1] and helps[0].out
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    # the console script calls main() with no argument
+    monkeypatch.setattr(sys, "argv", ["bpcalc", "eval", "--prime", "5", "--", "R[1]", "v1^2"])
+    assert main() == EXIT_PASS
+    assert capsys.readouterr().out == "10*v1\n"
+    monkeypatch.setattr(sys, "argv", ["bpcalc"])
+    assert main() == EXIT_USAGE
+    assert "{verify,eval,localize-group,cat}" in capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["bpcalc", "bogus"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == EXIT_USAGE
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 FAILING_CLASS_CAT = """

@@ -30,6 +30,7 @@ from bpcalc.hopf import (
     TensorPoly,
     TPoly,
     coassociativity_check,
+    commutator_relations,
     compose_pair,
     eta_r,
     eta_r_m,
@@ -904,6 +905,76 @@ def test_r_action_identity_and_additivity(ctx7):
     assert r_action(ctx7, (1,), x + y) == r_action(ctx7, (1,), x) + r_action(
         ctx7, (1,), y
     )
+
+
+def _act_oracle(expr, x):
+    """sum s * w(x) with each word w applied letter by letter through
+    r_action, rightmost first, stopping at zero: the word-by-word loop that
+    OperationExpr.act replaced, kept as its test oracle.  It raises
+    ValueError wherever one letter's value is not integral."""
+    ctx = expr.ctx
+    out = Poly.zero(ctx.V)
+    for s, word in expr.parts:
+        value = x
+        for idx in reversed(word):
+            value = r_action(ctx, idx, value)
+            if value.is_zero():
+                break
+        out = out + s * value
+    return out
+
+
+@pytest.fixture(scope="module")
+def act_contexts():
+    """Per prime, one context for act and one for the word-by-word oracle."""
+    return {p: (Context(prime=p), Context(prime=p)) for p in (5, 7)}
+
+
+act_cases = st.sampled_from((5, 7)).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.lists(
+            st.tuples(
+                st.sampled_from((1, -1, 2, Fraction(1, p), Fraction(-2, p), Fraction(1, 2))),
+                st.lists(
+                    st.sampled_from(((), (1,), (p,), (0, 1), (1, 1), (p + 1,), (p * p,))),
+                    min_size=1,
+                    max_size=3,
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.dictionaries(
+            st.sampled_from(WINDOWS[p]),
+            st.integers(-9, 9).filter(bool)
+            | st.builds(Fraction, st.sampled_from((1, -1)), st.sampled_from((2, 3, p, p * p))),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+)
+
+
+@given(act_cases)
+@example((7, [(1, [()])], {(1,): Fraction(1, 7)}))  # R[0] on 1/7*v1 = 1/7*v1
+@example((7, [(1, [(1,)]), (1, [()])], {(1,): Fraction(1, 7)}))  # 1 + 1/7*v1
+@example((7, [(Fraction(1, 7), [(1,)])], {(0, 1): 1}))  # -8/7*v1^7
+@settings(max_examples=60, deadline=None)
+def test_act_matches_word_by_word_oracle(act_contexts, case):
+    p, parts, terms = case
+    ctx, octx = act_contexts[p]
+    try:
+        expected = _act_oracle(OperationExpr(octx, tuple(parts)), Poly(octx.V, terms))
+    except ValueError:
+        return  # a letter's value is not integral: act checks only the sum
+    assert OperationExpr(ctx, tuple(parts)).act(Poly(ctx.V, terms)) == expected
+
+
+def test_relations_act_as_zero_on_the_window(ctx5):
+    for name, expr in commutator_relations(ctx5):
+        for exps in WINDOWS[5]:
+            assert expr.act(Poly(ctx5.V, {exps: 1})).is_zero(), (name, exps)
 
 
 def test_verify_relations_both_primes(ctx5, ctx7):
