@@ -71,13 +71,15 @@ class FGAbelianGroup:
         return FGAbelianGroup(self.rank + other.rank, self.torsion + other.torsion)
 
     def __str__(self):
-        parts = []
-        if self.rank == 1:
-            parts.append("Z")
-        elif self.rank > 1:
-            parts.append(f"Z^{self.rank}")
-        parts.extend(f"Z/{n}" for n in self.torsion)
-        return " + ".join(parts) if parts else "0"
+        return _group_str("Z", self.rank, self.torsion)
+
+
+def _group_str(ring: str, rank: int, torsion) -> str:
+    """``ring^rank + Z/n1 + Z/n2 ...``, with ``ring`` alone for rank 1 and
+    0 for the zero group."""
+    parts = [ring if rank == 1 else f"{ring}^{rank}"] if rank else []
+    parts.extend(f"Z/{n}" for n in torsion)
+    return " + ".join(parts) or "0"
 
 
 @dataclass(frozen=True)
@@ -128,14 +130,7 @@ class LocalizedGroup:
         return FGAbelianGroup(self.rank, self.torsion)
 
     def __str__(self):
-        parts = []
-        ring = self.inverted.ring_str()
-        if self.rank == 1:
-            parts.append(ring)
-        elif self.rank > 1:
-            parts.append(f"{ring}^{self.rank}")
-        parts.extend(f"Z/{n}" for n in self.torsion)
-        return " + ".join(parts) if parts else "0"
+        return _group_str(self.inverted.ring_str(), self.rank, self.torsion)
 
 
 def parse_group(text: str) -> FGAbelianGroup:
@@ -545,28 +540,28 @@ class GroupHom:
 
 
 def sequence_exact(groups, maps) -> tuple:
-    """Element-level exactness of 0 -> G0 -> G1 -> ... -> Gn -> 0.
+    """Element-level exactness of 0 -> G0 -> G1 -> ... -> Gn -> 0 for
+    ``FiniteTable`` groups and ``GroupHom`` maps; (ok, witness) of ``_exact``."""
+    return _exact([g.elements() for g in groups], [hom.apply for hom in maps])
 
-    Returns (ok, witness): kernel == image at every interior stage, the
-    first map injective, the last surjective.
-    """
-    n = len(groups)
-    images = []
-    for k, hom in enumerate(maps):
-        img = {hom.apply(a) for a in groups[k].elements()}
-        images.append(img)
-    if len({a for a in groups[0].elements() if maps[0].apply(a) == groups[1].zero()}) > 1:
-        return False, "first map not injective"
-    if len(images[-1]) != groups[-1].order:
-        return False, "last map not surjective"
-    for k in range(1, n - 1):
-        kernel = {
-            a
-            for a in groups[k].elements()
-            if maps[k].apply(a) == groups[k + 1].zero()
-        }
+
+def _exact(stages, maps, where="") -> tuple:
+    """Exactness of 0 -> S0 -> S1 -> ... -> Sn -> 0, each stage given by its
+    elements (coordinate tuples; an element is zero when every coordinate
+    is 0) and each map by a function: the first map injective, the last
+    surjective, and kernel == image at every inner stage.  Returns (ok,
+    witness), the witness prefixed by ``where``."""
+    images = [{f(a) for a in stage} for stage, f in zip(stages, maps)]
+    if len(images[0]) != len(stages[0]):
+        return False, f"{where}first map not injective"
+    if len(images[-1]) != len(stages[-1]):
+        return False, f"{where}last map not surjective"
+    for k in range(1, len(stages) - 1):
+        kernel = {a for a in stages[k] if not any(maps[k](a))}
         if kernel != images[k - 1]:
-            return False, f"stage {k}: kernel size {len(kernel)} vs image {len(images[k-1])}"
+            return False, (
+                f"{where}stage {k}: kernel size {len(kernel)} vs image {len(images[k - 1])}"
+            )
     return True, ""
 
 
@@ -618,20 +613,22 @@ def exactness_check(groups_orders, matrices, S: InvertedSet) -> Report:
     )
     if not ok:
         return report
-    localized = []
-    for g in groups:
-        stable, loc = localize_table(g, S)
-        localized.append((stable, loc))
-    bad = None
-    for k, hom in enumerate(maps):
-        _, loc_src = localized[k]
-        _, loc_tgt = localized[k + 1]
-        for a in groups[k].elements():
-            if loc_tgt(hom.apply(a)) != loc_tgt(hom.apply(loc_src(a))):
-                bad = f"induced map {k} not well-defined at {a}"
-                break
-        if bad:
-            break
+    localized = [localize_table(g, S) for g in groups]
+
+    def induced(k):
+        loc = localized[k + 1][1]
+        return lambda a: loc(maps[k].apply(a))
+
+    induced_maps = [induced(k) for k in range(len(maps))]
+    bad = next(
+        (
+            f"induced map {k} not well-defined at {a}"
+            for k, f in enumerate(induced_maps)
+            for a in groups[k].elements()
+            if f(a) != f(localized[k][1](a))
+        ),
+        None,
+    )
     report.check(
         id="induced-maps",
         anchor="the induced maps are well-defined on the localizations",
@@ -641,34 +638,11 @@ def exactness_check(groups_orders, matrices, S: InvertedSet) -> Report:
     if bad:
         return report
     # exactness at the element level on the stable subsets
-    bad = None
-    stable0, loc0 = localized[0]
-    first_image = {localized[1][1](maps[0].apply(a)) for a in stable0}
-    if len(first_image) != len(stable0):
-        bad = "localized first map not injective"
-    stable_last, _ = localized[-1]
-    last_image = {
-        localized[-1][1](maps[-1].apply(a)) for a in localized[-2][0]
-    }
-    if bad is None and last_image != stable_last:
-        bad = "localized last map not surjective"
-    for k in range(1, len(groups) - 1):
-        if bad:
-            break
-        stable_k, loc_k = localized[k]
-        _, loc_next = localized[k + 1]
-        stable_prev, _ = localized[k - 1]
-        image = {loc_k(maps[k - 1].apply(a)) for a in stable_prev}
-        zero_next = groups[k + 1].zero()
-        kernel = {
-            x for x in stable_k if loc_next(maps[k].apply(x)) == loc_next(zero_next)
-        }
-        if image != kernel:
-            bad = f"localized stage {k}: |image| {len(image)} vs |kernel| {len(kernel)}"
+    ok, witness = _exact([stable for stable, _ in localized], induced_maps, "localized ")
     report.check(
         id="localized-exact",
         anchor="the localized sequence is exact",
-        status=bad is None,
-        witness=bad or "",
+        status=ok,
+        witness=witness,
     )
     return report

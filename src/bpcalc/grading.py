@@ -26,11 +26,17 @@ differs:
 
 The three tuple-keyed values of ``hopf`` with ``Poly`` coefficients share
 one further base there, ``hopf._Coeffs``: it owns their constructor,
-``_like``, ``_one``, ``coeff``, equality and printing, and each of
-``TPoly``, ``TensorPoly`` and ``OperationCombo`` supplies only its key
-normal form, print order and printed key.  ``single_degree`` is the one
-"common degree of these terms" rule that ``Poly.degree`` and the degrees
-of ``hopf`` share.
+``_like``, ``_one``, ``coeff`` and equality, and each of ``TPoly``,
+``TensorPoly`` and ``OperationCombo`` supplies only its key normal form,
+print order and printed key.  ``single_degree`` is the one "common degree
+of these terms" rule that ``Poly.degree`` and the degrees of ``hopf``
+share.
+
+The module owns the one printer of the package: ``_format_mono`` prints a
+monomial from its alphabet tag and exponents, ``_term`` one coefficient on
+one body and ``_join_signed`` a signed sum of terms.  ``format_poly``,
+``Monomial``, ``TermIdeal``, ``hopf._Coeffs`` and ``hopf.OperationExpr``
+all print through them.
 
 The module also owns the change of basis between the integral v-generators
 and the rational m-generators (Hazewinkel relations, supported for indices
@@ -159,14 +165,7 @@ class Monomial:
         return self.alphabet.degree_of(self.exps)
 
     def __str__(self):
-        if not self.exps:
-            return "1"
-        parts = []
-        for i, e in enumerate(self.exps, start=1):
-            if e == 0:
-                continue
-            parts.append(self.alphabet.name(i) + (f"^{e}" if e > 1 else ""))
-        return "*".join(parts)
+        return _format_mono(self.alphabet.tag, self.exps)
 
 
 def single_degree(degrees, mixed: str):
@@ -425,31 +424,46 @@ class Poly(SparseRing):
         return f"Poly[{self.alphabet.tag}]({format_poly(self)})"
 
 
+def _format_mono(tag: str, exps) -> str:
+    """The monomial with exponents exps in the generators tag1, tag2, ...,
+    e.g. ``v1*v3^2``; 1 when exps is empty."""
+    return "*".join(
+        f"{tag}{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps, start=1) if e
+    ) or "1"
+
+
+def _term(cs: str, body: str) -> str:
+    """One printed term: the coefficient cs alone on the body 1, the body
+    alone (or negated) for a coefficient 1 (or -1), else cs*body with a
+    coefficient that has spaces in parentheses."""
+    if body == "1":
+        return cs
+    if cs == "1":
+        return body
+    if cs == "-1":
+        return f"-{body}"
+    return f"({cs})*{body}" if " " in cs else f"{cs}*{body}"
+
+
+def _join_signed(parts):
+    """Join printed terms into a sum: ``a - b + c`` from a, -b, c."""
+    chunks = []
+    for part in parts:
+        if not chunks:
+            chunks.append(part)
+        elif part.startswith("-"):
+            chunks.append("- " + part[1:])
+        else:
+            chunks.append("+ " + part)
+    return " ".join(chunks)
+
+
 def format_poly(poly: Poly) -> str:
     """Print in the literal grammar, e.g. ``-2*v2^4 + 1/7*v1*v3``."""
-    if not poly.terms:
-        return "0"
-    items = sorted(
-        poly.terms.items(), key=lambda kv: (poly.alphabet.degree_of(kv[0]), kv[0])
-    )
-    chunks = []
-    for exps, c in items:
-        mono = str(Monomial(poly.alphabet, exps))
-        c = Fraction(c)
-        neg = c < 0
-        mag = -c if neg else c
-        coef = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-        if mono == "1":
-            body = coef
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{coef}*{mono}"
-        if not chunks:
-            chunks.append(("-" if neg else "") + body)
-        else:
-            chunks.append(("- " if neg else "+ ") + body)
-    return " ".join(chunks)
+    alphabet = poly.alphabet
+    items = sorted(poly.terms.items(), key=lambda kv: (alphabet.degree_of(kv[0]), kv[0]))
+    parts = (_term(str(c), _format_mono(alphabet.tag, e)) for e, c in items)
+    return _join_signed(parts) or "0"
 
 
 _FACTOR_RE = re.compile(r"^([vmt])(\d+)(?:\^(\d+))?$")
@@ -594,17 +608,11 @@ class TermIdeal:
         return hash((self.prime, tuple(sorted(self.gens))))
 
     def __str__(self):
-        if not self.gens:
-            return "(0)"
-        parts = []
-        for a, e in self.gens:
-            mono = str(Monomial(Alphabet("v", max(len(e), 1), self.prime), e))
-            if a == 0:
-                parts.append(mono if e else "1")
-            else:
-                ppart = "p" if a == 1 else f"p^{a}"
-                parts.append(ppart if not e else f"{ppart}*{mono}")
-        return "(" + ", ".join(parts) + ")"
+        parts = (
+            _term("1" if a == 0 else "p" if a == 1 else f"p^{a}", _format_mono("v", e))
+            for a, e in self.gens
+        )
+        return "(" + (", ".join(parts) or "0") + ")"
 
 
 def reduce_mod(x: Poly, ideal: TermIdeal) -> Poly:

@@ -76,7 +76,10 @@ from .grading import (
     Poly,
     Sparse,
     SparseRing,
+    _format_mono,
+    _join_signed,
     _num,
+    _term,
     _trim,
     add_exps,
     add_term,
@@ -118,31 +121,6 @@ def format_word(word) -> str:
 def _coeff_alphabet(x):
     """The alphabet of x's coefficients: the v-alphabet when x is zero."""
     return next(iter(x.terms.values())).alphabet if x.terms else x.ctx.V
-
-
-def _term(cs: str, body: str) -> str:
-    """One printed term: the coefficient cs alone on the body 1, the body
-    alone (or negated) for a coefficient 1 (or -1), else cs*body with a
-    coefficient that has spaces in parentheses."""
-    if body == "1":
-        return cs
-    if cs == "1":
-        return body
-    if cs == "-1":
-        return f"-{body}"
-    return f"({cs})*{body}" if " " in cs else f"{cs}*{body}"
-
-
-def _join_signed(parts):
-    chunks = []
-    for part in parts:
-        if not chunks:
-            chunks.append(part)
-        elif part.startswith("-"):
-            chunks.append("- " + part[1:])
-        else:
-            chunks.append("+ " + part)
-    return " ".join(chunks)
 
 
 class _Coeffs(Sparse):
@@ -197,6 +175,9 @@ class _Coeffs(Sparse):
     def _order(self, key):
         return (self.ctx.T.degree_of(key), key)
 
+    def _body(self, key):
+        return _format_mono("t", key)
+
     def __str__(self):
         parts = (
             _term(format_poly(self.terms[k]), self._body(k))
@@ -233,19 +214,6 @@ class TPoly(_Coeffs, SparseRing):
         if coeff.is_zero():
             return cls.zero(ctx)
         return cls._raw(ctx, {exps: coeff})
-
-    def _body(self, exps):
-        return _format_tmono(exps)
-
-
-def _format_tmono(exps):
-    if not exps:
-        return "1"
-    out = []
-    for i, e in enumerate(exps, start=1):
-        if e:
-            out.append(f"t{i}" + (f"^{e}" if e > 1 else ""))
-    return "*".join(out)
 
 
 def _add_exp_pairs(k1, k2) -> tuple:
@@ -286,7 +254,7 @@ class TensorPoly(_Coeffs, SparseRing):
         return (self.ctx.T.degree_of(key[0]) + self.ctx.T.degree_of(key[1]), key)
 
     def _body(self, key):
-        return f"{_format_tmono(key[0])}(x){_format_tmono(key[1])}"
+        return f"{_format_mono('t', key[0])}(x){_format_mono('t', key[1])}"
 
 
 def _parse_coeff_and_tmono(chunk: str, ctx: Context):
@@ -1064,8 +1032,14 @@ class OperationExpr:
         acts right-to-left on m-tables (``_cartan_m``), and the sum of s * D
         times each word (D = p^k clears every p in a scalar's denominator)
         comes back once (``_m_to_v_flat``), over D: only that value must be
-        integral, else ValueError.  Identity words add s * x as it is."""
+        integral, else ValueError.  Identity words add s * x as it is.  Every
+        letter is checked against the truncation before any arithmetic, so
+        a word whose value is 0 before it reaches a bad letter still raises
+        TruncationError."""
         ctx, p = self.ctx, self.ctx.prime
+        bad = [i for _, w in self.parts for i in w if len(i) > ctx.truncation]
+        if bad:
+            raise TruncationError(f"operation index {bad[0]} outside truncation")
         words = [(s, w) for s, w in self.parts if any(w)]
         out = sum((s * x for s, w in self.parts if not any(w)), Poly.zero(ctx.V))
         if not words:

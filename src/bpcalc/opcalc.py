@@ -15,7 +15,7 @@ records its expected term list, computed term list, and modulus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arith import padic_valuation
@@ -247,21 +247,11 @@ def d_matrices(ctx: Context):
 def d1_misprint(ctx: Context) -> OpMatrix:
     """The circulating misprint of d1 ((1,2) = R1, (2,2) = R1Rp); built
     unchecked because entry (1,2) already fails the degree validation."""
-    p, q = ctx.prime, ctx.q
-    E = OperationExpr.word
-    r1, rp = (1,), (p,)
-    C1 = [q, p * q]
-    C2 = [(p + 2) * q, (2 * p + 1) * q]
-    return OpMatrix(
-        [
-            [E(ctx, rp, r1) - E(ctx, r1, rp).scale(2), E(ctx, r1)],
-            [E(ctx, rp, rp), E(ctx, r1, rp)],
-        ],
-        C1,
-        C2,
-        name="d1-misprint",
-        checked=False,
-    )
+    d1 = d_matrices(ctx)[1]
+    (first, _), (second, _) = d1.entries
+    E, r1, rp = OperationExpr.word, (1,), (ctx.prime,)
+    entries = [[first, E(ctx, r1)], [second, E(ctx, r1, rp)]]
+    return replace(d1, entries=entries, name="d1-misprint", checked=False)
 
 
 def check_complex(ctx: Context, matrices: list, degree_bound_q: int | None = None) -> Report:

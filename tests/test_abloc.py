@@ -5,7 +5,7 @@ from itertools import product as iproduct
 import pytest
 
 from _seqgen import random_short_exact
-from bpcalc import cli
+from bpcalc import abloc, cli
 from bpcalc.errors import OracleError, ParseError
 from bpcalc.abloc import (
     FGAbelianGroup,
@@ -191,9 +191,49 @@ def test_exactness_check_examples():
         [[3], [4, 3], [4]], [[[0], [1]], [[1, 0]]], InvertedSet({2})
     )
     assert rep.passed  # 0 -> Z/3 -> Z/3 -> 0 -> 0
-    rep = exactness_check([[2], [4], [2]], [[[2]], [[0]]], InvertedSet({3}))
-    assert not rep.passed
-    assert [r.id for r in rep.failures()] == ["input-exact"]
+    # one hand-built sequence per witness of the input record
+    for orders, matrices, witness in [
+        ([[2], [4], [2]], [[[0]], [[1]]], "first map not injective"),
+        ([[2], [4], [4]], [[[2]], [[2]]], "last map not surjective"),
+        ([[2], [4], [2]], [[[2]], [[0]]], "last map not surjective"),
+        # Z/2 -> Z/4 + Z/2 -> Z/2: image {(0,0), (2,0)}, kernel {(x,0)}
+        ([[2], [4, 2], [2]], [[[2], [0]], [[0, 1]]], "stage 1: kernel size 4 vs image 2"),
+    ]:
+        rep = exactness_check(orders, matrices, InvertedSet({3}))
+        assert [(r.id, r.witness) for r in rep.failures()] == [("input-exact", witness)]
+        groups = [FiniteTable(o) for o in orders]
+        maps = [GroupHom(groups[k], groups[k + 1], m) for k, m in enumerate(matrices)]
+        assert sequence_exact(groups, maps) == (False, witness)
+
+
+def test_exactness_check_fails_on_a_perturbed_localization(monkeypatch):
+    # 0 -> Z/2 -> Z/4 -> Z/2 -> 0 with 3 inverted: the localization is the
+    # identity, so a correct check passes on both localized records
+    orders, matrices, S = [[2], [4], [2]], [[[2]], [[1]]], InvertedSet({3})
+    real = abloc.localize_table
+
+    def zero_on_z2(table, S):
+        # the zero map in place of the identity on Z/2: the induced map
+        # Z/2 -> Z/4 would send 1 both to 2 and to 0
+        stable, loc = real(table, S)
+        return stable, (lambda a: table.zero()) if table.orders == (2,) else loc
+
+    monkeypatch.setattr(abloc, "localize_table", zero_on_z2)
+    rep = exactness_check(orders, matrices, S)
+    assert [(r.id, r.witness) for r in rep.failures()] == [
+        ("induced-maps", "induced map 0 not well-defined at (1,)")
+    ]
+
+    def dropping(table, S):
+        # the localized Z/4 loses the element 2, the image of Z/2
+        stable, loc = real(table, S)
+        return (stable - {(2,)} if table.orders == (4,) else stable), loc
+
+    monkeypatch.setattr(abloc, "localize_table", dropping)
+    rep = exactness_check(orders, matrices, S)
+    assert [(r.id, r.witness) for r in rep.failures()] == [
+        ("localized-exact", "localized stage 1: kernel size 1 vs image 2")
+    ]
 
 
 def test_exactness_random_sweep():

@@ -366,6 +366,13 @@ EVAL_EXIT_CASES = [
     (["--prime", "7", "--", "R[0]", "1/7*v1"], EXIT_PASS, "1/7*v1\n"),
     (["--prime", "7", "--", "R[1] + R[0]", "1/7*v1"], EXIT_PASS, "1 + 1/7*v1\n"),
     (["--prime", "7", "--", "1/7*R[1]", "v2"], EXIT_PASS, "-8/7*v1^7\n"),
+    # every letter is checked against the truncation, even after a letter
+    # that sends the value to 0
+    *(
+        (["--prime", "5", "--", word, x], EXIT_TRUNCATION, "")
+        for word in ("R[0,0,0,0,1]R[1]", "R[1]R[0,0,0,0,1]")
+        for x in ("0", "1", "v1")
+    ),
 ]
 
 

@@ -1028,12 +1028,37 @@ def test_tensor_and_tpoly_literals(ctx7):
 
 
 def _printed_values(ctx):
-    """(value, its printed form) pairs over the four printed value kinds:
-    zero, coefficients 1 and -1, coefficients printed in parentheses, the
-    constant t-monomial and Fraction scalars of an OperationExpr."""
-    v1, v2 = ctx.v(1), ctx.v(2)
+    """(value, its printed form) pairs over every kind that goes through the
+    one term and monomial printer, and the group strings: zero,
+    coefficients 1 and -1, rational coefficients and constant terms,
+    coefficients printed in parentheses, the constant t-monomial and
+    Fraction scalars of an OperationExpr (forms captured before the printer
+    code was shared)."""
+    from bpcalc.abloc import FGAbelianGroup, InvertedSet, localize, parse_group
+    from bpcalc.grading import Monomial, TermIdeal
+
+    v1, v2, v3 = ctx.v(1), ctx.v(2), ctx.v(3)
     F = Fraction
     return [
+        (Poly.zero(ctx.V), "0"),
+        (-v1 + 2 * v1 * v2, "-v1 + 2*v1*v2"),
+        (F(3, 7) * v1**2 - F(1, 2) * v3, "3/7*v1^2 - 1/2*v3"),
+        (-5 + v1, "-5 + v1"),
+        (4 - v1 * v2**3, "4 - v1*v2^3"),
+        (Poly(ctx.T, {(1,): -1, (0, 2): F(2, 3), (): 1}), "1 - t1 + 2/3*t2^2"),
+        (ctx.m(1).scale(F(-1, 7)), "-1/7*m1"),
+        (Monomial(ctx.M, (0, 3, 1)), "m2^3*m3"),
+        (Monomial(ctx.V, ()), "1"),
+        (TermIdeal.zero(ctx.prime), "(0)"),
+        (TermIdeal.unit(ctx.prime), "(1)"),
+        (ctx.ideal_chain(2), "(p, v1, v2)"),
+        (ctx.ideal((2, ()), (0, (1,)), (3, (0, 2, 1))), "(p^2, v1, p^3*v2^2*v3)"),
+        (FGAbelianGroup(), "0"),
+        (parse_group("Z^2 + Z/5"), "Z^2 + Z/5"),
+        (FGAbelianGroup(1, (4, 3)), "Z + Z/4 + Z/3"),
+        (localize(FGAbelianGroup(2, (4, 3)), InvertedSet({2})), "Z[1/2]^2 + Z/3"),
+        (localize(FGAbelianGroup(0, (4,)), InvertedSet({2})), "0"),
+        (localize(FGAbelianGroup(1, (9,)), InvertedSet({3}, complement=True)), "Z_(3) + Z/9"),
         (TPoly.zero(ctx), "0"),
         (TensorPoly(ctx), "0"),
         (OperationCombo(ctx), "0"),
@@ -1080,10 +1105,13 @@ def test_printed_forms(ctx7):
 
 
 def test_printed_forms_parse_back(ctx7):
+    from bpcalc.grading import parse_poly
     from bpcalc.hopf import parse_tensor, parse_tpoly
 
     for value, printed in _printed_values(ctx7):
-        if isinstance(value, TPoly):
+        if isinstance(value, Poly):
+            assert parse_poly(printed, value.alphabet) == value
+        elif isinstance(value, TPoly):
             assert parse_tpoly(printed, ctx7) == value
         elif isinstance(value, TensorPoly) and value:
             assert parse_tensor(printed, ctx7) == value
