@@ -620,22 +620,16 @@ def exactness_check(groups_orders, matrices, S: InvertedSet) -> Report:
         return lambda a: loc(maps[k].apply(a))
 
     induced_maps = [induced(k) for k in range(len(maps))]
-    bad = next(
+    if not report.scan(
+        "induced-maps",
+        "the induced maps are well-defined on the localizations",
         (
             f"induced map {k} not well-defined at {a}"
             for k, f in enumerate(induced_maps)
             for a in groups[k].elements()
             if f(a) != f(localized[k][1](a))
         ),
-        None,
-    )
-    report.check(
-        id="induced-maps",
-        anchor="the induced maps are well-defined on the localizations",
-        status=bad is None,
-        witness=bad or "",
-    )
-    if bad:
+    ).status:
         return report
     # exactness at the element level on the stable subsets
     ok, witness = _exact([stable for stable, _ in localized], induced_maps, "localized ")

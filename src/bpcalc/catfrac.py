@@ -11,6 +11,12 @@ An independent zig-zag oracle recomputes the localized hom-sets as the
 least congruence inverting the marked class on the free zig-zag graph,
 explored up to a stabilizing word length.
 
+The axiom and monad checks search for counterexamples lazily and record
+each through ``Report.scan``: a pass, or a failure with the first
+counterexample in enumeration order as its witness.  The conditions on
+precomposition f*: [Y, Z] -> [X, Z] (bijective, onto, unique lifts) are
+all read off its fibres.
+
 Category description files use the line grammar::
 
     objects: x y z
@@ -21,13 +27,15 @@ Category description files use the line grammar::
     nat eta = { x: f, y: id_y }
 
 Identities id_x are implicit; composition lines must cover every other
-composable pair (partial tables are rejected).
+composable pair (partial tables are rejected).  Every functor needs a
+``nat`` line giving its unit.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ParseError
 from .report import Report
@@ -175,8 +183,8 @@ def _marked_homs(C, S):
     return out
 
 
-def _square_gap(C, S, marked_out, out_sorted):
-    """The first (s, f) with no square completion, as a witness, or None."""
+def _square_gaps(C, S, marked_out, out_sorted):
+    """The pairs (s, f) with no square completion, as witnesses."""
     comp = C.comp
     for s in sorted(S):
         x, y = C.morphisms[s]
@@ -189,12 +197,11 @@ def _square_gap(C, S, marked_out, out_sorted):
                 comp[(t, f)] in through_s.get(C.tgt(t), ())
                 for t in marked_out.get(C.tgt(f), ())
             ):
-                return f"no completion of (s={s}, f={f})"
-    return None
+                yield f"no completion of (s={s}, f={f})"
 
 
-def _equalizer_gap(C, S, marked_out, out_sorted):
-    """The first (s, f, g) with f s = g s and no equalizing t, or None."""
+def _equalizer_gaps(C, S, marked_out, out_sorted):
+    """The triples (s, f, g) with f s = g s and no equalizing t, as witnesses."""
     comp = C.comp
     for s in sorted(S):
         y = C.tgt(s)
@@ -207,8 +214,7 @@ def _equalizer_gap(C, S, marked_out, out_sorted):
                 if not any(
                     comp[(t, f)] == comp[(t, g)] for t in marked_out.get(z, ())
                 ):
-                    return f"no equalizing t for (s={s}, f={f}, g={g})"
-    return None
+                    yield f"no equalizing t for (s={s}, f={f}, g={g})"
 
 
 def check_fraction_axioms(C: FiniteCategory, S) -> Report:
@@ -226,34 +232,28 @@ def check_fraction_axioms(C: FiniteCategory, S) -> Report:
         status=not unknown and all(i in S for i in C.identities.values()),
         witness=names,
     )
-    bad = None
-    for g, f in C.composable_pairs():
-        if f in S and g in S and C.compose(g, f) not in S:
-            bad = f"{g}.{f} = {C.compose(g, f)} outside S"
-            break
-    report.check(
-        id="closure-under-composition",
-        anchor="S is closed under finite compositions",
-        status=bad is None,
-        witness=bad or "",
+    report.scan(
+        "closure-under-composition",
+        "S is closed under finite compositions",
+        (
+            f"{g}.{f} = {C.compose(g, f)} outside S"
+            for g, f in C.composable_pairs()
+            if f in S and g in S and C.compose(g, f) not in S
+        ),
     )
-    undefined = f"not in the category: {names}" if unknown else None
+    undefined = [f"not in the category: {names}"] if unknown else []
     marked_out = _marked_out(C, S - unknown)
     out_sorted = {x: sorted(C.out[x]) for x in C.objects}
-    bad = undefined or _square_gap(C, S, marked_out, out_sorted)
-    report.check(
-        id="square-completion",
-        anchor="given s in S and f with a common source, there are g and "
+    report.scan(
+        "square-completion",
+        "given s in S and f with a common source, there are g and "
         "t in S with g s = t f",
-        status=bad is None,
-        witness=bad or "",
+        chain(undefined, _square_gaps(C, S, marked_out, out_sorted)),
     )
-    bad = undefined or _equalizer_gap(C, S, marked_out, out_sorted)
-    report.check(
-        id="equalizer-completion",
-        anchor="given s in S with f s = g s, some t in S has t f = t g",
-        status=bad is None,
-        witness=bad or "",
+    report.scan(
+        "equalizer-completion",
+        "given s in S with f s = g s, some t in S has t f = t g",
+        chain(undefined, _equalizer_gaps(C, S, marked_out, out_sorted)),
     )
     return report
 
@@ -566,92 +566,74 @@ class MonadData:
 
 def check_monad(C: FiniteCategory, M: MonadData) -> Report:
     """Functoriality, naturality, and the two idempotency axioms,
-    verified objectwise with witnesses."""
+    verified objectwise with witnesses.  A table that is not well formed,
+    not functorial, or has a unit of the wrong shape stops the report
+    there, since the later checks read those entries."""
     report = Report(f"idempotent monad axioms for {M.name} on {C.name}")
-    bad = None
-    for x in C.objects:
-        if M.obj_map.get(x) not in C.objects:
-            bad = f"object {x} has no image"
-            break
-    for f, (s, t) in C.morphisms.items():
-        if bad:
-            break
-        ef = M.mor_map.get(f)
-        if ef is None or C.morphisms.get(ef) != (M.obj_map[s], M.obj_map[t]):
-            bad = f"morphism {f} maps to {ef} with wrong endpoints"
-    report.check(
-        id="table-wellformed",
-        anchor="E assigns objects to objects and morphisms to morphisms "
+    E, Ef, eta = M.obj_map, M.mor_map, M.eta
+    if not report.scan(
+        "table-wellformed",
+        "E assigns objects to objects and morphisms to morphisms "
         "with matching endpoints",
-        status=bad is None,
-        witness=bad or "",
-    )
-    if bad:
+        chain(
+            (f"object {x} has no image" for x in C.objects if E.get(x) not in C.objects),
+            (
+                f"morphism {f} maps to {Ef.get(f)} with wrong endpoints"
+                for f, (s, t) in C.morphisms.items()
+                if C.morphisms.get(Ef.get(f)) != (E[s], E[t])
+            ),
+        ),
+    ).status:
         return report
-    bad = None
-    for x in C.objects:
-        if M.mor_map[C.identities[x]] != C.identities[M.obj_map[x]]:
-            bad = f"E(id_{x}) != id_E{x}"
-            break
-    for g, f in C.composable_pairs():
-        if bad:
-            break
-        if M.mor_map[C.compose(g, f)] != C.compose(M.mor_map[g], M.mor_map[f]):
-            bad = f"E(g f) != E(g) E(f) at ({g}, {f})"
-    report.check(
-        id="functoriality",
-        anchor="E preserves identities and composition",
-        status=bad is None,
-        witness=bad or "",
-    )
-    if bad:
+    if not report.scan(
+        "functoriality",
+        "E preserves identities and composition",
+        chain(
+            (
+                f"E(id_{x}) != id_E{x}"
+                for x in C.objects
+                if Ef[C.identities[x]] != C.identities[E[x]]
+            ),
+            (
+                f"E(g f) != E(g) E(f) at ({g}, {f})"
+                for g, f in C.composable_pairs()
+                if Ef[C.compose(g, f)] != C.compose(Ef[g], Ef[f])
+            ),
+        ),
+    ).status:
         return report
-    bad = None
-    for x in C.objects:
-        comp = M.eta.get(x)
-        if comp is None or C.morphisms.get(comp) != (x, M.obj_map[x]):
-            bad = f"eta_{x} = {comp} is not a map {x} -> E{x}"
-            break
-    report.check(
-        id="transformation-wellformed",
-        anchor="eta_X is a morphism X -> EX for every X",
-        status=bad is None,
-        witness=bad or "",
-    )
-    if bad:
+    if not report.scan(
+        "transformation-wellformed",
+        "eta_X is a morphism X -> EX for every X",
+        (
+            f"eta_{x} = {eta.get(x)} is not a map {x} -> E{x}"
+            for x in C.objects
+            if C.morphisms.get(eta.get(x)) != (x, E[x])
+        ),
+    ).status:
         return report
-    bad = None
-    for f, (s, t) in C.morphisms.items():
-        if C.compose(M.eta[t], f) != C.compose(M.mor_map[f], M.eta[s]):
-            bad = f"naturality fails at {f}"
-            break
-    report.check(
-        id="naturality",
-        anchor="eta_Y f = E(f) eta_X for every f: X -> Y",
-        status=bad is None,
-        witness=bad or "",
+    report.scan(
+        "naturality",
+        "eta_Y f = E(f) eta_X for every f: X -> Y",
+        (
+            f"naturality fails at {f}"
+            for f, (s, t) in C.morphisms.items()
+            if C.compose(eta[t], f) != C.compose(Ef[f], eta[s])
+        ),
     )
-    bad = None
-    for x in C.objects:
-        if M.mor_map[M.eta[x]] != M.eta[M.obj_map[x]]:
-            bad = f"E(eta_{x}) != eta_E{x}"
-            break
-    report.check(
-        id="axiom-idempotent",
-        anchor="E eta_X = eta_EX",
-        status=bad is None,
-        witness=bad or "",
+    report.scan(
+        "axiom-idempotent",
+        "E eta_X = eta_EX",
+        (f"E(eta_{x}) != eta_E{x}" for x in C.objects if Ef[eta[x]] != eta[E[x]]),
     )
-    bad = None
-    for x in C.objects:
-        if not C.is_invertible(M.mor_map[M.eta[x]]):
-            bad = f"E(eta_{x}) = {M.mor_map[M.eta[x]]} is not an equivalence"
-            break
-    report.check(
-        id="axiom-equivalence",
-        anchor="the common value E eta_X = eta_EX is an equivalence EX -> E^2 X",
-        status=bad is None,
-        witness=bad or "",
+    report.scan(
+        "axiom-equivalence",
+        "the common value E eta_X = eta_EX is an equivalence EX -> E^2 X",
+        (
+            f"E(eta_{x}) = {Ef[eta[x]]} is not an equivalence"
+            for x in C.objects
+            if not C.is_invertible(Ef[eta[x]])
+        ),
     )
     return report
 
@@ -692,106 +674,81 @@ def verify_universal_props(C: FiniteCategory, M: MonadData) -> Report:
     )
     E, eta = M.obj_map, M.eta
 
-    def f_star_bijective(f, z):
-        x, y = C.src(f), C.tgt(f)
-        image = {}
-        for g in C.hom(y, z):
-            image.setdefault(C.compose(g, f), []).append(g)
-        onto = all(h in image for h in C.hom(x, z))
-        return onto and all(len(v) == 1 for v in image.values())
+    def fibres(f, z):
+        """Precomposition f*: [Y, Z] -> [X, Z] by its fibres: each h in
+        [X, Z] with the list of g in [Y, Z] that have g f = h."""
+        fibre = {h: [] for h in C.homs.get((C.src(f), z), ())}
+        for g in C.homs.get((C.tgt(f), z), ()):
+            fibre[C.comp[(g, f)]].append(g)
+        return fibre
 
-    bad = next(
+    def bijective(f, z):
+        return all(len(gs) == 1 for gs in fibres(f, z).values())
+
+    report.scan(
+        "adjunction-bijection",
+        "precomposition with eta_X: [EX, Y] -> [X, Y] is a bijection "
+        "for Y local",
         (
             f"[E{x}, {y}] -> [{x}, {y}] not a bijection"
             for x in C.objects
             for y in C.objects
-            if y in D and not f_star_bijective(eta[x], y)
+            if y in D and not bijective(eta[x], y)
         ),
-        None,
-    )
-    report.check(
-        id="adjunction-bijection",
-        anchor="precomposition with eta_X: [EX, Y] -> [X, Y] is a bijection "
-        "for Y local",
-        status=bad is None,
-        witness=bad or "",
         note="finite-scale verification only",
     )
-
-    bad = None
-    for f in sorted(C.morphisms):
-        lhs = f in S
-        rhs = all(f_star_bijective(f, z) for z in D)
-        if lhs != rhs:
-            bad = f"morphism {f}: inverted-by-E is {lhs} but f* bijectivity is {rhs}"
-            break
-    report.check(
-        id="class-detection",
-        anchor="f is inverted by E iff f*: [Y, Z] -> [X, Z] is bijective "
+    # f* bijective for every local Z: class detection's right side, and
+    # condition (iv) below
+    universal = {f for f in C.morphisms if all(bijective(f, z) for z in D)}
+    report.scan(
+        "class-detection",
+        "f is inverted by E iff f*: [Y, Z] -> [X, Z] is bijective "
         "for every local Z",
-        status=bad is None,
-        witness=bad or "",
-    )
-    bad = None
-    for z in C.objects:
-        lhs = z in D
-        rhs = all(f_star_bijective(f, z) for f in S)
-        epi_only = all(
-            all(
-                h in {C.compose(g, f) for g in C.hom(C.tgt(f), z)}
-                for h in C.hom(C.src(f), z)
-            )
-            for f in S
-        )
-        if lhs != rhs or lhs != epi_only:
-            bad = f"object {z}: local={lhs}, f* bijective={rhs}, f* epi={epi_only}"
-            break
-    report.check(
-        id="object-detection",
-        anchor="Z is local iff f* is bijective (epi suffices) for every f in S",
-        status=bad is None,
-        witness=bad or "",
+        (
+            f"morphism {f}: inverted-by-E is {f in S} but f* bijectivity is "
+            f"{f in universal}"
+            for f in sorted(C.morphisms)
+            if (f in S) != (f in universal)
+        ),
     )
 
-    bad = None
-    for f in sorted(C.morphisms):
-        x, y = C.src(f), C.tgt(f)
-        cond_i = any(
-            C.is_invertible(phi) and C.compose(phi, f) == eta[x]
-            for phi in C.hom(y, E[x])
-        )
-        cond_ii = f in S and y in D
-        couniversal = True
-        for s in sorted(S):
-            if C.src(s) != x:
-                continue
-            lifts = [h for h in C.hom(C.tgt(s), y) if C.compose(h, s) == f]
-            if len(lifts) != 1:
-                couniversal = False
-                break
-        cond_iii = f in S and couniversal
-        universal = True
-        for z in D:
-            for g in C.hom(x, z):
-                lifts = [h for h in C.hom(y, z) if C.compose(h, f) == g]
-                if len(lifts) != 1:
-                    universal = False
-                    break
-            if not universal:
-                break
-        cond_iv = y in D and universal
-        if not (cond_i == cond_ii == cond_iii == cond_iv):
-            bad = (
-                f"morphism {f}: conditions (i)={cond_i} (ii)={cond_ii} "
-                f"(iii)={cond_iii} (iv)={cond_iv}"
+    def object_gaps():
+        for z in C.objects:
+            every = [gs for f in S for gs in fibres(f, z).values()]
+            bij, epi = all(len(gs) == 1 for gs in every), all(every)
+            if not (z in D) == bij == epi:
+                yield f"object {z}: local={z in D}, f* bijective={bij}, f* epi={epi}"
+
+    report.scan(
+        "object-detection",
+        "Z is local iff f* is bijective (epi suffices) for every f in S",
+        object_gaps(),
+    )
+
+    def characterization_gaps():
+        for f in sorted(C.morphisms):
+            x, y = C.morphisms[f]
+            cond_i = any(
+                C.is_invertible(phi) and C.compose(phi, f) == eta[x]
+                for phi in C.hom(y, E[x])
             )
-            break
-    report.check(
-        id="four-characterizations",
-        anchor="unit-up-to-equivalence == (in S and local target) == "
+            cond_ii = f in S and y in D
+            # couniversal: f lifts uniquely along every s in S out of X
+            cond_iii = f in S and all(
+                len(fibres(s, y)[f]) == 1 for s in S if C.src(s) == x
+            )
+            cond_iv = y in D and f in universal
+            if not cond_i == cond_ii == cond_iii == cond_iv:
+                yield (
+                    f"morphism {f}: conditions (i)={cond_i} (ii)={cond_ii} "
+                    f"(iii)={cond_iii} (iv)={cond_iv}"
+                )
+
+    report.scan(
+        "four-characterizations",
+        "unit-up-to-equivalence == (in S and local target) == "
         "(couniversal in S) == (universal into locals)",
-        status=bad is None,
-        witness=bad or "",
+        characterization_gaps(),
         note="finite-scale verification only",
     )
 
@@ -803,28 +760,18 @@ def verify_universal_props(C: FiniteCategory, M: MonadData) -> Report:
         status=frac.passed,
         witness="; ".join(r.id for r in frac.failures()),
     )
-    bad = None
-    for f in sorted(C.morphisms):
-        for g in sorted(C.morphisms):
-            if C.tgt(f) != C.src(g):
-                continue
-            gf = C.compose(g, f)
-            for h in sorted(C.morphisms):
-                if C.tgt(g) != C.src(h):
-                    continue
-                hg = C.compose(h, g)
-                if gf in S and hg in S and g not in S:
-                    bad = f"two-out-of-six fails at ({f}, {g}, {h})"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    report.check(
-        id="two-out-of-six",
-        anchor="gf and hg invertible under E force g invertible under E",
-        status=bad is None,
-        witness=bad or "",
+    out = {x: sorted(C.out[x]) for x in C.objects}
+    report.scan(
+        "two-out-of-six",
+        "gf and hg invertible under E force g invertible under E",
+        (
+            f"two-out-of-six fails at ({f}, {g}, {h})"
+            for f in sorted(C.morphisms)
+            for g in out[C.tgt(f)]
+            if g not in S
+            for h in out[C.tgt(g)]
+            if C.comp[(g, f)] in S and C.comp[(h, g)] in S
+        ),
     )
 
     if frac.passed:
@@ -876,7 +823,8 @@ def parse_category_file(text: str):
     """Parse the line grammar into (category, classes, monads).
 
     ``classes`` maps class names to frozensets of morphism ids (identities
-    are always added); ``monads`` maps functor names to MonadData.
+    are always added); ``monads`` maps functor names to MonadData, in
+    ``nat`` order.  Every functor needs a ``nat`` line giving its unit.
     """
     objects = []
     arrows = {}
@@ -939,14 +887,15 @@ def parse_category_file(text: str):
         if fun_name not in functors:
             raise ParseError(f"nat {nat_name} references unknown functor {fun_name}")
         etas[fun_name] = eta
+    for fun_name in functors:
+        if fun_name not in etas:
+            raise ParseError(f"functor {fun_name} has no unit (no nat line)")
     monads = {}
-    # functors with a unit first, in nat order, then the rest
-    for fun_name in [*etas, *(f for f in functors if f not in etas)]:
+    for fun_name, eta in etas.items():
         obj_map, mor_map = functors[fun_name]
         full_mor = dict(mor_map)
         for x, i in C.identities.items():
             full_mor.setdefault(i, C.identities.get(obj_map.get(x, x)))
-        eta = etas.get(fun_name, {})
         monads[fun_name] = MonadData(obj_map, full_mor, eta, name=fun_name)
     return C, out_classes, monads
 

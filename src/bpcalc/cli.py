@@ -5,8 +5,9 @@ Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error
 (or a pipeline precondition the configuration fails, or a non-integral
 ``eval`` value), 3 truncation exceeded.  A verify target that stops on an
 arithmetic error is one failed record ``<target>.crashed`` (under ``verify
-all`` the others still run), and ``cat localize`` on a class that fails the
-fraction axioms reports its axiom records (``class[S].*``) and exits 1.
+all`` the others still run), ``cat localize`` on a class that fails the
+fraction axioms reports its axiom records (``class[S].*``) and exits 1, and
+``cat check`` on a file with no class and no functor exits 2.
 Reports are deterministic apart from each record's measured
 ``runtime_ms``: JSON output omits that field under ``--no-timing``, and
 text output never shows it.  Each invocation builds one subparser.
@@ -393,16 +394,15 @@ def main(argv=None) -> int:
                 text = fh.read()
             C, classes, monads = catfrac.parse_category_file(text)
             if args.action == "check":
+                if not classes and not monads:
+                    raise ParseError(f"{args.file}: no class or functor to check")
                 report = Report(f"category checks for {args.file}")
                 for name, S in sorted(classes.items()):
                     report.extend(
                         catfrac.check_fraction_axioms(C, S), prefix=f"class[{name}]"
                     )
                 for name, monad in sorted(monads.items()):
-                    if monad.eta:
-                        report.extend(
-                            catfrac.check_monad(C, monad), prefix=f"monad[{name}]"
-                        )
+                    report.extend(catfrac.check_monad(C, monad), prefix=f"monad[{name}]")
                 return _emit(report, config)
             # localize
             name = args.marked_class

@@ -267,28 +267,17 @@ def check_complex(ctx: Context, matrices: list, degree_bound_q: int | None = Non
     for k in range(len(matrices) - 1):
         later, earlier = matrices[k + 1], matrices[k]
         composite = later.compose(earlier)
-        ok, witness = True, ""
-        for i, row in enumerate(composite.entries):
-            for j, entry in enumerate(row):
-                for mono in monos:
-                    residual = entry.pair_monomial(mono.exps)
-                    if not residual.is_zero():
-                        ok = False
-                        witness = (
-                            f"entry ({i+1},{j+1}) at t^{mono.exps}: "
-                            f"{format_poly(residual)}"
-                        )
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.check(
-            id=f"composite[{later.name}.{earlier.name}]",
-            anchor=f"{later.name} {earlier.name} = 0",
-            status=ok,
+        report.scan(
+            f"composite[{later.name}.{earlier.name}]",
+            f"{later.name} {earlier.name} = 0",
+            (
+                f"entry ({i+1},{j+1}) at t^{mono.exps}: {format_poly(residual)}"
+                for i, row in enumerate(composite.entries)
+                for j, entry in enumerate(row)
+                for mono in monos
+                if not (residual := entry.pair_monomial(mono.exps)).is_zero()
+            ),
             modulus=f"pairing window deg <= {bound_q}q",
-            witness=witness,
         )
     return report
 
@@ -470,20 +459,16 @@ def lemma77_check(ctx: Context, spec=None, report: Report | None = None):
     return g0_vec, report
 
 
-def indeterminacy_scan(
-    ctx: Context, degrees: list, ideal: TermIdeal, ops: list | None = None
-) -> Report:
+def indeterminacy_scan(ctx: Context, degrees: list, ideal: TermIdeal) -> Report:
     """Exhaustively enumerate monomials in each listed degree and assert
-    containment in the ideal, before and after the paired operation."""
+    containment in the ideal, before and after the paired operation:
+    R_(p) in the first degree, R_(1) in the second."""
     report = Report(
         "indeterminacy containment by exhaustive monomial enumeration",
         config={"prime": ctx.prime, "degrees": list(degrees), "ideal": str(ideal)},
     )
-    if ops is None:
-        p = ctx.prime
-        ops = [OperationExpr.word(ctx, (p,)), OperationExpr.word(ctx, (1,))]
-        ops = ops[: len(degrees)]
-    for degree, op in zip(degrees, ops):
+    ops = [OperationExpr.word(ctx, (ctx.prime,)), OperationExpr.word(ctx, (1,))]
+    for degree, op in zip(degrees, ops[: len(degrees)]):
         monos = monomials_of_degree(degree, ctx.V)
         bad = []
         min_v1 = None

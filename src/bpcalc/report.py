@@ -6,6 +6,10 @@ sits only in the ``runtime_ms`` field of each record; ``as_dict`` and
 ``to_json`` omit it with ``timing=False`` and the text form never shows it.
 ``Report`` measures each record itself: ``check`` stamps the whole
 milliseconds since the report was created or last took a record.
+
+Most checks search for a counterexample.  ``scan`` is their one rule: the
+record passes when the search finds none and fails with the first one as
+its witness, and the search stops there.
 """
 
 from __future__ import annotations
@@ -68,6 +72,15 @@ class Report:
         """Record a check; ``runtime_ms`` defaults to the time since the mark."""
         kw.setdefault("runtime_ms", int((perf_counter() - self._mark) * 1000))
         return self.add(CheckRecord(id=id, anchor=anchor, status=bool(status), **kw))
+
+    def scan(self, id, anchor, failures, **kw):
+        """Record a first-counterexample check.  ``failures`` is a lazy
+        iterable of witnesses: the record passes when it is empty and fails
+        with its first item otherwise.  Nothing past the first item is drawn,
+        and the record is stamped after the draw, so ``runtime_ms`` covers
+        the scan.  Returns the record."""
+        witness = next(iter(failures), None)
+        return self.check(id, anchor, witness is None, witness=witness or "", **kw)
 
     def extend(self, other: "Report", prefix: str = ""):
         for rec in other.records:

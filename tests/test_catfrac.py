@@ -78,6 +78,25 @@ def test_fraction_axioms_failure_reported():
     assert any(r.id == "square-completion" for r in rep.failures())
 
 
+@pytest.mark.parametrize(
+    "build, marked, record, witness",
+    [
+        (chain3, {"a", "b"}, "closure-under-composition", "b.a = c outside S"),
+        (chain3, {"c"}, "square-completion", "no completion of (s=c, f=a)"),
+        (
+            coequalizer_shape,
+            {"s"},
+            "equalizer-completion",
+            "no equalizing t for (s=s, f=f, g=g)",
+        ),
+    ],
+)
+def test_fraction_axiom_controls(build, marked, record, witness):
+    C = build()
+    rep = check_fraction_axioms(C, ids_of(C) | marked)
+    assert {r.id: r.witness for r in rep.failures()} == {record: witness}
+
+
 def test_fraction_axioms_report_a_class_naming_unknown_morphisms():
     # completion is not defined on a name outside the category: the report
     # comes back with both completions failed, never a KeyError or a pass

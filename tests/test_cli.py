@@ -182,11 +182,22 @@ BAD_INPUT_ARGVS = [
     ["verify", "lemma7.1", "--degree-bound", "-2", "--prime", "5"],
     ["cat", "check", "no-such-file.cat"],
     ["cat", "localize", "no-such-file.cat"],
+    ["cat", "check", "functor-without-unit.cat"],
+    ["cat", "check", "nothing-to-check.cat"],
 ]
+
+# category files the bad-input argvs name, written to the working directory
+BAD_CAT_FILES = {
+    "functor-without-unit.cat": INTERVAL_CAT.replace("nat eta E", "# nat eta E"),
+    "nothing-to-check.cat": "objects: x0 x1\nmor u : x0 -> x1\n",
+}
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT_ARGVS)
-def test_bad_input_exits_usage_with_one_line_error(argv, capsys):
+def test_bad_input_exits_usage_with_one_line_error(argv, capsys, tmp_path, monkeypatch):
+    for name, text in BAD_CAT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""

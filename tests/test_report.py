@@ -80,3 +80,43 @@ def test_report_times_each_record(monkeypatch):
     # the mark is not part of equality, repr or the serialized form
     assert Report.from_json(rep.to_json()) == rep
     assert "_mark" not in repr(rep) and "_mark" not in rep.to_json()
+
+
+def test_scan_of_no_failures_passes():
+    rep = Report("scan")
+    rec = rep.scan("a", "nothing to find", iter(()), note="n")
+    assert rec is rep.records[0]
+    assert rec.status and rec.witness == "" and rec.note == "n"
+
+
+def test_scan_keeps_only_the_first_witness():
+    rep = Report("scan")
+    rec = rep.scan("a", "x", ["first", "second"])
+    assert not rec.status and rec.witness == "first"
+    assert not rep.passed
+
+
+def test_scan_draws_nothing_past_the_first_witness():
+    drawn = []
+
+    def failures():
+        for k in range(5):
+            drawn.append(k)
+            yield f"witness {k}"
+
+    rec = Report("scan").scan("a", "x", failures())
+    assert rec.witness == "witness 0" and drawn == [0]
+
+
+def test_scan_time_is_in_the_record(monkeypatch):
+    # a fake clock that advances 1 s per reading; the scan reads it twice
+    ticks = iter(range(100))
+    monkeypatch.setattr(report_module, "perf_counter", lambda: next(ticks))
+    rep = Report("clocked")  # mark at 0
+
+    def failures():
+        report_module.perf_counter()
+        report_module.perf_counter()
+        yield "w"
+
+    assert rep.scan("a", "x", failures()).runtime_ms == 3000
