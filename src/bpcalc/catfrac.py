@@ -781,8 +781,13 @@ def verify_universal_props(C: FiniteCategory, M: MonadData) -> Report:
         functor_ok = True
         witness = ""
         for (x, y), reps in sorted(class_rep.items()):
+            inverses = [C.inverse(M.mor_map[rep.s]) for rep in reps]
+            if None in inverses:
+                s = reps[inverses.index(None)].s
+                functor_ok, witness = False, f"E({s}) = {M.mor_map[s]} has no inverse"
+                break
             images = [
-                C.compose(C.inverse(M.mor_map[rep.s]), M.mor_map[rep.f]) for rep in reps
+                C.compose(inv, M.mor_map[rep.f]) for inv, rep in zip(inverses, reps)
             ]
             # faithful + full onto hom_C(EX, EY)
             if sorted(set(images)) != sorted(images):

@@ -30,7 +30,10 @@ Conventions (validated wholesale by verify_lemma_7_1):
 The action of R_I on the coefficient ring is computed two independent ways:
 via the Cartan formula from the base values on the m-generators, and as the
 t^I-coefficient of the right unit eta_R; their agreement is a standing
-cross-check.
+cross-check.  One R_I(x) on the Cartan side has one path,
+``OperationExpr.act`` (``r_action`` is the one-letter word); the full tables
+of every R_I(x) (``r_action_table`` and the cross-check) come from
+``_cartan_flat``.  Both apply the same m-side step, ``_cartan_m``.
 
 The right unit is a ring homomorphism, so ``eta_r`` multiplies memoized
 powers of the generator images eta_R(v_i) in the integral v-basis, as flat
@@ -800,9 +803,8 @@ def _m_terms(ctx: Context, x: Poly):
 
 def _cartan_m(ctx: Context, terms, cap=None) -> dict:
     """R_J of the (m-exponents, coefficient) terms for every J, or for J = cap
-    only, as {m-key + J << _T_SHIFT: coefficient}, zeros kept."""
-    if cap and len(cap) > ctx.truncation:
-        raise TruncationError(f"operation index {cap} outside truncation")
+    only, as {m-key + J << _T_SHIFT: coefficient}, zeros kept.  The caller
+    checks cap against the truncation."""
     # the packed J to keep: None keeps all, -1 none (cap past the field)
     want = cap and (_pack(cap) if max(cap) <= _FIELD_MASK else -1)
     acc = {}
@@ -813,12 +815,13 @@ def _cartan_m(ctx: Context, terms, cap=None) -> dict:
     return acc
 
 
-def _cartan_flat(ctx: Context, x: Poly, cap=None) -> _Flat:
-    """``_cartan_m`` on the m-basis terms of x (``_m_terms``), back in the
-    v-basis by one exact division (``_m_to_v_flat``), J from ``_T_SHIFT`` up;
-    a p left in a denominator is a non-integral R_J(x): ValueError."""
+def _cartan_flat(ctx: Context, x: Poly) -> _Flat:
+    """``_cartan_m`` for every J on the m-basis terms of x (``_m_terms``),
+    back in the v-basis by one exact division (``_m_to_v_flat``), J from
+    ``_T_SHIFT`` up; a p left in a denominator is a non-integral R_J(x):
+    ValueError."""
     K = _key_bound(ctx, x, "r_action")
-    acc = _cartan_m(ctx, _m_terms(ctx, x), cap)
+    acc = _cartan_m(ctx, _m_terms(ctx, x))
     where = "r_action: non-integral value at index {}".format
     return _m_to_v_flat(ctx, acc, K, lambda jk: where(_unpack(jk)))
 
@@ -832,17 +835,12 @@ def r_action_table(ctx: Context, x: Poly) -> dict:
 
 
 def r_action(ctx: Context, index, x: Poly) -> Poly:
-    """R_I acting on the coefficient ring (additive, Cartan multiplicative).
-
-    Reads R_I off each m-monomial's flat Cartan table pruned to the indices
-    J <= I, the only entries R_I depends on (see ``_mono_action_table``);
-    errors as in ``r_action_table``, except that only a non-integral R_I(x)
+    """R_I acting on the coefficient ring (additive, Cartan multiplicative):
+    the one-letter word R_I acting on x (``OperationExpr.act``), so errors
+    are as in ``r_action_table``, except that only a non-integral R_I(x)
     raises ValueError: R_1(v1/p) = 1, though R_0(v1/p) is not integral.
     """
-    index = _trim(tuple(index))
-    if not index:
-        return x
-    return _by_t(_cartan_flat(ctx, x, index), ctx.V).get(index, Poly.zero(ctx.V))
+    return OperationExpr.word(ctx, index).act(x)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,22 +1026,23 @@ class OperationExpr:
         )
 
     def act(self, x: Poly) -> Poly:
-        """The value on a v-polynomial: x goes to the m-basis once, each word
-        acts right-to-left on m-tables (``_cartan_m``), and the sum of s * D
-        times each word (D = p^k clears every p in a scalar's denominator)
-        comes back once (``_m_to_v_flat``), over D: only that value must be
-        integral, else ValueError.  Identity words add s * x as it is.  Every
-        letter is checked against the truncation before any arithmetic, so
-        a word whose value is 0 before it reaches a bad letter still raises
-        TruncationError."""
+        """The value on x, a v- or m-polynomial (``_m_terms``' contract): x
+        goes to the m-basis once, each word acts right-to-left on m-tables
+        (``_cartan_m``), and the sum of s * D times each word (D = p^k clears
+        every p in a scalar's denominator) comes back once (``_m_to_v_flat``),
+        over D: only that value must be integral, else ValueError.  Identity
+        words scale x in its own alphabet, added to that value only when
+        their scalars do not sum to 0.  Every letter is checked against the
+        truncation before any arithmetic, so a word whose value is 0 before
+        it reaches a bad letter still raises TruncationError."""
         ctx, p = self.ctx, self.ctx.prime
         bad = [i for _, w in self.parts for i in w if len(i) > ctx.truncation]
         if bad:
             raise TruncationError(f"operation index {bad[0]} outside truncation")
         words = [(s, w) for s, w in self.parts if any(w)]
-        out = sum((s * x for s, w in self.parts if not any(w)), Poly.zero(ctx.V))
+        same = sum(s for s, w in self.parts if not any(w))  # identity words
         if not words:
-            return out
+            return x.scale(same)
         D = p ** max(padic_valuation(Fraction(s).denominator, p) for s, _ in words)
         K, m, acc = _key_bound(ctx, x, "r_action"), _m_terms(ctx, x), {}
         for s, word in words:
@@ -1057,7 +1056,8 @@ class OperationExpr:
             for exps, c in terms:
                 add_term(acc, _pack(exps), c * _num(s * D))
         flat = _m_to_v_flat(ctx, acc, K, lambda _: f"non-integral value of {self}")
-        return out + _by_t(flat, ctx.V).get((), Poly.zero(ctx.V)).scale(Fraction(1, D))
+        value = _by_t(flat, ctx.V).get((), Poly.zero(ctx.V)).scale(Fraction(1, D))
+        return value + x.scale(same) if same else value
 
     def pair_monomial(self, exps) -> Poly:
         out = Poly.zero(self.ctx.V)
@@ -1261,16 +1261,11 @@ def verify_lemma_7_1(ctx: Context, degree_bound_q: int | None = None) -> Report:
     # the dual-basis expansion of the first commutator is exactly R[0,1]
     a = OperationCombo.basis(ctx, 1)
     b = OperationCombo.basis(ctx, ctx.prime)
-    ab = product_in_basis(a, b, bound)
-    ba = product_in_basis(b, a, bound)
-    commutator = ab - ba
-    expected = OperationCombo.basis(ctx, 0, 1)
-    report.check(
-        id="basis-expansion[R[1]R[p]-R[p]R[1]]",
-        anchor="R[1]R[p] - R[p]R[1] expands to exactly R[0,1]",
-        status=commutator == expected,
-        expected=str(expected),
-        computed=str(commutator),
+    report.expect(
+        "basis-expansion[R[1]R[p]-R[p]R[1]]",
+        "R[1]R[p] - R[p]R[1] expands to exactly R[0,1]",
+        product_in_basis(a, b, bound) - product_in_basis(b, a, bound),
+        OperationCombo.basis(ctx, 0, 1),
         modulus=f"pairing window deg <= {bound_q}q",
     )
     table = recomputed_pairing_table(ctx)

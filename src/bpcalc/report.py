@@ -7,15 +7,18 @@ sits only in the ``runtime_ms`` field of each record; ``as_dict`` and
 ``Report`` measures each record itself: ``check`` stamps the whole
 milliseconds since the report was created or last took a record.
 
-Most checks search for a counterexample.  ``scan`` is their one rule: the
-record passes when the search finds none and fails with the first one as
-its witness, and the search stops there.
+Two rules cover most records.  A check that searches for a counterexample
+goes through ``scan``: the record passes when the search finds none and
+fails with the first one as its witness, and the search stops there.  A
+check that compares a computed value with an exact expected one goes
+through ``expect``: the record passes when the two are equal and prints
+both.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from time import perf_counter
 
 SCHEMA_VERSION = "bpcalc-report/1"
@@ -34,19 +37,14 @@ class CheckRecord:
     runtime_ms: int = 0
 
     def as_dict(self, timing=True):
-        d = {
-            "id": self.id,
-            "anchor": self.anchor,
-            "status": "pass" if self.status else "fail",
-            "expected": self.expected,
-            "computed": self.computed,
-            "modulus": self.modulus,
-            "witness": self.witness,
-            "note": self.note,
-        }
-        if timing:
-            d["runtime_ms"] = self.runtime_ms
+        d = {name: getattr(self, name) for name in _FIELDS}
+        d["status"] = "pass" if self.status else "fail"
+        if not timing:
+            del d["runtime_ms"]
         return d
+
+
+_FIELDS = tuple(f.name for f in fields(CheckRecord))  # the one schema, in order
 
 
 @dataclass
@@ -81,6 +79,13 @@ class Report:
         the scan.  Returns the record."""
         witness = next(iter(failures), None)
         return self.check(id, anchor, witness is None, witness=witness or "", **kw)
+
+    def expect(self, id, anchor, computed, expected, show=str, **kw):
+        """Record an equality check: the record passes when ``computed ==
+        expected`` and prints both through ``show``.  Stamped like
+        ``check``.  Returns the record."""
+        kw.update(expected=show(expected), computed=show(computed))
+        return self.check(id, anchor, computed == expected, **kw)
 
     def extend(self, other: "Report", prefix: str = ""):
         for rec in other.records:
@@ -119,19 +124,9 @@ class Report:
             tool_version=data.get("tool_version", ""),
         )
         for c in data.get("checks", []):
-            report.add(
-                CheckRecord(
-                    id=c["id"],
-                    anchor=c.get("anchor", ""),
-                    status=c.get("status") == "pass",
-                    expected=c.get("expected", ""),
-                    computed=c.get("computed", ""),
-                    modulus=c.get("modulus", ""),
-                    witness=c.get("witness", ""),
-                    note=c.get("note", ""),
-                    runtime_ms=c.get("runtime_ms", 0),
-                )
-            )
+            kw = {name: c[name] for name in _FIELDS if name in c}
+            kw.update(anchor=c.get("anchor", ""), status=c.get("status") == "pass")
+            report.add(CheckRecord(**kw))
         return report
 
     def to_text(self) -> str:

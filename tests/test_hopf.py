@@ -768,7 +768,7 @@ CARTAN_CONTRACT = [
     ("m1", "1", "ValueError: r_action: non-integral value at index ()"),
     (
         "m1^5",
-        "ValueError: r_action: non-integral value at index (1,)",
+        "ValueError: non-integral value of R[1]",
         "ValueError: r_action: non-integral value at index ()",
     ),
     ("p*m1", "5", {(): "v1", (1,): "5"}),
@@ -901,6 +901,9 @@ def test_r_action_table_is_not_recursive(ctx5):
 def test_r_action_identity_and_additivity(ctx7):
     x = 3 * ctx7.v(2) - ctx7.v(1) ** 8
     assert r_action(ctx7, (), x) == x
+    # R[0] is the identity on any input, m- and t-polynomials included
+    for y in (ctx7.m(1), Poly.gen(ctx7.T, 1)):
+        assert r_action(ctx7, (0,), y) == y
     y = ctx7.v(1) ** 8
     assert r_action(ctx7, (1,), x + y) == r_action(ctx7, (1,), x) + r_action(
         ctx7, (1,), y

@@ -184,6 +184,18 @@ def test_universal_props_control(monkeypatch, record):
     assert next(r for r in report.records if r.id == record).witness == witness
 
 
+def test_fractions_factorization_fails_on_a_marked_map_e_does_not_invert(monkeypatch):
+    # a marked morphism whose E-image has no inverse is a failed record
+    # naming it, not a KeyError from composing with a missing inverse
+    C, M = _library("chain3/identity")
+    S = frozenset({"a"}) | frozenset(C.identities.values())
+    monkeypatch.setattr(catfrac, "derive_S_D", lambda C, M: (S, frozenset(C.objects)))
+    report = verify_universal_props(C, M)
+    record = next(r for r in report.records if r.id == "fractions-factorization")
+    assert not record.status
+    assert record.witness == "E(a) = a has no inverse"
+
+
 def test_every_record_has_a_control():
     for name, C, M in library_monads():
         assert {r.id for r in check_monad(C, M).records} == set(MONAD_CONTROLS)

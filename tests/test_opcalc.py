@@ -70,6 +70,16 @@ def test_module_element_normal_form(ctx7):
     assert M.element(Poly.zero(ctx7.V)).is_zero()
 
 
+def test_module_element_prints_through_the_term_printer(ctx7):
+    M = CyclicModule(ctx7, ctx7.ideal_chain(0), "g1", 100)
+    v1, v2 = ctx7.v(1), ctx7.v(2)
+    assert str(M.element(Poly.zero(ctx7.V))) == "0"
+    assert str(M.element(Poly.constant(ctx7.V, 1))) == "g1"
+    assert str(M.element(Poly.constant(ctx7.V, -1))) == "-g1"
+    assert str(M.element(3 * v2)) == "3*v2*g1"
+    assert str(M.element(v1 + 2 * v2)) == "(v1 + 2*v2)*g1"
+
+
 def test_apply_matrix_shapes(ctx7):
     d0, d1, d2 = d_matrices(ctx7)
     M = _mod_gbar1(ctx7)
@@ -168,6 +178,13 @@ def test_indeterminacy_scan(ctx5, ctx7):
         assert rep.passed
     rep = indeterminacy_scan(ctx7, [0], ctx7.ideal_chain(0))
     assert not rep.passed  # the constant monomial is not in (p)
+
+
+def test_indeterminacy_scan_refuses_a_degree_without_an_operation(ctx5):
+    # two operations pair with the first two degrees; a third would get no
+    # record while the config still listed it
+    with pytest.raises(ValueError, match=r"\[0, 8, 16\]"):
+        indeterminacy_scan(ctx5, [0, 8, 16], ctx5.ideal_chain(0))
 
 
 def test_betap_pipeline(ctx5, ctx7):

@@ -1,0 +1,174 @@
+"""A control for every record that compares a computed value with an exact
+expected one (``Report.expect``): a named perturbation of a table entry, a
+relation or an operation value under which a single ``verify <target>``
+at p = 5 exits 1 with that record failing and no ``<target>.crashed``
+record.  The controls are hand-named mutants of the inputs the records
+read, in the manner of mutation analysis (DeMillo, Lipton and Sayward,
+"Hints on test data selection", IEEE Computer 1978).
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from bpcalc import cli, hopf, opcalc
+from bpcalc.report import Report
+
+
+def r_action_doubled(hit):
+    """opcalc's R_I(x) doubled wherever hit(ctx, I, x)."""
+
+    def perturb(monkeypatch):
+        original = opcalc.r_action
+
+        def r_action(ctx, index, x):
+            value = original(ctx, index, x)
+            return 2 * value if hit(ctx, tuple(index), x) else value
+
+        monkeypatch.setattr(opcalc, "r_action", r_action)
+
+    return perturb
+
+
+def d_entry_doubled(k, i, j):
+    """Entry (i, j) of d_k doubled; its degree, and so the shifts, stay."""
+
+    def perturb(monkeypatch):
+        original = opcalc.d_matrices
+
+        def d_matrices(ctx):
+            matrices = list(original(ctx))
+            entries = [list(row) for row in matrices[k].entries]
+            entries[i][j] = entries[i][j].scale(2)
+            matrices[k] = replace(matrices[k], entries=entries)
+            return tuple(matrices)
+
+        monkeypatch.setattr(opcalc, "d_matrices", d_matrices)
+
+    return perturb
+
+
+def gamma1_relation_negated(name):
+    """The coefficient of one default_gamma1_spec relation negated."""
+
+    def perturb(monkeypatch):
+        original = opcalc.default_gamma1_spec
+
+        def default_gamma1_spec(ctx):
+            spec = original(ctx)
+            spec[name] = replace(spec[name], coeff=-spec[name].coeff)
+            return spec
+
+        monkeypatch.setattr(opcalc, "default_gamma1_spec", default_gamma1_spec)
+
+    return perturb
+
+
+def betap_relation_negated(monkeypatch):
+    """The coefficient of the beta_p pipeline's g0 i = v1 gbar0 negated."""
+    original = opcalc.GeneratorRelation
+    monkeypatch.setattr(
+        opcalc,
+        "GeneratorRelation",
+        lambda *a, **kw: replace(original(*a, **kw), coeff=Fraction(-1)),
+    )
+
+
+def module_action_doubled(monkeypatch):
+    """opcalc.act's value on module elements doubled."""
+    original = opcalc.act
+
+    def act(op, e):
+        out = original(op, e)
+        return replace(out, coeff=2 * out.coeff)
+
+    monkeypatch.setattr(opcalc, "act", act)
+
+
+def product_in_basis_doubled(monkeypatch):
+    """The dual-basis expansion of every product doubled."""
+    original = hopf.product_in_basis
+    monkeypatch.setattr(
+        hopf, "product_in_basis", lambda a, b, bound: original(a, b, bound).scale(2)
+    )
+
+
+# record id -> (verify target, perturbation, the records that fail, when
+# more than the one)
+CONTROLS = {
+    "lemma7.3.R1v1": (
+        "lemma7.3",
+        r_action_doubled(lambda c, I, x: I == (1,) and x == c.v(1)),
+    ),
+    "lemma7.3.R1v2": (
+        "lemma7.3",
+        r_action_doubled(lambda c, I, x: I == (1,) and x == c.v(2)),
+    ),
+    "lemma7.3.R01v2": (
+        "lemma7.3",
+        r_action_doubled(lambda c, I, x: I == (0, 1) and x == c.v(2)),
+    ),
+    "lemma7.5.restricted": (
+        "lemma7.5",
+        d_entry_doubled(0, 0, 0),
+        ["lemma7.5.restricted", "lemma7.5.value"],
+    ),
+    "lemma7.5.value": ("lemma7.5", gamma1_relation_negated("g1_restriction")),
+    "lemma7.7.restricted": (
+        "lemma7.7",
+        d_entry_doubled(1, 0, 0),
+        ["lemma7.7.restricted", "lemma7.7.value"],
+    ),
+    "lemma7.7.value": ("lemma7.7", gamma1_relation_negated("g0_restriction")),
+    "thm7.2.d2-value": (
+        "thm7.2",
+        d_entry_doubled(2, 0, 0),
+        ["thm7.2.d2-value", "thm7.2.final"],
+    ),
+    "thm7.10.restricted": (
+        "thm7.10",
+        module_action_doubled,
+        ["thm7.10.restricted", "thm7.10.value"],
+    ),
+    "thm7.10.value": ("thm7.10", betap_relation_negated),
+    "basis-expansion[R[1]R[p]-R[p]R[1]]": ("lemma7.1", product_in_basis_doubled),
+    **{
+        f"lemma7.9.top-action[r={r}]": (
+            "lemma7.9",
+            r_action_doubled(
+                lambda c, I, x, r=r: I == (c.prime**2,) and x == c.v(1) ** r
+            ),
+        )
+        for r in range(26, 30)  # p^2 < r < p^2 + p at p = 5
+    },
+}
+
+
+def _verify(target, capsys):
+    code = cli.main(["verify", target, "--prime", "5", "--format", "json"])
+    return code, Report.from_json(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("record", sorted(CONTROLS))
+def test_record_control(monkeypatch, capsys, record):
+    target, perturb, *failing = CONTROLS[record]
+    perturb(monkeypatch)
+    code, report = _verify(target, capsys)
+    assert code == cli.EXIT_CHECK_FAILURE
+    # the exact list also rules out a <target>.crashed record
+    assert [r.id for r in report.failures()] == (failing[0] if failing else [record])
+
+
+def test_every_expect_record_has_a_control(monkeypatch, capsys):
+    seen = []
+    original = Report.expect
+
+    def expect(self, id, *args, **kw):
+        seen.append(id)
+        return original(self, id, *args, **kw)
+
+    monkeypatch.setattr(Report, "expect", expect)
+    code, report = _verify("all", capsys)
+    assert code == 0 and report.passed
+    assert sorted(seen) == sorted(CONTROLS)

@@ -1,3 +1,5 @@
+import dataclasses
+
 from bpcalc import report as report_module
 from bpcalc.report import CheckRecord, Report
 
@@ -120,3 +122,32 @@ def test_scan_time_is_in_the_record(monkeypatch):
         yield "w"
 
     assert rep.scan("a", "x", failures()).runtime_ms == 3000
+
+
+def test_expect_passes_on_equality_and_prints_both():
+    rep = Report("expect")
+    rec = rep.expect("a", "x", 2 + 2, 4, modulus="(p)")
+    assert rec is rep.records[0]
+    assert rec.status and (rec.expected, rec.computed, rec.modulus) == ("4", "4", "(p)")
+    rec = rep.expect("b", "y", [1, 2], [1, 3], show=lambda v: "/".join(map(str, v)))
+    assert not rec.status and (rec.expected, rec.computed) == ("1/3", "1/2")
+    assert [r.id for r in rep.failures()] == ["b"]
+
+
+def test_expect_is_stamped_like_check(monkeypatch):
+    ticks = iter(range(100))
+    monkeypatch.setattr(report_module, "perf_counter", lambda: next(ticks))
+    rep = Report("clocked")  # mark at 0
+    assert rep.expect("a", "x", 1, 1).runtime_ms == 1000
+    assert rep.expect("b", "y", 1, 1, runtime_ms=7).runtime_ms == 7
+
+
+def test_record_schema_is_the_dataclass_fields():
+    rec = make_report().records[1]
+    names = [f.name for f in dataclasses.fields(CheckRecord)]
+    assert list(rec.as_dict()) == names
+    assert list(rec.as_dict(timing=False)) == names[:-1]
+    assert rec.as_dict()["status"] == "fail"
+    # a stored record missing optional keys takes the dataclass defaults
+    back = Report.from_json('{"title": "t", "checks": [{"id": "a", "status": "pass"}]}')
+    assert back.records[0] == CheckRecord(id="a", anchor="", status=True)
