@@ -7,19 +7,26 @@ Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error
 arithmetic error is one failed record ``<target>.crashed`` (under ``verify
 all`` the others still run), ``cat localize`` on a class that fails the
 fraction axioms reports its axiom records (``class[S].*``) and exits 1, and
-``cat check`` on a file with no class and no functor exits 2.
+``cat check`` on a file with no class and no functor exits 2, as does an
+input or ``--out`` path that cannot be read or written.
 Reports are deterministic apart from each record's measured
 ``runtime_ms``: JSON output omits that field under ``--no-timing``, and
-text output never shows it.  Each invocation builds one subparser.
+text output never shows it.
+
+Options come from argv alone, each command taking only those it reads:
+``verify`` --prime --truncation --degree-bound --format --out --no-timing,
+``eval`` --prime --truncation, ``localize-group`` --invert --oracle, ``cat``
+--format --out --no-timing --marked-class.  Any other flag is a usage
+error; an option not given keeps ``Config``'s default.  Each invocation
+builds one subparser.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import __version__, abloc, catfrac, hopf, opcalc
@@ -33,8 +40,6 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATION = 3
-
-ENV_PREFIX = "BPCALC_"
 
 VERIFY_TARGETS = (
     "lemma7.1",
@@ -82,14 +87,10 @@ class Config:
         return Context(prime=self.prime, truncation=self.truncation)
 
 
-def _env_default(name, fallback):
-    """The raw string, so argparse applies the option's type: a bad value is usage."""
-    return os.environ.get(ENV_PREFIX + name, fallback)
-
-
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The parser with ``command``'s subparser only, or with all of them when
-    it names none; the usage line lists every command either way."""
+    it names none; the usage line lists every command either way.  An option
+    not given is left out of the namespace (SUPPRESS), for ``Config`` to fill."""
     parser = argparse.ArgumentParser(
         prog="bpcalc",
         description="exact-arithmetic workbench: operation calculus on the "
@@ -97,34 +98,18 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         "abelian group localization",
     )
     parser.add_argument("--version", action="version", version=f"bpcalc {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--prime",
-        type=int,
-        default=_env_default("PRIME", 7),
-        help="odd prime (default 7)",
+    ring = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    ring.add_argument("--prime", type=int, help=f"odd prime (default {Config.prime})")
+    ring.add_argument(
+        "--truncation", type=int, help=f"generator count N (default {Config.truncation})"
     )
-    common.add_argument(
-        "--truncation",
-        type=int,
-        default=_env_default("TRUNCATION", 4),
-        help="generator count N (default 4)",
-    )
-    common.add_argument(
-        "--degree-bound",
-        type=int,
-        default=_env_default("DEGREE_BOUND", None),
-        help="pairing window in units of q (default 2p+4)",
-    )
-    common.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default=_env_default("FORMAT", "text"),
-    )
-    common.add_argument("--out", default=_env_default("OUT", None))
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    output.add_argument("--format", choices=("text", "json"))
+    output.add_argument("--out")
+    output.add_argument(
         "--no-timing",
-        action="store_true",
+        dest="timing",
+        action="store_false",
         help="omit runtime fields for byte-identical output",
     )
     sub = parser.add_subparsers(dest="command")
@@ -133,14 +118,22 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
     if "verify" in wanted:
         p_verify = sub.add_parser(
-            "verify", parents=[common], help="run a verification pipeline"
+            "verify", parents=[ring, output], help="run a verification pipeline"
         )
         p_verify.add_argument("target", choices=VERIFY_TARGETS)
+        p_verify.add_argument(
+            "--degree-bound",
+            dest="degree_bound_q",
+            metavar="B",
+            type=int,
+            default=argparse.SUPPRESS,
+            help="pairing window in units of q (default 2p+4)",
+        )
 
     if "eval" in wanted:
         p_eval = sub.add_parser(
             "eval",
-            parents=[common],
+            parents=[ring],
             help="apply an operation to a polynomial",
             epilog='a literal that starts with a minus sign reads as an option '
             'unless "--" comes before the literals: bpcalc eval -- "R[1]" -3*v1',
@@ -150,8 +143,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
     if "localize-group" in wanted:
         p_loc = sub.add_parser(
-            "localize-group", parents=[common], help="localize a finitely "
-            "generated abelian group"
+            "localize-group", help="localize a finitely generated abelian group"
         )
         p_loc.add_argument("group", help='group literal, e.g. "Z/12" or "Z^2 + Z/5"')
         p_loc.add_argument(
@@ -166,7 +158,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         )
 
     if "cat" in wanted:
-        p_cat = sub.add_parser("cat", parents=[common], help="finite-category checks")
+        p_cat = sub.add_parser("cat", parents=[output], help="finite-category checks")
         p_cat.add_argument("action", choices=("localize", "check"))
         p_cat.add_argument("file", help="category description file")
         p_cat.add_argument("--marked-class", default="S", help="class name (default S)")
@@ -335,14 +327,9 @@ def _emit(report: Report, config: Config) -> int:
 
 
 def _config_from(args) -> Config:
-    return Config(
-        prime=args.prime,
-        truncation=args.truncation,
-        degree_bound_q=args.degree_bound,
-        format=args.format,
-        out=args.out,
-        timing=not args.no_timing,
-    )
+    """The options given on the command line; the others keep Config's defaults."""
+    given = {f.name: getattr(args, f.name) for f in fields(Config) if f.name in args}
+    return Config(**given)
 
 
 def main(argv=None) -> int:
@@ -390,8 +377,11 @@ def main(argv=None) -> int:
             return EXIT_PASS
 
         if args.command == "cat":
-            with open(args.file) as fh:
-                text = fh.read()
+            try:
+                with open(args.file, encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{args.file}: not UTF-8 text ({exc.reason})") from None
             C, classes, monads = catfrac.parse_category_file(text)
             if args.action == "check":
                 if not classes and not monads:
@@ -434,7 +424,7 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"truncation error: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
-    except (ParseError, PreconditionError, FileNotFoundError) as exc:
+    except (ParseError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BPCalcError as exc:

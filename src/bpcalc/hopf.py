@@ -61,7 +61,6 @@ side's factor actions.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,7 +69,6 @@ from .errors import (
     AlphabetError,
     DegreeError,
     ExponentOverflowError,
-    ParseError,
     TruncationError,
 )
 from .grading import (
@@ -92,7 +90,6 @@ from .grading import (
     memoized,
     monomials_up_to,
     single_degree,
-    split_signed_terms,
 )
 from .report import Report
 
@@ -258,66 +255,6 @@ class TensorPoly(_Coeffs, SparseRing):
 
     def _body(self, key):
         return f"{_format_mono('t', key[0])}(x){_format_mono('t', key[1])}"
-
-
-def _parse_coeff_and_tmono(chunk: str, ctx: Context):
-    """Split 'coef*t-monomial' into (v-Poly coefficient, t-exponents)."""
-    from .grading import parse_poly
-
-    factors = []
-    buf, depth = [], 0
-    for ch in chunk:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            factors.append("".join(buf).strip())
-            buf = []
-        else:
-            buf.append(ch)
-    factors.append("".join(buf).strip())
-    coeff = Poly.constant(ctx.V, 1)
-    exps = [0] * ctx.truncation
-    for factor in factors:
-        if not factor:
-            raise ParseError(f"empty factor in {chunk!r}")
-        m = re.fullmatch(r"t(\d+)(?:\^(\d+))?", factor)
-        if m:
-            idx, power = int(m.group(1)), int(m.group(2) or 1)
-            if idx < 1 or idx > ctx.truncation:
-                raise TruncationError(f"t{idx} outside truncation")
-            exps[idx - 1] += power
-        elif factor == "1":
-            continue
-        elif factor.startswith("(") and factor.endswith(")"):
-            coeff = coeff * parse_poly(factor[1:-1], ctx.V)
-        else:
-            coeff = coeff * parse_poly(factor, ctx.V)
-    return coeff, _trim(tuple(exps))
-
-
-def parse_tpoly(text: str, ctx: Context) -> TPoly:
-    """Parse a co-operation literal, e.g. ``v3*t2 + t1^2 - 7*t1``."""
-    out = TPoly.zero(ctx)
-    for sign, chunk in split_signed_terms(text):
-        coeff, exps = _parse_coeff_and_tmono(chunk, ctx)
-        out = out + TPoly.monomial(ctx, exps, coeff=coeff * sign)
-    return out
-
-
-def parse_tensor(text: str, ctx: Context) -> TensorPoly:
-    """Parse a tensor literal, e.g. ``t1^2(x)t2 + (-v1)*t1(x)t1^4``."""
-    out = TensorPoly.zero(ctx)
-    for sign, chunk in split_signed_terms(text):
-        if "(x)" not in chunk:
-            raise ParseError(f"tensor term {chunk!r} lacks an (x) separator")
-        left, right = chunk.split("(x)", 1)
-        coeff, le = _parse_coeff_and_tmono(left.strip(), ctx)
-        rcoeff, re_ = _parse_coeff_and_tmono(right.strip(), ctx)
-        coeff = coeff * rcoeff * sign
-        out = out + TensorPoly.simple(ctx, le, re_, coeff)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -672,12 +672,25 @@ def ext1_invariant(ctx: Context, r: int) -> Report:
         config={"prime": p, "r": r},
     )
 
+    # the rows d0 = [R1; Rp; R[p^2]] of each column, computed once and read
+    # by (a), (b) and (c); column 0 is v1^r
+    ops = ((1,), (p,), (p * p,))
+    columns = [("c", r, 0)]
+    for j in range(1, p):
+        i = r - j * (p + 1)
+        if i >= 0:
+            columns.append((f"c[{i},{j}]", i, j))
+    images = []
+    for _, i, j in columns:
+        x = ctx.v(1) ** i * ctx.v(2) ** j if j else ctx.v(1) ** i
+        images.append([r_action(ctx, idx, x) for idx in ops])
+
     # (a) closed-form oracle: Cartan on a pure power of v1
     # the oracle carries p^(p^2), so equality with it gives 0 mod p^p
     report.expect(
         f"lemma7.9.top-action[r={r}]",
         "R[p^2](v1^r) = binom(r, p^2) p^(p^2) v1^(r-p^2), = 0 mod p^p",
-        r_action(ctx, (p * p,), ctx.v(1) ** r),
+        images[0][2],
         math.comb(r, p * p) * p ** (p * p) * ctx.v(1) ** (r - p * p),
         modulus=f"(p^{p})",
     )
@@ -692,20 +705,10 @@ def ext1_invariant(ctx: Context, r: int) -> Report:
         note="the constant is reported, not asserted: no target value exists",
     )
 
-    # (b) coboundary congruence table; the rows d0 = [R1; Rp; R[p^2]] of
-    # each column are computed once here and read again by (c)
-    ops = ((1,), (p,), (p * p,))
-    columns = [("c", r, 0)]  # v1^r
-    for j in range(1, p):
-        i = r - j * (p + 1)
-        if i >= 0:
-            columns.append((f"c[{i},{j}]", i, j))
-    rows_ok, notes, images = [], [], []
+    # (b) coboundary congruence table
+    rows_ok, notes = [], []
     mod_p = ctx.ideal((1, ()))
-    for label, i, j in columns:
-        x = ctx.v(1) ** i * ctx.v(2) ** j if j else ctx.v(1) ** r
-        row1, row2, row3 = rows = [r_action(ctx, idx, x) for idx in ops]
-        images.append(rows)
+    for (label, i, j), (row1, row2, row3) in zip(columns, images):
         if j == 0:
             ok1 = row1 == p * r * ctx.v(1) ** (r - 1)
             ok2 = reduce_mod(row2, ctx.ideal((p, ()))).is_zero()

@@ -184,25 +184,76 @@ BAD_INPUT_ARGVS = [
     ["cat", "localize", "no-such-file.cat"],
     ["cat", "check", "functor-without-unit.cat"],
     ["cat", "check", "nothing-to-check.cat"],
+    # paths that exist but cannot be read as text or written to
+    ["cat", "check", "."],
+    ["cat", "check", "latin-1.cat"],
+    ["verify", "lemma7.5", "--prime", "5", "--out", "."],
 ]
 
 # category files the bad-input argvs name, written to the working directory
 BAD_CAT_FILES = {
-    "functor-without-unit.cat": INTERVAL_CAT.replace("nat eta E", "# nat eta E"),
-    "nothing-to-check.cat": "objects: x0 x1\nmor u : x0 -> x1\n",
+    "functor-without-unit.cat": INTERVAL_CAT.replace("nat eta E", "# nat eta E").encode(),
+    "nothing-to-check.cat": b"objects: x0 x1\nmor u : x0 -> x1\n",
+    "latin-1.cat": "objects: x0\n# caf\u00e9\n".encode("latin-1"),
 }
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT_ARGVS)
 def test_bad_input_exits_usage_with_one_line_error(argv, capsys, tmp_path, monkeypatch):
-    for name, text in BAD_CAT_FILES.items():
-        (tmp_path / name).write_text(text)
+    for name, data in BAD_CAT_FILES.items():
+        (tmp_path / name).write_bytes(data)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if argv[-1] == "latin-1.cat":
+        assert lines[0].startswith("error: latin-1.cat: not UTF-8 text")
+
+
+# each flag a command does not read, after an argv that parses without it
+DROPPED_FLAG_ARGVS = [
+    *(
+        ["eval", "R[1]", "v1", *flag]
+        for flag in (["--degree-bound", "3"], ["--format", "json"], ["--out", "x"],
+                     ["--no-timing"])
+    ),
+    *(
+        ["localize-group", "Z/12", "--invert", "2", *flag]
+        for flag in (["--prime", "5"], ["--truncation", "4"], ["--degree-bound", "3"],
+                     ["--format", "json"], ["--out", "x"], ["--no-timing"])
+    ),
+    *(
+        ["cat", "check", "x.cat", *flag]
+        for flag in (["--prime", "5"], ["--truncation", "4"], ["--degree-bound", "3"])
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", DROPPED_FLAG_ARGVS)
+def test_flag_a_command_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --" in captured.err
+
+
+def test_environment_changes_no_run(monkeypatch, capsys, tmp_path):
+    argv = ["verify", "lemma7.5", "--prime", "5", "--no-timing"]
+    assert main(argv) == EXIT_PASS
+    report = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    monkeypatch.setenv("BPCALC_PRIME", "4")
+    monkeypatch.setenv("BPCALC_FORMAT", "json")
+    monkeypatch.setenv("BPCALC_OUT", str(out))
+    assert main(["localize-group", "Z/12", "--invert", "2"]) == EXIT_PASS
+    assert capsys.readouterr().out == "Z/3\n"
+    assert main(argv) == EXIT_PASS
+    assert capsys.readouterr().out == report
+    assert not out.exists()
 
 
 def test_eval_leading_minus_literal_needs_double_dash(capsys):
@@ -403,22 +454,6 @@ def test_eval_exit_codes(capsys, argv, code, out):
         assert captured.err == "error: non-integral value of R[1]\n"
 
 
-def test_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("BPCALC_PRIME", "5")
-    parser = cli.build_parser()
-    args = parser.parse_args(["eval", "R[1]", "v2"])
-    assert args.prime == 5
-    monkeypatch.setenv("BPCALC_DEGREE_BOUND", "3")
-    assert cli.build_parser().parse_args(["eval", "R[1]", "v2"]).degree_bound == 3
-    # a bad value is a usage error reported by argparse, not a crash
-    monkeypatch.setenv("BPCALC_PRIME", "x")
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "R[1]", "v1"])
-    assert exc.value.code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "invalid int value: 'x'" in err and "Traceback" not in err
-
-
 # the eval and bad-input argvs above, and more that name each command
 PARSER_ARGVS = [
     ["verify", "lemma7.5", "--prime", "7", "--format", "json", "--no-timing"],
@@ -432,16 +467,15 @@ PARSER_ARGVS = [
     ["cat", "bogus", "x.cat"],
     *(["eval"] + argv for argv, _, _ in EVAL_EXIT_CASES),
     *BAD_INPUT_ARGVS,
+    *DROPPED_FLAG_ARGVS,
 ]
 
 
 @pytest.mark.parametrize("env", [{}, {"BPCALC_PRIME": "5", "BPCALC_DEGREE_BOUND": "3"}])
 @pytest.mark.parametrize("argv", PARSER_ARGVS)
 def test_one_subparser_parses_as_every_subparser(monkeypatch, capsys, env, argv):
-    # main builds only the subparser its first argument names
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-
+    # main builds only the subparser its first argument names; the parsers
+    # read no environment, so a BPCALC_ variable leaves every parse as it is
     def parse(parser):
         try:
             got = vars(parser.parse_args(argv))
@@ -449,7 +483,10 @@ def test_one_subparser_parses_as_every_subparser(monkeypatch, capsys, env, argv)
             got = exc.code
         return got, capsys.readouterr()
 
-    assert parse(cli.build_parser(argv[0])) == parse(cli.build_parser())
+    without_env = parse(cli.build_parser())
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert parse(cli.build_parser(argv[0])) == parse(cli.build_parser()) == without_env
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)

@@ -6,21 +6,17 @@ speedup must leave these bytes unchanged; rewrite the files only for a
 deliberate change of report content.
 """
 
-import os
 from pathlib import Path
 
 import pytest
 
-from bpcalc.cli import ENV_PREFIX, EXIT_PASS, main
+from bpcalc.cli import EXIT_PASS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("prime", [5, 7])
-def test_verify_all_report_bytes(prime, tmp_path, monkeypatch):
-    for name in list(os.environ):
-        if name.startswith(ENV_PREFIX):
-            monkeypatch.delenv(name)
+def test_verify_all_report_bytes(prime, tmp_path):
     out = tmp_path / "report.json"
     argv = ["verify", "all", "--prime", str(prime), "--no-timing",
             "--format", "json", "--out", str(out)]

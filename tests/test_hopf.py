@@ -1014,22 +1014,6 @@ def test_koszul_degrees_all_even(ctx7):
         assert mono.degree % 2 == 0
 
 
-def test_tensor_and_tpoly_literals(ctx7):
-    from bpcalc.hopf import parse_tensor, parse_tpoly
-
-    x = parse_tpoly("v3*t2 + t1^2 - 7*t1", ctx7)
-    assert x.coeff((0, 1)) == ctx7.v(3)
-    assert parse_tpoly(str(x), ctx7) == x
-    t = parse_tensor("t1^2(x)t2 + (-2*v1)*t1(x)t1^4 - 1(x)t2", ctx7)
-    assert t.coeff((1,), (4,)) == -2 * ctx7.v(1)
-    assert parse_tensor(str(t), ctx7) == t
-    # the diagonal's own printout parses back to itself
-    pt2 = psi_t(ctx7, 2)
-    assert parse_tensor(str(pt2), ctx7) == pt2
-    with pytest.raises(Exception):
-        parse_tensor("t1 + t2", ctx7)  # missing (x) separator
-
-
 def _printed_values(ctx):
     """(value, its printed form) pairs over every kind that goes through the
     one term and monomial printer, and the group strings: zero,
@@ -1109,15 +1093,10 @@ def test_printed_forms(ctx7):
 
 def test_printed_forms_parse_back(ctx7):
     from bpcalc.grading import parse_poly
-    from bpcalc.hopf import parse_tensor, parse_tpoly
 
     for value, printed in _printed_values(ctx7):
         if isinstance(value, Poly):
             assert parse_poly(printed, value.alphabet) == value
-        elif isinstance(value, TPoly):
-            assert parse_tpoly(printed, ctx7) == value
-        elif isinstance(value, TensorPoly) and value:
-            assert parse_tensor(printed, ctx7) == value
 
 
 def test_binomial_expansion_in_diagonal(ctx7):
