@@ -8,7 +8,8 @@ arithmetic error is one failed record ``<target>.crashed`` (under ``verify
 all`` the others still run), ``cat localize`` on a class that fails the
 fraction axioms reports its axiom records (``class[S].*``) and exits 1, and
 ``cat check`` on a file with no class and no functor exits 2, as does an
-input or ``--out`` path that cannot be read or written.
+input or ``--out`` path that cannot be read or written (``--out`` is
+checked before any work, and no file is left behind on exit 2 or 3).
 Reports are deterministic apart from each record's measured
 ``runtime_ms``: JSON output omits that field under ``--no-timing``, and
 text output never shows it.
@@ -24,6 +25,7 @@ builds one subparser.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -79,12 +81,18 @@ class Config:
                 f"degree bound must be >= 1 (units of q), got {self.degree_bound_q}"
             )
 
-    @property
-    def bound_q(self) -> int:
-        return hopf.pairing_window_q(self.prime, self.degree_bound_q)
-
     def context(self) -> Context:
         return Context(prime=self.prime, truncation=self.truncation)
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: a flag it does not read is its own usage error."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return parsed, extra
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
@@ -112,7 +120,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         action="store_false",
         help="omit runtime fields for byte-identical output",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
     wanted = (command,) if command in COMMANDS else COMMANDS
     sub.metavar = "{%s}" % ",".join(COMMANDS) if command in COMMANDS else None
 
@@ -265,7 +273,7 @@ def _run_pipeline(name: str, build, config: dict, into: Report | None = None) ->
 
 def run_verify(target: str, config: Config) -> Report:
     ctx = config.context()
-    bound = config.bound_q
+    bound = hopf.pairing_window_q(ctx.prime, config.degree_bound_q)
     summary = {"prime": ctx.prime, "truncation": ctx.truncation, "window_q": bound}
 
     def with_complex(report: Report) -> Report:
@@ -345,6 +353,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
+        if config.out:  # an unwritable path fails before any work, leaving no file
+            existed = os.path.exists(config.out)
+            open(config.out, "a").close()
+            if not existed:
+                os.remove(config.out)
         if args.command == "verify":
             return _emit(run_verify(args.target, config), config)
 

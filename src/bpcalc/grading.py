@@ -756,8 +756,8 @@ def memoized(fn):
 def memo_power(ctx, base, i, e):
     """``base(ctx, i) ** e``, memoized per (i, e) in ``ctx.memo[<base>_pow]``.
 
-    A power extends the cached power one below it when there is one (the
-    structural sweep walks monomials in degree order, so it always does);
+    A power extends the cached power one below it when there is one (as
+    for the structural sweep's v2 and v3 powers; it chains v1 instead);
     otherwise it is built by binary powering and only the result is stored.
     The first power is the generator itself.
     """

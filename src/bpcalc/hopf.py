@@ -36,26 +36,25 @@ of every R_I(x) (``r_action_table`` and the cross-check) come from
 ``_cartan_flat``.  Both apply the same m-side step, ``_cartan_m``.
 
 The right unit is a ring homomorphism, so ``eta_r`` multiplies memoized
-powers of the generator images eta_R(v_i) in the integral v-basis, as flat
-dicts of int coefficients under packed-int keys (product key = key sum).
-The generator images eta_R(v1), eta_R(v2), eta_R(v3) come from the flat
-m-basis right unit (``eta_r_m`` decodes the same images) on the integral
-Hazewinkel expansions ``ctx.v_in_m(i)``, changed back to the v-basis by
-the same exact division.  The Cartan side stays on its own path on every
-monomial, on flat int tables of its own (m-exponents and J packed in one
-key): the change to the m-basis as the flat image over the packed
+powers of the generator images eta_R(v_i), flat int tables in the integral
+v-basis.  They come from the flat m-basis right unit (``eta_r_m`` decodes
+the same images) on the integral Hazewinkel expansions ``ctx.v_in_m(i)``,
+changed back to the v-basis by one exact division.  The coherence sweep
+walks each v1-chain v1^a m upward, one 2-term product per monomial:
+eta_R(v1^a m) = eta_R(v1) * eta_R(v1^(a-1) m).  The Cartan side is not
+chained: it runs its own path on every monomial, on flat int tables of its
+own (m-exponents and J in one key): the change to the m-basis over the
 expansions v_i in the m-basis (``_v_in_m_flat``), m-basis factor actions,
-the table recursion, then the change back to the v-basis as the flat image
-over the integral scaled generators p^i m_i in the v-basis
-(``_m_in_v_scaled``), divided exactly by p^K once at the end.  Both
-generator tables are read off ``Context``'s Hazewinkel relations; its
-tuple-keyed maps ``to_m_basis``/``to_v_basis`` serve only as the reference
-in the round-trip check.  It must not be
-made multiplicative in the v-basis: the Cartan formula is exactly the
-multiplicativity of eta_R, so the cross-check would then compare one
-computation with itself.  For the same reason the right unit's
-eta_R(m_i) are written out on their own, not read from the Cartan
-side's factor actions.
+the table recursion, then the change back over the integral scaled
+generators p^i m_i in the v-basis (``_m_in_v_scaled``), divided exactly by
+p^K once at the end.  Both generator tables are read off ``Context``'s
+Hazewinkel relations; its tuple-keyed maps ``to_m_basis``/``to_v_basis``
+serve only as the reference in the round-trip check.  The Cartan side must
+not be made multiplicative in the v-basis: the Cartan formula is exactly
+the multiplicativity of eta_R, so the cross-check would then compare one
+computation with itself.  For the same reason the right unit's eta_R(m_i)
+are written out on their own, not read from the Cartan side's factor
+actions.
 """
 
 from __future__ import annotations
@@ -239,13 +238,6 @@ class TensorPoly(_Coeffs, SparseRing):
     def unit(cls, ctx, coeff_alphabet=None):
         alph = coeff_alphabet or ctx.V
         return cls._raw(ctx, {((), ()): Poly.constant(alph, 1)})
-
-    @classmethod
-    def simple(cls, ctx, left_exps, right_exps, coeff):
-        key = (_trim(left_exps), _trim(right_exps))
-        if coeff.is_zero():
-            return cls.zero(ctx)
-        return cls._raw(ctx, {key: coeff})
 
     def coeff(self, left_exps, right_exps) -> Poly:
         return _Coeffs.coeff(self, (left_exps, right_exps))
@@ -1091,7 +1083,9 @@ def verify_structural(ctx: Context) -> Report:
     """Structural coherence: exact basis round trip, integral diagonal for
     k <= 3, and Cartan action == right-unit coefficients on every v-monomial
     of degree <= 2(p^3 - 1), comparing the flat cores (one key layout) that
-    ``eta_r`` and ``r_action_table`` decode: ``_eta_r_flat``, ``_cartan_flat``."""
+    ``eta_r`` and ``r_action_table`` decode: ``_cartan_flat`` per monomial,
+    and ``_eta_r_flat`` where a1 = 0, else eta_R(v1) times the image of
+    v1^(a-1) m, which the (degree, exps) order reaches first."""
     p = ctx.prime
     report = Report(
         "structural coherence of the operation calculus",
@@ -1131,12 +1125,17 @@ def verify_structural(ctx: Context) -> Report:
     bound = 2 * (p**3 - 1)
     mismatches = []
     checked = 0
+    chains = {}  # exponents after v1 -> eta_R of the chain's latest monomial
     for mono in monomials_up_to(bound, ctx.V):
         x = Poly(ctx.V, {mono.exps: 1})
         checked += 1
         witness = str(mono)
+        prev = chains.pop(mono.exps[1:], None)  # None if a1 = 0 or v1^(a-1) m failed
         try:
-            same = _eta_r_flat(ctx, x).terms == _cartan_flat(ctx, x).terms
+            eta = _eta_v_generator(ctx, 1) * prev if prev else _eta_r_flat(ctx, x)
+            if mono.degree + ctx.q <= bound:  # v1 * mono is in the window
+                chains[mono.exps[1:]] = eta
+            same = eta.terms == _cartan_flat(ctx, x).terms
         except ValueError as exc:  # a non-integral value is a mismatch
             same, witness = False, f"{mono}: {exc}"
         if not same:

@@ -228,6 +228,7 @@ DROPPED_FLAG_ARGVS = [
         ["cat", "check", "x.cat", *flag]
         for flag in (["--prime", "5"], ["--truncation", "4"], ["--degree-bound", "3"])
     ),
+    ["verify", "lemma7.1", "--prime", "5", "--invert", "2"],
 ]
 
 
@@ -239,6 +240,70 @@ def test_flag_a_command_does_not_read_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --" in captured.err
+    # the command's own usage line and error, not the top-level parser's
+    assert captured.err.startswith(f"usage: bpcalc {argv[0]} [-h]")
+    assert f"\nbpcalc {argv[0]}: error: unrecognized arguments: --" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "all", "--prime", "7"],
+        ["cat", "check", "interval.cat"],
+        ["cat", "localize", "interval.cat"],
+    ],
+)
+def test_out_path_is_checked_before_any_work(monkeypatch, capsys, tmp_path, argv):
+    def no_work(*args):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "run_verify", no_work)
+    monkeypatch.setattr(cli.catfrac, "parse_category_file", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "interval.cat").write_text(INTERVAL_CAT)
+    for out in (".", "no-such-dir/report.txt"):
+        assert main(argv + ["--out", out]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: [Errno "), out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["interval.cat"]
+
+
+@pytest.mark.parametrize(
+    "argv, patch, code",
+    [
+        (["verify", "all", "--prime", "3"], None, EXIT_USAGE),
+        (
+            ["verify", "lemma7.1", "--prime", "5"],
+            ExponentOverflowError("past the key field"),
+            EXIT_TRUNCATION,
+        ),
+        (["cat", "localize", "interval.cat", "--marked-class", "T"], None, EXIT_USAGE),
+    ],
+)
+def test_exit_2_or_3_leaves_no_out_file(monkeypatch, tmp_path, argv, patch, code):
+    def crash(*args):
+        raise patch
+
+    if patch is not None:
+        monkeypatch.setattr(hopf, "verify_lemma_7_1", crash)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "interval.cat").write_text(INTERVAL_CAT)
+    (tmp_path / "kept.txt").write_text("kept\n")
+    assert main(argv + ["--out", "report.txt"]) == code
+    assert main(argv + ["--out", "kept.txt"]) == code
+    assert not (tmp_path / "report.txt").exists()
+    assert (tmp_path / "kept.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "target", ["lemma7.1", "lemma7.3", "lemma7.5", "lemma7.7", "lemma7.9"]
+)
+def test_verify_targets_pass_at_p3(capsys, target):
+    # thm7.2 and thm7.10 need p >= 5, so verify all --prime 3 exits 2 (above)
+    assert main(["verify", target, "--prime", "3", "--no-timing"]) == EXIT_PASS
+    assert "status: PASS" in capsys.readouterr().out
 
 
 def test_environment_changes_no_run(monkeypatch, capsys, tmp_path):

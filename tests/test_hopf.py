@@ -761,6 +761,50 @@ def test_coherence_fails_on_a_perturbed_cartan_v_to_m():
         assert "v1;" not in sweep.witness, key
 
 
+def test_coherence_fails_on_a_perturbed_v1_right_unit():
+    # negative control on the v1-chains: the sweep reads eta_R(v1) from its
+    # memo at every step, so any one coefficient of v1 + p t1 changed by 1
+    # breaks the comparison at v1 and on up the chain from 1
+    keys = list(hopf._eta_v_generator(Context(prime=5), 1).terms)
+    assert len(keys) == 2
+    for key in keys:
+        ctx = Context(prime=5)
+        hopf._eta_v_generator(ctx, 1).terms[key] += 1
+        sweep = _coherence(hopf.verify_structural(ctx))
+        assert not sweep.status, key
+        assert sweep.witness == "v1; v1^2; v1^3; v1^4", key
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sweep_eta_side_matches_eta_r_flat_on_every_monomial(monkeypatch, p):
+    # the eta images the sweep builds along v1-chains, compared in place of
+    # the Cartan side with _eta_r_flat on a fresh context: equal on the whole
+    # window, and only the monomials with a1 = 0 are built from scratch
+    real, fresh = hopf._eta_r_flat, Context(prime=p)
+    built = []
+
+    def eta_r_flat(ctx, x):
+        built.append(next(iter(x.terms)))
+        return real(ctx, x)
+
+    monkeypatch.setattr(hopf, "_eta_r_flat", eta_r_flat)
+    monkeypatch.setattr(hopf, "_cartan_flat", lambda ctx, x: real(fresh, x))
+    monkeypatch.setattr(hopf, "coassociativity_check", lambda ctx, k: True)
+    ctx = Context(prime=p)
+    sweep = _coherence(hopf.verify_structural(ctx))
+    window = [m.exps for m in monomials_up_to(2 * (p**3 - 1), ctx.V)]
+    assert sweep.status and sweep.computed == f"{len(window)} monomials checked"
+    assert built == [e for e in window if not e[:1] or not e[0]]
+    # the sweep stores no power of v1: each chain multiplies its own image
+    assert [k for k in ctx.memo["_eta_v_generator_pow"] if k[0] == 1] == []
+
+
+def test_structural_passes_at_p3():
+    report = hopf.verify_structural(Context(prime=3))
+    assert report.passed
+    assert _coherence(report).computed == "33 monomials checked"
+
+
 # (input, r_action(R[1], x), r_action_table(x)) at p = 5, captured from the
 # tuple-keyed basis change (``ctx.to_m_basis``) the Cartan side used to read;
 # a str is an exception's "type: message"
