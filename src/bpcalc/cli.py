@@ -8,8 +8,9 @@ arithmetic error is one failed record ``<target>.crashed`` (under ``verify
 all`` the others still run), ``cat localize`` on a class that fails the
 fraction axioms reports its axiom records (``class[S].*``) and exits 1, and
 ``cat check`` on a file with no class and no functor exits 2, as does an
-input or ``--out`` path that cannot be read or written (``--out`` is
-checked before any work, and no file is left behind on exit 2 or 3).
+input or ``--out`` path that cannot be read or written, or a ``cat --out``
+that names the input file (``--out`` is checked before any work, and no
+file is left behind on exit 2 or 3).
 Reports are deterministic apart from each record's measured
 ``runtime_ms``: JSON output omits that field under ``--no-timing``, and
 text output never shows it.
@@ -355,6 +356,8 @@ def main(argv=None) -> int:
     try:
         if config.out:  # an unwritable path fails before any work, leaving no file
             existed = os.path.exists(config.out)
+            if existed and args.command == "cat" and os.path.samefile(config.out, args.file):
+                raise ParseError(f"--out {config.out} is the input file {args.file}")
             open(config.out, "a").close()
             if not existed:
                 os.remove(config.out)

@@ -61,10 +61,9 @@ right unit's ``_eta_r_m_generator(_pow)``, ``_eta_v_generator(_pow)`` and
 ``_m_to_v_scaled`` (p^s * m^a per m-monomial, over ``_m_in_v_scaled``);
 decoded at its edge or otherwise: ``psi_monomial``, ``_factor_actions``,
 ``pair_word`` and ``_eta_r_cached`` (eta_r per inner value of the nested
-pairing, keyed by the hashable ``Poly``).  Only the Cartan side's tables
-are filled by hand, in ``hopf._mono_action_table``: ``rtable`` and
-``rtable_pruned`` (counts), whose build walks down to the nearest cached
-suffix.  Callers must not mutate a memo entry.
+pairing, keyed by the hashable ``Poly``).  Only ``rtable``, the Cartan
+side's full tables (counts), is filled by hand, in closed form per monomial
+by ``hopf._mono_action_table``.  Callers must not mutate a memo entry.
 """
 
 from __future__ import annotations

@@ -14,10 +14,9 @@ multiplies memoized flat powers psi(t_i)^e.  The diagonal, the right unit
 and the Cartan side all compute in that one form, flat tables {packed int
 key: coefficient} (``_Flat``); ``_by_t`` is the one edge where a table is
 decoded into the tuple-keyed TPoly, TensorPoly and Poly values that callers
-and the pairing read.  The dual
-operations R_I are indexed by finite sequences (i_1, ..., i_n), R_I dual
-to t_1^(i_1)...t_n^(i_n) under the left-linear Kronecker pairing
-<R_I, t^J> = delta_IJ.
+and the pairing read.  The dual operations R_I are indexed by finite
+sequences (i_1, ..., i_n), R_I dual to t_1^(i_1)...t_n^(i_n) under the
+left-linear Kronecker pairing <R_I, t^J> = delta_IJ.
 
 Conventions (validated wholesale by verify_lemma_7_1):
   * coefficients live on the LEFT tensor factor;
@@ -44,17 +43,17 @@ walks each v1-chain v1^a m upward, one 2-term product per monomial:
 eta_R(v1^a m) = eta_R(v1) * eta_R(v1^(a-1) m).  The Cartan side is not
 chained: it runs its own path on every monomial, on flat int tables of its
 own (m-exponents and J in one key): the change to the m-basis over the
-expansions v_i in the m-basis (``_v_in_m_flat``), m-basis factor actions,
-the table recursion, then the change back over the integral scaled
-generators p^i m_i in the v-basis (``_m_in_v_scaled``), divided exactly by
-p^K once at the end.  Both generator tables are read off ``Context``'s
-Hazewinkel relations; its tuple-keyed maps ``to_m_basis``/``to_v_basis``
-serve only as the reference in the round-trip check.  The Cartan side must
-not be made multiplicative in the v-basis: the Cartan formula is exactly
-the multiplicativity of eta_R, so the cross-check would then compare one
-computation with itself.  For the same reason the right unit's eta_R(m_i)
-are written out on their own, not read from the Cartan side's factor
-actions.
+expansions v_i in the m-basis (``_v_in_m_flat``), the Cartan tables in
+closed form (the multinomial theorem on the factor actions R_(p^a e_(i-a))
+m_i = m_a), then the change back over the integral scaled generators p^i m_i
+in the v-basis (``_m_in_v_scaled``), divided exactly by p^K once.  Both
+generator tables are read off ``Context``'s Hazewinkel relations; its
+tuple-keyed maps ``to_m_basis``/``to_v_basis`` serve only as the reference
+in the round-trip check.  The Cartan side must not be made multiplicative
+in the v-basis: the Cartan formula is exactly the multiplicativity of
+eta_R, so the cross-check would then compare one computation with itself.
+For the same reason the right unit's eta_R(m_i) are written out on their
+own, not read from the Cartan side's factor actions.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .arith import padic_valuation
 from .errors import (
@@ -643,67 +643,39 @@ def eta_r(ctx: Context, x: Poly) -> TPoly:
 
 
 @memoized
-def _factor_actions(ctx: Context, i: int):
-    """The nonzero R_J m_i, all with coefficient 1, as (key, b, p^a): R_0
-    m_i = m_i (b = 0) and R_J m_i = m_a for J = p^a in place b = i - a; key
-    packs m_a in the low fields and J from ``_T_SHIFT`` up."""
-    p = ctx.prime
-    actions = [(1 << _FIELD_BITS * (i - 1), 0, 0)]
-    for a in range(0, i):
-        b = i - a  # b >= 1
-        value = 1 << _FIELD_BITS * (a - 1) if a else 0
-        index = p**a << _T_SHIFT + _FIELD_BITS * (b - 1)
-        actions.append((value + index, b, p**a))
-    return actions
+def _factor_actions(ctx: Context, i: int) -> list:
+    """The keys of the nonzero R_J m_i, each with coefficient 1: R_0 m_i = m_i
+    first, then R_J m_i = m_a for J = p^a in place i - a, a = 0, ..., i - 1;
+    a key packs m_a in the low fields and J from ``_T_SHIFT`` up."""
+    p, m = ctx.prime, lambda a: 1 << _FIELD_BITS * (a - 1) if a else 0
+    return [m(i)] + [m(a) + (p**a * m(i - a) << _T_SHIFT) for a in range(i)]
 
 
-def _mono_action_table(ctx: Context, exps, cap=None) -> dict:
-    """R_J values on the m-monomial, via the Cartan formula, as a flat
-    table {key: int}: the key packs a value's m-exponents and, from
-    ``_T_SHIFT`` up, J; each factor action has coefficient 1, so the int
-    counts the ways the pair arises.  The table holds every nonzero R_J when
-    cap is None, else only the J <= cap componentwise: an exact restriction,
-    since indices add componentwise with non-negative entries.
-
-    Tables are memoized in ``ctx.memo["rtable"]`` under exps when full and
-    in ``ctx.memo["rtable_pruned"]`` under (exps, cap) when pruned; a full
-    table serves any cap.  Each step strips one factor of the highest
-    generator, so the build walks down to the nearest cached suffix table
-    and then back up in a loop, with no recursion depth tied to exponents.
-    Callers bound the exponents first (``_key_bound``).
-    """
-    exps = _trim(exps)
-    full, pruned = ctx.memo["rtable"], ctx.memo["rtable_pruned"]
-    pending = []  # monomials still to build, largest first
-    while True:
-        table = full.get(exps)
-        if table is None and cap is not None:
-            table = pruned.get((exps, cap))
-        if table is not None:
-            break
-        if not exps:
-            table = full[()] = {0: 1}
-            break
-        pending.append(exps)
-        exps = _trim(exps[:-1] + (exps[-1] - 1,))
-    for exps in reversed(pending):
-        rest, table = table, {}
+def _mono_action_table(ctx: Context, exps) -> dict:
+    """Every R_J value on m1^a1 m2^a2 m3^a3 by the Cartan formula in closed
+    form, as a flat table {m-key + J << _T_SHIFT: int} memoized per monomial
+    in ``ctx.memo["rtable"]``: the monomial's table without its top power
+    m_i^n times the J-parts of (m_i + sum_(a<i) m_a t_(i-a)^(p^a))^n, where
+    k_b of the n factors take the b-th of ``_factor_actions`` with count
+    n!/(k_0!...k_i!).  Count vectors may share a key.  Callers bound the
+    exponents first (``_key_bound``)."""
+    exps, full = _trim(exps), ctx.memo["rtable"]
+    if not exps:
+        return full.setdefault((), {0: 1})
+    if exps not in full:
+        rest, n = _mono_action_table(ctx, exps[:-1]), exps[-1]
+        unit, *moves = _factor_actions(ctx, len(exps))
+        power = [(n * unit, 1, n)]  # (key, count, factors left)
+        for d in (key - unit for key in moves):
+            power = [(k + j * d, c * comb(r, j), r - j)
+                     for k, c, r in power for j in range(r + 1)]
+        table = {}
         get = table.get
-        for key, b, step in _factor_actions(ctx, len(exps)):
-            items = rest.items()
-            if cap is not None and b:
-                # rest holds J <= cap, so only field b of the sum can pass it
-                limit = (cap[b - 1] if b <= len(cap) else 0) - step
-                shift = _T_SHIFT + _FIELD_BITS * (b - 1)
-                items = [(k, c) for k, c in items if k >> shift & _FIELD_MASK <= limit]
-            for k, c in items:
-                k += key
-                table[k] = get(k, 0) + c
-        if cap is None:
-            full[exps] = table
-        else:
-            pruned[exps, cap] = table
-    return table
+        for k2, c2, _ in power:
+            for k, c in rest.items():
+                table[k + k2] = get(k + k2, 0) + c * c2
+        full[exps] = table
+    return full[exps]
 
 
 def _m_terms(ctx: Context, x: Poly):
@@ -731,16 +703,43 @@ def _m_terms(ctx: Context, x: Poly):
 
 
 def _cartan_m(ctx: Context, terms, cap=None) -> dict:
-    """R_J of the (m-exponents, coefficient) terms for every J, or for J = cap
-    only, as {m-key + J << _T_SHIFT: coefficient}, zeros kept.  The caller
-    checks cap against the truncation."""
-    # the packed J to keep: None keeps all, -1 none (cap past the field)
-    want = cap and (_pack(cap) if max(cap) <= _FIELD_MASK else -1)
+    """R_J of the (m-exponents, coefficient) terms for every J (their
+    ``_mono_action_table``s) or for J = cap only, as {m-key + J << _T_SHIFT:
+    coefficient}, zeros kept.  One index: the same closed form, no memo and
+    no table per term; place 3 of J fixes m3's count there, each lower place
+    b leaves the splits among the m_i, i > b, reaching it (step p^(i-b)),
+    and m_b takes the rest.  The caller checks cap against the truncation."""
     acc = {}
+    get = acc.get
+    if cap is None:
+        for exps, c in terms:
+            for k, n in _mono_action_table(ctx, exps).items():
+                acc[k] = get(k, 0) + c * n
+        return acc
+    if any(cap[HAZEWINKEL_MAX_INDEX:]):
+        return acc  # J reaches no place past 3
+    j1, j2, j3 = (cap + (0, 0, 0))[:3]
+    # the keys of R_0 m_i, then of m_i's actions in places i, ..., 1
+    acts = map(_factor_actions, [ctx] * 3, (1, 2, 3))
+    (u1, x11), (u2, x22, x21), (u3, x33, x32, x31) = acts
+    p, pp, d11, d21 = ctx.prime, ctx.prime**2, x11 - u1, x21 - u2
     for exps, c in terms:
-        for k, n in _mono_action_table(ctx, exps, cap).items():
-            if want is None or k >> _T_SHIFT == want:
-                acc[k] = acc.get(k, 0) + c * n
+        a1, a2, a3 = (exps + (0, 0, 0))[:3]
+        r3, top = a3 - j3, a1 * u1 + a2 * u2 + a3 * u3 + j3 * (x33 - u3)
+        # place 2: k32 factors of m3 (step p), k22 = j2 - p k32 of m2 (step 1)
+        for k32 in range(max(0, -((a2 - j2) // p)), min(r3, j2 // p) + 1):
+            k22 = j2 - p * k32
+            r32, r2 = r3 - k32, a2 - k22
+            c32 = comb(a3, j3) * comb(r3, k32) * comb(a2, k22)
+            key32 = top + k32 * (x32 - u3) + k22 * (x22 - u2)
+            # place 1: k31 of m3 (step p^2), k21 of m2 (step p), the rest of m1
+            for k31 in range(min(r32, j1 // pp) + 1):
+                rest = j1 - pp * k31
+                c31, key31 = c32 * comb(r32, k31), key32 + k31 * (x31 - u3)
+                for k21 in range(max(0, -((a1 - rest) // p)), min(r2, rest // p) + 1):
+                    k11 = rest - p * k21
+                    k = key31 + k21 * d21 + k11 * d11
+                    acc[k] = get(k, 0) + c * (c31 * comb(r2, k21) * comb(a1, k11))
     return acc
 
 
@@ -767,8 +766,7 @@ def r_action(ctx: Context, index, x: Poly) -> Poly:
     """R_I acting on the coefficient ring (additive, Cartan multiplicative):
     the one-letter word R_I acting on x (``OperationExpr.act``), so errors
     are as in ``r_action_table``, except that only a non-integral R_I(x)
-    raises ValueError: R_1(v1/p) = 1, though R_0(v1/p) is not integral.
-    """
+    raises ValueError: R_1(v1/p) = 1, though R_0(v1/p) is not integral."""
     return OperationExpr.word(ctx, index).act(x)
 
 

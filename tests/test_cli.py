@@ -270,6 +270,26 @@ def test_out_path_is_checked_before_any_work(monkeypatch, capsys, tmp_path, argv
     assert sorted(p.name for p in tmp_path.iterdir()) == ["interval.cat"]
 
 
+@pytest.mark.parametrize("action", ["check", "localize"])
+def test_cat_out_must_not_name_the_input_file(monkeypatch, capsys, tmp_path, action):
+    def no_work(*args):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli.catfrac, "parse_category_file", no_work)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "interval.cat"
+    path.write_text(INTERVAL_CAT)
+    (tmp_path / "link.cat").symlink_to(path)
+    for out in ("interval.cat", "./interval.cat", str(path), "link.cat"):
+        assert main(["cat", action, "interval.cat", "--out", out]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --out "), out
+        assert "is the input file interval.cat" in lines[0]
+        assert path.read_text() == INTERVAL_CAT
+
+
 @pytest.mark.parametrize(
     "argv, patch, code",
     [

@@ -859,7 +859,7 @@ def test_cartan_rejects_m4():
             r_action(ctx, (1,), x)
         with pytest.raises(TruncationError, match="m1..m3"):
             r_action_table(ctx, x)
-    assert not ctx.memo["rtable"] and not ctx.memo["rtable_pruned"]
+    assert not ctx.memo["rtable"]
 
 
 def test_cartan_field_overflow_raises_before_any_table():
@@ -870,7 +870,7 @@ def test_cartan_field_overflow_raises_before_any_table():
         r_action_table(ctx, x)
     with pytest.raises(ExponentOverflowError):
         r_action(ctx, (1,), x)
-    assert not ctx.memo["rtable"] and not ctx.memo["rtable_pruned"]
+    assert not ctx.memo["rtable"]
 
 
 def test_eta_r_rejects_non_integral_and_non_v_input(ctx5):

@@ -1,5 +1,6 @@
 """A control for every record that compares a computed value with an exact
-expected one (``Report.expect``): a named perturbation of a table entry, a
+expected one (``Report.expect``), and for lemma7.9's coboundary and
+integrality tables (``Report.check``): a named perturbation of a table entry, a
 relation or an operation value under which a single ``verify <target>``
 at p = 5 exits 1 with that record failing and no ``<target>.crashed``
 record.  The controls are hand-named mutants of the inputs the records
@@ -16,15 +17,15 @@ from bpcalc import cli, hopf, opcalc
 from bpcalc.report import Report
 
 
-def r_action_doubled(hit):
-    """opcalc's R_I(x) doubled wherever hit(ctx, I, x)."""
+def r_action_scaled(hit, factor=2):
+    """opcalc's R_I(x) times factor wherever hit(ctx, I, x)."""
 
     def perturb(monkeypatch):
         original = opcalc.r_action
 
         def r_action(ctx, index, x):
             value = original(ctx, index, x)
-            return 2 * value if hit(ctx, tuple(index), x) else value
+            return factor * value if hit(ctx, tuple(index), x) else value
 
         monkeypatch.setattr(opcalc, "r_action", r_action)
 
@@ -99,15 +100,15 @@ def product_in_basis_doubled(monkeypatch):
 CONTROLS = {
     "lemma7.3.R1v1": (
         "lemma7.3",
-        r_action_doubled(lambda c, I, x: I == (1,) and x == c.v(1)),
+        r_action_scaled(lambda c, I, x: I == (1,) and x == c.v(1)),
     ),
     "lemma7.3.R1v2": (
         "lemma7.3",
-        r_action_doubled(lambda c, I, x: I == (1,) and x == c.v(2)),
+        r_action_scaled(lambda c, I, x: I == (1,) and x == c.v(2)),
     ),
     "lemma7.3.R01v2": (
         "lemma7.3",
-        r_action_doubled(lambda c, I, x: I == (0, 1) and x == c.v(2)),
+        r_action_scaled(lambda c, I, x: I == (0, 1) and x == c.v(2)),
     ),
     "lemma7.5.restricted": (
         "lemma7.5",
@@ -136,11 +137,35 @@ CONTROLS = {
     **{
         f"lemma7.9.top-action[r={r}]": (
             "lemma7.9",
-            r_action_doubled(
+            r_action_scaled(
                 lambda c, I, x, r=r: I == (c.prime**2,) and x == c.v(1) ** r
             ),
         )
         for r in range(26, 30)  # p^2 < r < p^2 + p at p = 5
+    },
+}
+
+# ``Report.check`` records whose status compares the one-index R_I(x)
+# values of lemma7.9 with a congruence table or an exact linear system.
+# integrality-system[r] cannot fail alone: p does not divide r, so once every
+# row of coboundary-table[r] holds mod p, row R1 already forces integral c_ij
+# and p-integral c; its control makes one column divisible by p (d0 of
+# v1^(r-p-1) v2 times p), which breaks both.
+CHECK_CONTROLS = {
+    **{
+        f"lemma7.9.coboundary-table[r={r}]": (
+            "lemma7.9",
+            r_action_scaled(lambda c, I, x, r=r: I == (1,) and x == c.v(1) ** r),
+        )
+        for r in range(26, 30)
+    },
+    **{
+        f"lemma7.9.integrality-system[r={r}]": (
+            "lemma7.9",
+            r_action_scaled(lambda c, I, x, r=r: x == c.v(1) ** (r - 6) * c.v(2), 5),
+            [f"lemma7.9.coboundary-table[r={r}]", f"lemma7.9.integrality-system[r={r}]"],
+        )
+        for r in range(26, 30)
     },
 }
 
@@ -150,9 +175,9 @@ def _verify(target, capsys):
     return code, Report.from_json(capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("record", sorted(CONTROLS))
+@pytest.mark.parametrize("record", sorted(CONTROLS) + sorted(CHECK_CONTROLS))
 def test_record_control(monkeypatch, capsys, record):
-    target, perturb, *failing = CONTROLS[record]
+    target, perturb, *failing = {**CONTROLS, **CHECK_CONTROLS}[record]
     perturb(monkeypatch)
     code, report = _verify(target, capsys)
     assert code == cli.EXIT_CHECK_FAILURE
@@ -172,3 +197,11 @@ def test_every_expect_record_has_a_control(monkeypatch, capsys):
     code, report = _verify("all", capsys)
     assert code == 0 and report.passed
     assert sorted(seen) == sorted(CONTROLS)
+
+
+def test_every_lemma79_table_record_has_a_control(capsys):
+    code, report = _verify("lemma7.9", capsys)
+    assert code == 0
+    tables = ("coboundary-table", "integrality-system")
+    ids = [r.id for r in report.records if any(t in r.id for t in tables)]
+    assert sorted(ids) == sorted(CHECK_CONTROLS)
