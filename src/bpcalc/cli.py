@@ -1,6 +1,9 @@
 """Command-line surface: verification pipelines, operation evaluation,
 group localization, and finite-category checks.
 
+The verify targets, in report order, are the keys of one table,
+``VERIFY_PIPELINES``; the argparse choices and ``all``'s parts come from it.
+
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error
 (or a pipeline precondition the configuration fails, or a non-integral
 ``eval`` value), 3 truncation exceeded.  A verify target that stops on an
@@ -44,18 +47,6 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATION = 3
 
-VERIFY_TARGETS = (
-    "lemma7.1",
-    "lemma7.3",
-    "lemma7.5",
-    "lemma7.7",
-    "thm7.2",
-    "lemma7.9",
-    "thm7.10",
-    "all",
-)
-# the parts of "all", in report order; thm7.2 runs lemma7.5 and lemma7.7
-VERIFY_ALL = ("lemma7.1", "lemma7.3", "thm7.2", "lemma7.9", "thm7.10", "structural")
 COMMANDS = ("verify", "eval", "localize-group", "cat")
 
 
@@ -246,16 +237,50 @@ def parse_inverted(spec: str) -> abloc.InvertedSet:
 # ---------------------------------------------------------------------------
 
 
-def _run_pipeline(name: str, build, config: dict, into: Report | None = None) -> Report:
-    """build()'s report, or with ``into`` given, ``into`` with build()'s
-    records appended under the prefix name.  A pipeline that stops on an
-    arithmetic error (ValueError, ArithmeticError, or a BPCalcError that
-    is neither truncation nor usage) is one failed record
+def _lemma_7_1(ctx: Context, window_q: int) -> Report:
+    """Lemma 7.1's relations, then the complex d0, d1, d2 over the same
+    window, and the misprinted d1, which must fail both composites."""
+    report = hopf.verify_lemma_7_1(ctx, window_q)
+    d0, d1, d2 = opcalc.d_matrices(ctx)
+    report.extend(opcalc.check_complex(ctx, [d0, d1, d2], window_q))
+    printed = opcalc.check_complex(ctx, [d0, opcalc.d1_misprint(ctx), d2], window_q)
+    report.check(
+        id="misprint-d1-fails",
+        anchor="the misprinted variant of the second matrix fails both "
+        "composites (documenting the misprint)",
+        status=not printed.passed,
+        computed="; ".join(f"{r.id}: {r.witness}" for r in printed.records),
+    )
+    return report
+
+
+# target -> (builder(ctx, window_q), part of "all"); the two stages thm7.2
+# runs first are targets outside "all".  Builders look pipelines up per call.
+VERIFY_PIPELINES = {
+    "lemma7.1": (_lemma_7_1, True),
+    "lemma7.3": (lambda ctx, window_q: opcalc.verify_lemma_7_3(ctx), True),
+    "lemma7.5": (lambda ctx, window_q: opcalc.lemma75_check(ctx)[1], False),
+    "lemma7.7": (lambda ctx, window_q: opcalc.lemma77_check(ctx)[1], False),
+    "thm7.2": (lambda ctx, window_q: opcalc.gamma1_pipeline(ctx), True),
+    "lemma7.9": (lambda ctx, window_q: opcalc.verify_lemma_7_9(ctx), True),
+    "thm7.10": (lambda ctx, window_q: opcalc.betap_pipeline(ctx), True),
+    "structural": (lambda ctx, window_q: hopf.verify_structural(ctx), True),
+}
+VERIFY_ALL = tuple(name for name, (_, in_all) in VERIFY_PIPELINES.items() if in_all)
+VERIFY_TARGETS = (*VERIFY_PIPELINES, "all")
+
+
+def _run_pipeline(name: str, ctx, window_q: int, config: dict, into=None) -> Report:
+    """The report of target name's builder, or with ``into`` given, ``into``
+    with its records appended under the prefix name.  A pipeline that stops
+    on an arithmetic error (ValueError, ArithmeticError, or a BPCalcError
+    that is neither truncation nor usage) is one failed record
     ``<name>.crashed`` instead; truncation and usage errors propagate
     (exit 3 or 2)."""
     report = into if into is not None else Report(f"the {name} pipeline", config)
+    build, _ = VERIFY_PIPELINES[name]
     try:
-        part = build()
+        part = build(ctx, window_q)
     except (TruncationError, ParseError, PreconditionError):
         raise
     except (ValueError, ArithmeticError, BPCalcError) as exc:
@@ -274,46 +299,17 @@ def _run_pipeline(name: str, build, config: dict, into: Report | None = None) ->
 
 def run_verify(target: str, config: Config) -> Report:
     ctx = config.context()
-    bound = hopf.pairing_window_q(ctx.prime, config.degree_bound_q)
-    summary = {"prime": ctx.prime, "truncation": ctx.truncation, "window_q": bound}
-
-    def with_complex(report: Report) -> Report:
-        d0, d1, d2 = opcalc.d_matrices(ctx)
-        good = opcalc.check_complex(ctx, [d0, d1, d2], bound)
-        report.extend(good)
-        printed = opcalc.check_complex(
-            ctx, [d0, opcalc.d1_misprint(ctx), d2], bound
-        )
-        report.check(
-            id="misprint-d1-fails",
-            anchor="the misprinted variant of the second matrix fails both "
-            "composites (documenting the misprint)",
-            status=not printed.passed,
-            computed="; ".join(
-                f"{r.id}: {r.witness}" for r in printed.records
-            ),
-        )
-        return report
-
-    builders = {
-        "lemma7.1": lambda: with_complex(hopf.verify_lemma_7_1(ctx, bound)),
-        "lemma7.3": lambda: opcalc.verify_lemma_7_3(ctx),
-        "lemma7.5": lambda: opcalc.lemma75_check(ctx)[1],
-        "lemma7.7": lambda: opcalc.lemma77_check(ctx)[1],
-        "thm7.2": lambda: opcalc.gamma1_pipeline(ctx),
-        "lemma7.9": lambda: opcalc.verify_lemma_7_9(ctx),
-        "thm7.10": lambda: opcalc.betap_pipeline(ctx),
-        "structural": lambda: hopf.verify_structural(ctx),
-    }
+    window_q = hopf.pairing_window_q(ctx.prime, config.degree_bound_q)
+    summary = {"prime": ctx.prime, "truncation": ctx.truncation, "window_q": window_q}
     if target == "all":
         merged = Report("all verification pipelines", config=summary)
         for name in VERIFY_ALL:
             # a crash is one failed record; the other targets still run
-            _run_pipeline(name, builders[name], summary, into=merged)
+            _run_pipeline(name, ctx, window_q, summary, into=merged)
         return merged
-    if target not in builders:
+    if target not in VERIFY_PIPELINES:
         raise ValueError(f"unknown verify target {target}")
-    return _run_pipeline(target, builders[target], summary)
+    return _run_pipeline(target, ctx, window_q, summary)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ Conventions (validated wholesale by verify_lemma_7_1):
     with <b, x_i> multiplied into the left coefficient of e_i through the
     right unit; ``compose_pair`` and the nested ``pair_word`` share that
     one step, ``_through_diagonal``;
-  * all Koszul signs are +1 -- every degree in play is even (asserted).
+  * all Koszul signs are +1 -- every generator degree 2(p^i - 1) is even.
 
 The action of R_I on the coefficient ring is computed two independent ways:
 via the Cartan formula from the base values on the m-generators, and as the
@@ -97,11 +97,6 @@ from .report import Report
 # ---------------------------------------------------------------------------
 
 
-def opindex(*parts) -> tuple:
-    """Normalized operation index: trailing zeros trimmed."""
-    return _trim(tuple(parts))
-
-
 def format_opindex(idx: tuple) -> str:
     if not idx:
         return "R[0]"
@@ -125,13 +120,14 @@ def _coeff_alphabet(x):
 class _Coeffs(Sparse):
     """Finite mapping key -> nonzero coefficient Poly under one context: the
     value layer of TPoly, TensorPoly and OperationCombo.  A subclass
-    supplies its key normal form ``_key``, its print order ``_order`` and
-    the printed body of a key ``_body``; the defaults are those of keys that
-    are one exponent tuple of the t-alphabet."""
+    supplies its key normal form ``_key``, the key of 1 ``_unit_key``, its
+    print order ``_order`` and the printed body of a key ``_body``; the
+    defaults are those of keys that are one exponent tuple of the t-alphabet."""
 
     __slots__ = ("ctx",)
     _scalars = (int, Fraction, Poly)
     _key = staticmethod(_trim)
+    _unit_key = ()
 
     def __init__(self, ctx: Context, terms=None):
         self.ctx = ctx
@@ -156,6 +152,11 @@ class _Coeffs(Sparse):
     @classmethod
     def zero(cls, ctx):
         return cls._raw(ctx, {})
+
+    @classmethod
+    def unit(cls, ctx, coeff_alphabet=None):
+        """1 at ``_unit_key`` over coeff_alphabet (default the v-alphabet)."""
+        return cls._raw(ctx, {cls._unit_key: Poly.constant(coeff_alphabet or ctx.V, 1)})
 
     def _one(self):
         return self.unit(self.ctx, _coeff_alphabet(self))
@@ -191,18 +192,10 @@ class TPoly(_Coeffs, SparseRing):
     __slots__ = ()
 
     @classmethod
-    def unit(cls, ctx, coeff_alphabet=None):
-        alph = coeff_alphabet or ctx.V
-        return cls._raw(ctx, {(): Poly.constant(alph, 1)})
-
-    @classmethod
-    def t(cls, ctx, i, power=1, coeff_alphabet=None):
-        alph = coeff_alphabet or ctx.V
-        if i < 1 or i > ctx.truncation:
+    def t(cls, ctx, i, power=1):
+        if i < 1:
             raise TruncationError(f"t{i} outside truncation N={ctx.truncation}")
-        return cls._raw(
-            ctx, {(0,) * (i - 1) + (power,): Poly.constant(alph, 1)}
-        )
+        return cls.monomial(ctx, (0,) * (i - 1) + (power,))
 
     @classmethod
     def monomial(cls, ctx, exps, coeff=None):
@@ -229,15 +222,11 @@ class TensorPoly(_Coeffs, SparseRing):
 
     __slots__ = ()
     _add_keys = staticmethod(_add_exp_pairs)
+    _unit_key = ((), ())
 
     @staticmethod
     def _key(key):
         return (_trim(key[0]), _trim(key[1]))
-
-    @classmethod
-    def unit(cls, ctx, coeff_alphabet=None):
-        alph = coeff_alphabet or ctx.V
-        return cls._raw(ctx, {((), ()): Poly.constant(alph, 1)})
 
     def coeff(self, left_exps, right_exps) -> Poly:
         return _Coeffs.coeff(self, (left_exps, right_exps))
@@ -259,7 +248,8 @@ class TensorPoly(_Coeffs, SparseRing):
 # fields hold a v- or m-monomial (every flat image involves only indices
 # 1..3 there); from ``_T_SHIFT`` up come t-exponents: the right unit packs
 # t1..t3, the Cartan tables the index J, and the diagonal one block of
-# t1..tN (N = ctx.truncation, ``_block``) per tensor factor.
+# t1..tN (N = ctx.truncation, ``_block``) per tensor factor.  The generator
+# tables write each generator power's key with ``_gen``.
 _FIELD_BITS = 16
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 _T_SHIFT = _FIELD_BITS * HAZEWINKEL_MAX_INDEX
@@ -279,6 +269,11 @@ def _unpack(key) -> tuple:
         exps.append(key & _FIELD_MASK)
         key >>= _FIELD_BITS
     return tuple(exps)
+
+
+def _gen(i, e=1, shift=0) -> int:
+    """The key of generator i to the power e from bit shift (i = 0: 1, key 0)."""
+    return e << shift + _FIELD_BITS * (i - 1) if i else 0
 
 
 def _block(ctx: Context) -> int:
@@ -415,8 +410,6 @@ def _psi_t_m(ctx: Context, k: int) -> _Flat:
     ones in the second.  The recursion's coefficients are all integers.
     ``_psi_t_v`` checks k and bounds the exponents first."""
     p, right = ctx.prime, _T_SHIFT + _block(ctx)
-    m = lambda h: 1 << _FIELD_BITS * (h - 1) if h else 0
-    t = lambda shift, i, e: e << shift + _FIELD_BITS * (i - 1) if i else 0
     # right-hand side sum over h+i+j = k; the (h,i,j)=(k,0,0) term cancels
     # against the i=k term of the left-hand side and both are omitted.
     rhs = {}
@@ -424,10 +417,10 @@ def _psi_t_m(ctx: Context, k: int) -> _Flat:
         for i in range(0, k - h + 1):
             j = k - h - i
             if i or j:
-                rhs[m(h) + t(_T_SHIFT, i, p**h) + t(right, j, p ** (h + i))] = 1
+                rhs[_gen(h) + _gen(i, p**h, _T_SHIFT) + _gen(j, p ** (h + i), right)] = 1
     out = _Flat(rhs)
     for i in range(1, k):
-        out = out - _Flat({m(i): 1}) * _psi_t_m(ctx, k - i) ** (p**i)
+        out = out - _Flat({_gen(i): 1}) * _psi_t_m(ctx, k - i) ** (p**i)
     return out
 
 
@@ -459,7 +452,7 @@ def _psi_t_v(ctx: Context, k: int) -> _Flat:
         if v_degree + T.degree_of(le) + T.degree_of(re) != degree:
             raise DegreeError(f"psi t_{k}: degree drift at {(le, re)}")
     # counits: the terms with one factor 1 are t_k (x) 1 and 1 (x) t_k alone
-    width, t_k = _block(ctx), 1 << _T_SHIFT + _FIELD_BITS * (k - 1)
+    width, t_k = _block(ctx), _gen(k, 1, _T_SHIFT)
     block, terms = (1 << width) - 1, table.terms.items()
     for side, (one, expect) in enumerate(((width, t_k), (0, t_k << width))):
         edge = {key: c for key, c in terms if not key >> _T_SHIFT + one & block}
@@ -550,13 +543,8 @@ def _eta_r_m_generator(ctx: Context, i: int) -> _Flat:
     fields and t from ``_T_SHIFT`` up.  Written out here rather than read
     from the Cartan side's ``_factor_actions``, so that the coherence
     cross-check does not compare one table with itself."""
-    p, terms = ctx.prime, {}
-    for a in range(0, i + 1):
-        b = i - a
-        m_a = 1 << _FIELD_BITS * (a - 1) if a else 0
-        t_b = p**a << _T_SHIFT + _FIELD_BITS * (b - 1) if b else 0
-        terms[m_a + t_b] = 1
-    return _Flat(terms)
+    p = ctx.prime
+    return _Flat({_gen(a) + _gen(i - a, p**a, _T_SHIFT): 1 for a in range(i + 1)})
 
 
 def eta_r_m(ctx: Context, x: Poly) -> TPoly:
@@ -647,8 +635,8 @@ def _factor_actions(ctx: Context, i: int) -> list:
     """The keys of the nonzero R_J m_i, each with coefficient 1: R_0 m_i = m_i
     first, then R_J m_i = m_a for J = p^a in place i - a, a = 0, ..., i - 1;
     a key packs m_a in the low fields and J from ``_T_SHIFT`` up."""
-    p, m = ctx.prime, lambda a: 1 << _FIELD_BITS * (a - 1) if a else 0
-    return [m(i)] + [m(a) + (p**a * m(i - a) << _T_SHIFT) for a in range(i)]
+    p = ctx.prime
+    return [_gen(i)] + [_gen(a) + _gen(i - a, p**a, _T_SHIFT) for a in range(i)]
 
 
 def _mono_action_table(ctx: Context, exps) -> dict:
@@ -783,14 +771,7 @@ class OperationCombo(_Coeffs):
 
     @classmethod
     def basis(cls, ctx, *index):
-        return cls(ctx, {opindex(*index): Poly.constant(ctx.V, 1)})
-
-    def degree(self):
-        """Operation degree deg(t^I) - deg(coefficient), consistent across terms."""
-        return single_degree(
-            (self.ctx.T.degree_of(i) - c.degree() for i, c in self.terms.items()),
-            "mixed operation degrees",
-        )
+        return cls(ctx, {index: 1})  # the key normal form trims the index
 
     def _body(self, idx):
         return format_opindex(idx)
@@ -846,12 +827,9 @@ def compose_pair(a: OperationCombo, b: OperationCombo, x: TPoly) -> Poly:
     value <b, x_i> multiplies the left factor e_i through the right unit
     (e_i . d = eta_R(d)-multiplication), landing in its left coefficient;
     a scalar inner value is plain left-coefficient multiplication.  Signs
-    are all +1: every degree in play is even, asserted on entry.
+    are all +1: every generator degree 2(p^i - 1) is even.
     """
     ctx = a.ctx
-    for e, c in x.terms.items():
-        if (ctx.T.degree_of(e) + (c.degree() or 0)) % 2:
-            raise DegreeError("odd degree in pairing input")
     out = Poly.zero(ctx.V)
     for exps, c in x.terms.items():
         for idx, d in a.terms.items():

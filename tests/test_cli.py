@@ -188,6 +188,9 @@ BAD_INPUT_ARGVS = [
     ["cat", "check", "."],
     ["cat", "check", "latin-1.cat"],
     ["verify", "lemma7.5", "--prime", "5", "--out", "."],
+    # the pipelines need t1..t3
+    ["verify", "lemma7.3", "--truncation", "2"],
+    ["eval", "--truncation", "2", "--", "R[1]", "v1"],
 ]
 
 # category files the bad-input argvs name, written to the working directory
@@ -318,12 +321,26 @@ def test_exit_2_or_3_leaves_no_out_file(monkeypatch, tmp_path, argv, patch, code
 
 
 @pytest.mark.parametrize(
-    "target", ["lemma7.1", "lemma7.3", "lemma7.5", "lemma7.7", "lemma7.9"]
+    "target", ["lemma7.1", "lemma7.3", "lemma7.5", "lemma7.7", "lemma7.9", "structural"]
 )
 def test_verify_targets_pass_at_p3(capsys, target):
     # thm7.2 and thm7.10 need p >= 5, so verify all --prime 3 exits 2 (above)
     assert main(["verify", target, "--prime", "3", "--no-timing"]) == EXIT_PASS
     assert "status: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p", ["5", "7"])
+def test_verify_structural_is_the_structural_part_of_all(capsys, p):
+    argv = ["--prime", p, "--format", "json", "--no-timing"]
+    assert main(["verify", "structural", *argv]) == EXIT_PASS
+    alone = json.loads(capsys.readouterr().out)["checks"]
+    assert main(["verify", "all", *argv]) == EXIT_PASS
+    merged = json.loads(capsys.readouterr().out)["checks"]
+    prefix = "structural."
+    part = [
+        {**c, "id": c["id"][len(prefix):]} for c in merged if c["id"].startswith(prefix)
+    ]
+    assert alone and alone == part
 
 
 def test_environment_changes_no_run(monkeypatch, capsys, tmp_path):

@@ -1,11 +1,12 @@
 """A control for every record that compares a computed value with an exact
-expected one (``Report.expect``), and for lemma7.9's coboundary and
-integrality tables (``Report.check``): a named perturbation of a table entry, a
-relation or an operation value under which a single ``verify <target>``
-at p = 5 exits 1 with that record failing and no ``<target>.crashed``
-record.  The controls are hand-named mutants of the inputs the records
-read, in the manner of mutation analysis (DeMillo, Lipton and Sayward,
-"Hints on test data selection", IEEE Computer 1978).
+expected one (``Report.expect``), and for these ``Report.check`` records:
+lemma7.9's coboundary and integrality tables, lemma 7.1's relations and
+thm7.2's two indeterminacy scans.  A control is a named perturbation of a
+table entry, a relation or an operation value under which a single ``verify
+<target>`` at p = 5 exits 1 with that record failing and no
+``<target>.crashed`` record.  The controls are hand-named mutants of the
+inputs the records read, in the manner of mutation analysis (DeMillo,
+Lipton and Sayward, "Hints on test data selection", IEEE Computer 1978).
 """
 
 from dataclasses import replace
@@ -14,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from bpcalc import cli, hopf, opcalc
+from bpcalc.grading import Poly, monomials_of_degree
 from bpcalc.report import Report
 
 
@@ -95,6 +97,45 @@ def product_in_basis_doubled(monkeypatch):
     )
 
 
+def relation_without_its_last_term(n):
+    """Relation n of hopf.commutator_relations with its last term dropped."""
+
+    def perturb(monkeypatch):
+        original = hopf.commutator_relations
+
+        def commutator_relations(ctx):
+            relations = original(ctx)
+            name, expr = relations[n]
+            relations[n] = (name, replace(expr, parts=expr.parts[:-1]))
+            return relations
+
+        monkeypatch.setattr(hopf, "commutator_relations", commutator_relations)
+
+    return perturb
+
+
+def scanned_image_outside(index, degree_q):
+    """v2^(p-3) added to the value of R[index(p)] on the first monomial of
+    degree degree_q(p) * q; the added term is homogeneous and outside
+    (p, v1)."""
+
+    def perturb(monkeypatch):
+        original = hopf.OperationExpr.act
+
+        def act(self, x):
+            value = original(self, x)
+            ctx, p = self.ctx, self.ctx.prime
+            if self.parts != ((1, ((index(p),),)),):
+                return value
+            first = monomials_of_degree(degree_q(p) * ctx.q, ctx.V)[0]
+            hit = x == Poly(ctx.V, {first.exps: 1})
+            return value + ctx.v(2) ** (p - 3) if hit else value
+
+        monkeypatch.setattr(hopf.OperationExpr, "act", act)
+
+    return perturb
+
+
 # record id -> (verify target, perturbation, the records that fail, when
 # more than the one)
 CONTROLS = {
@@ -169,6 +210,37 @@ CHECK_CONTROLS = {
     },
 }
 
+# ``Report.check`` records that scan a window for a witness: record id ->
+# (verify target, perturbation, the one witness it leaves)
+SCAN_CONTROLS = {
+    "relation[R[1]R[p] - R[p]R[1] = R[0,1]]": (
+        "lemma7.1", relation_without_its_last_term(0), "t^(0, 1): residual 1"
+    ),
+    "relation[R[1]R[0,1] - R[0,1]R[1] = 0]": (
+        "lemma7.1", relation_without_its_last_term(1), "t^(1, 1): residual 1"
+    ),
+    "relation[R[p]R[0,1] - R[0,1]R[p] = 0]": (
+        "lemma7.1", relation_without_its_last_term(2), "t^(5, 1): residual 1"
+    ),
+    "relation[R[p]R[1]R[1] - 2 R[1]R[p]R[1] + R[1]R[1]R[p] = 0]": (
+        "lemma7.1", relation_without_its_last_term(3), "t^(1, 1): residual -2"
+    ),
+    "relation[R[p]R[p]R[1] - 2 R[p]R[1]R[p] + R[1]R[p]R[p] = 0]": (
+        "lemma7.1", relation_without_its_last_term(4), "t^(5, 1): residual -7"
+    ),
+    # R[p] in degree (p^2-p-3)q, R[1] in degree (p^2-2p-2)q
+    "thm7.2.indeterminacy[deg=136]": (
+        "thm7.2",
+        scanned_image_outside(lambda p: p, lambda p: p * p - p - 3),
+        "R[5](v1^5*v2^2) outside (p, v1)",
+    ),
+    "thm7.2.indeterminacy[deg=104]": (
+        "thm7.2",
+        scanned_image_outside(lambda p: 1, lambda p: p * p - 2 * p - 2),
+        "R[1](v1*v2^2) outside (p, v1)",
+    ),
+}
+
 
 def _verify(target, capsys):
     code = cli.main(["verify", target, "--prime", "5", "--format", "json"])
@@ -183,6 +255,15 @@ def test_record_control(monkeypatch, capsys, record):
     assert code == cli.EXIT_CHECK_FAILURE
     # the exact list also rules out a <target>.crashed record
     assert [r.id for r in report.failures()] == (failing[0] if failing else [record])
+
+
+@pytest.mark.parametrize("record", sorted(SCAN_CONTROLS))
+def test_scan_control(monkeypatch, capsys, record):
+    target, perturb, witness = SCAN_CONTROLS[record]
+    perturb(monkeypatch)
+    code, report = _verify(target, capsys)
+    assert code == cli.EXIT_CHECK_FAILURE
+    assert [(r.id, r.witness) for r in report.failures()] == [(record, witness)]
 
 
 def test_every_expect_record_has_a_control(monkeypatch, capsys):
@@ -205,3 +286,13 @@ def test_every_lemma79_table_record_has_a_control(capsys):
     tables = ("coboundary-table", "integrality-system")
     ids = [r.id for r in report.records if any(t in r.id for t in tables)]
     assert sorted(ids) == sorted(CHECK_CONTROLS)
+
+
+def test_every_relation_and_indeterminacy_record_has_a_control(capsys):
+    ids = []
+    for target in ("lemma7.1", "thm7.2"):
+        code, report = _verify(target, capsys)
+        assert code == 0
+        scans = ("relation[", "indeterminacy[")
+        ids += [r.id for r in report.records if any(t in r.id for t in scans)]
+    assert sorted(ids) == sorted(SCAN_CONTROLS)
