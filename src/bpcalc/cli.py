@@ -62,10 +62,7 @@ class Config:
     timing: bool = True
 
     def __post_init__(self):
-        if not is_prime(self.prime) or self.prime == 2:
-            raise ValueError(f"prime must be an odd prime, got {self.prime}")
-        if self.truncation < 3:
-            raise ValueError("truncation must be >= 3 for the pipelines")
+        Context.check_ring(self.prime, self.truncation)
         if self.format not in ("text", "json"):
             raise ValueError("format must be text or json")
         if self.degree_bound_q is not None and self.degree_bound_q < 1:

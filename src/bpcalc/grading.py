@@ -7,13 +7,13 @@ All values are immutable by convention and safe to share between threads.
 
 Every sparse algebra of the package -- ``Poly`` here, and in ``hopf`` the
 co-operations ``TPoly``, the tensor square ``TensorPoly``, the operation
-combinations ``OperationCombo`` and the packed-key tables ``_Flat`` of the
-diagonal, the right unit and the Cartan side -- runs on one kernel: ``Sparse`` holds a
-terms dict ``{key: nonzero coefficient}`` and implements sum, difference,
-negation, scaling and ``map_coeffs``; ``SparseRing`` adds the product and
-powers.  ``add_term`` is the accumulate step that keeps a terms dict free
-of zeros (the product loop inlines it).  A subclass supplies only what
-differs:
+combinations ``OperationCombo``, and the packed-key tables ``_Flat`` of
+the basis change here and of the diagonal, the right unit and the Cartan
+side there -- runs on one kernel: ``Sparse`` holds a terms dict ``{key:
+nonzero coefficient}`` and implements sum, difference, negation, scaling
+and ``map_coeffs``; ``SparseRing`` adds the product and powers.
+``add_term`` is the accumulate step that keeps a terms dict free of zeros
+(the product loop inlines it).  A subclass supplies only what differs:
 
 * ``_like(terms)``: a value of its own kind over the same alphabet or
   context;
@@ -41,25 +41,26 @@ all print through them.
 The module also owns the change of basis between the integral v-generators
 and the rational m-generators (Hazewinkel relations, supported for indices
 1..3), term ideals with their normal-form reduction, and exhaustive
-enumeration of monomials by degree.
+enumeration of monomials by degree.  The basis change has one
+implementation, on flat tables under packed-int keys read off the
+recursions ``Context.v_in_m`` and ``m_in_v``: ``Context.to_m_basis`` and
+``hopf``'s Cartan side read ``_v_to_m_flat``, ``Context.to_v_basis`` and
+``hopf`` the scaled images ``_m_to_v_scaled``.
 
 Every memo lives in one store per ``Context``, ``ctx.memo``: named tables
 ``{arguments: value}``, never shared between contexts.  ``memoized`` fills
 the table named after the function it wraps, keyed by the arguments after
 the context; ``memo_power`` fills ``<base>_pow``, keyed by (i, e).  Here:
-``v_in_m``, ``m_in_v``, their ``_pow`` tables, and the basis-change images
-``v_to_m`` and ``m_to_v`` (terms dict per source monomial, which
-``Poly.substitute`` reads), now filled only by ``to_m_basis`` and
-``to_v_basis``, the tuple-keyed reference maps.  In ``hopf``, as flat
-``{packed int key: int}`` tables, its one internal form (it keeps no rows
-or other layouts): the diagonal ``_psi_t_m`` (over Z[m]) and ``_psi_t_v``
-(v-basis) with ``_psi_t_v_pow`` and ``_psi_flat`` (per t-monomial), the
-right unit's ``_eta_r_m_generator(_pow)``, ``_eta_v_generator(_pow)`` and
-``_eta_flat`` (per v-monomial), the Cartan side's generator tables
-``_v_in_m_flat(_pow)`` (v_i in the m-basis) and ``_m_in_v_scaled(_pow)``
-(p^i m_i in the v-basis, integral), and the scaled images
-``_m_to_v_scaled`` (p^s * m^a per m-monomial, over ``_m_in_v_scaled``);
-decoded at its edge or otherwise: ``psi_monomial``, ``_factor_actions``,
+the recursions ``v_in_m`` and ``m_in_v``, and as flat ``{packed int key:
+int}`` tables the generator tables ``_v_in_m_flat(_pow)`` (v_i in the
+m-basis) and ``_m_in_v_scaled(_pow)`` (p^i m_i in the v-basis, integral),
+and the scaled images ``_m_to_v_scaled`` (p^s * m^a per m-monomial, over
+``_m_in_v_scaled``).  In ``hopf``, as flat tables, its one internal form
+(it keeps no rows or other layouts): the diagonal ``_psi_t_m`` (over
+Z[m]) and ``_psi_t_v`` (v-basis) with ``_psi_t_v_pow`` and ``_psi_flat``
+(per t-monomial), the right unit's ``_eta_r_m_generator(_pow)``,
+``_eta_v_generator(_pow)`` and ``_eta_flat`` (per v-monomial); decoded at
+its edge or otherwise: ``psi_monomial``, ``_factor_actions``,
 ``pair_word`` and ``_eta_r_cached`` (eta_r per inner value of the nested
 pairing, keyed by the hashable ``Poly``).  Only ``rtable``, the Cartan
 side's full tables (counts), is filled by hand, in closed form per monomial
@@ -69,15 +70,17 @@ by ``hopf._mono_action_table``.  Callers must not mutate a memo entry.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import padic_valuation
+from .arith import is_prime, padic_valuation
 from .errors import (
     AlphabetError,
     DegreeError,
+    ExponentOverflowError,
     NotDivisibleError,
     ParseError,
     TruncationError,
@@ -778,18 +781,13 @@ class Context:
 
     Owns the three alphabets, the Hazewinkel v<->m relations (indices 1..3)
     and ``memo``, the package's one memo store of named tables that fill
-    lazily (the module docstring lists them all).  Its own: ``v_in_m``,
-    ``m_in_v``, their ``_pow`` tables, and the per-monomial basis-change
-    images ``v_to_m`` and ``m_to_v``.  q = 2(p-1).
+    lazily (the module docstring lists them all).  Its own: ``v_in_m`` and
+    ``m_in_v``; ``to_m_basis`` and ``to_v_basis`` read the flat tables of
+    the module's basis change.  q = 2(p-1).
     """
 
     def __init__(self, prime: int = 7, truncation: int = 4):
-        from .arith import is_prime
-
-        if not is_prime(prime) or prime == 2:
-            raise ValueError(f"prime must be an odd prime, got {prime}")
-        if truncation < 3:
-            raise ValueError("truncation must be >= 3")
+        Context.check_ring(prime, truncation)
         self.prime = prime
         self.truncation = truncation
         self.V = Alphabet("v", truncation, prime)
@@ -797,6 +795,14 @@ class Context:
         self.T = Alphabet("t", truncation, prime)
         self.q = 2 * (prime - 1)
         self.memo = defaultdict(dict)
+
+    @staticmethod
+    def check_ring(prime: int, truncation: int) -> None:
+        """ValueError unless prime is an odd prime and truncation >= 3."""
+        if not is_prime(prime) or prime == 2:
+            raise ValueError(f"prime must be an odd prime, got {prime}")
+        if truncation < 3:
+            raise ValueError("truncation must be >= 3")
 
     def qdeg(self, units: int) -> int:
         """Degree of `units * q`."""
@@ -833,49 +839,28 @@ class Context:
         return Fraction(1, p) * out
 
     def to_m_basis(self, x: Poly) -> Poly:
-        """Rewrite a v-polynomial in the rational m-basis (indices <= 3).
-
-        The tuple-keyed reference map: ``hopf`` computes on its flat tables
-        (``_v_in_m_flat``) and reads this one only in its round-trip check.
-        """
+        """x in the rational m-basis (indices <= 3): an m-polynomial as it
+        is, a v-polynomial as its flat image (``_v_to_m_flat``) decoded."""
         if x.alphabet == self.M:
             return x
-        if x.alphabet != self.V:
-            raise AlphabetError("to_m_basis expects a v-polynomial")
-        return x.substitute(self.v_to_m, self.M)
+        flat = _v_to_m_flat(self, x, "to_m_basis")
+        return Poly._raw(self.M, {_unpack(k): c for k, c in flat.terms.items()})
 
     def to_v_basis(self, x: Poly) -> Poly:
-        """Rewrite an m-polynomial in the v-basis (indices <= 3).
-
-        The tuple-keyed reference map: ``hopf`` computes on its flat tables
-        (``_m_in_v_scaled``) and reads this one only in its round-trip check.
-        """
+        """x in the v-basis (indices <= 3): a v-polynomial as it is, each
+        m^a of an m-polynomial as its scaled flat image p^s * m^a
+        (``_m_to_v_scaled``) over p^s.  The input is checked, and the key
+        bound (``_key_bound``), before any key is packed."""
         if x.alphabet == self.V:
             return x
-        if x.alphabet != self.M:
-            raise AlphabetError("to_v_basis expects an m-polynomial")
-        return x.substitute(self.m_to_v, self.V)
+        _hazewinkel_input(x, self.M, "to_v_basis")
+        _key_bound(self, x, "to_v_basis")
 
-    @memoized
-    def v_to_m(self, exps) -> dict:
-        """Terms of the m-basis image of the v-monomial with exponents exps."""
-        return self._image(exps, Context.v_in_m, self.V, self.M)
+        def image(exps):
+            s, terms = _m_to_v_scaled(self, _pack(exps))
+            return {_unpack(k): Fraction(c, self.prime**s) for k, c in terms.items()}
 
-    @memoized
-    def m_to_v(self, exps) -> dict:
-        """Terms of the v-basis image of the m-monomial with exponents exps."""
-        return self._image(exps, Context.m_in_v, self.M, self.V)
-
-    def _image(self, exps, gen, source, target) -> dict:
-        """The product of the generator images ``gen(i) ** e``."""
-        prod = Poly.constant(target, 1)
-        for i, e in enumerate(exps, start=1):
-            if e == 0:
-                continue
-            if i > HAZEWINKEL_MAX_INDEX:
-                raise TruncationError(f"no substitution image for {source.name(i)}")
-            prod = prod * memo_power(self, gen, i, e)
-        return prod.terms
+        return x.substitute(image, self.V)
 
     # -- convenience ----------------------------------------------------
 
@@ -894,3 +879,162 @@ class Context:
 
     def __repr__(self):
         return f"Context(p={self.prime}, N={self.truncation})"
+
+
+# ---------------------------------------------------------------------------
+# Flat tables under packed-int keys: the basis change
+# ---------------------------------------------------------------------------
+
+# A flat table is {key: coefficient}: the key packs exponents into
+# _FIELD_BITS-bit fields, so a product key is a plain sum and the one
+# sparse kernel multiplies them (``_Flat``).  The low HAZEWINKEL_MAX_INDEX
+# fields hold a v- or m-monomial (every flat image involves only indices
+# 1..3 there); from ``_T_SHIFT`` up ``hopf`` packs its t-exponents.  The
+# generator tables write each generator power's key with ``_gen``.
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_T_SHIFT = _FIELD_BITS * HAZEWINKEL_MAX_INDEX
+_V_MASK = (1 << _T_SHIFT) - 1
+
+
+def _pack(exps, shift=0) -> int:
+    key = 0
+    for j, e in enumerate(exps):
+        key |= e << (shift + _FIELD_BITS * j)
+    return key
+
+
+def _unpack(key) -> tuple:
+    exps = []
+    while key:
+        exps.append(key & _FIELD_MASK)
+        key >>= _FIELD_BITS
+    return tuple(exps)
+
+
+def _gen(i, e=1, shift=0) -> int:
+    """The key of generator i to the power e from bit shift (i = 0: 1, key 0)."""
+    return e << shift + _FIELD_BITS * (i - 1) if i else 0
+
+
+def _key_bound(ctx: Context, x: Poly, name: str) -> int:
+    """max deg/q over the terms of x, a bound on every exponent of their
+    packed images; ExponentOverflowError when it passes the field width."""
+    bound = max((x.alphabet.degree_of(e) // ctx.q for e in x.terms), default=0)
+    if bound > _FIELD_MASK:
+        raise ExponentOverflowError(
+            f"{name}: an exponent of the image (up to deg/q = {bound}) would "
+            f"exceed the {_FIELD_BITS}-bit key field"
+        )
+    return bound
+
+
+class _Flat(SparseRing):
+    """A flat table: packed int key -> int (or Fraction) coefficient."""
+
+    __slots__ = ()
+    _add_keys = staticmethod(operator.add)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def _like(self, terms):
+        return _Flat(terms)
+
+    def _one(self):
+        return _Flat({0: 1})
+
+
+def _flat_image(ctx: Context, x: Poly, generator, name: str) -> _Flat:
+    """The flat image of x under the ring map with generator images
+    ``generator(ctx, i)``: sum c * prod_i generator(ctx, i)^(a_i) over the
+    terms c * x^a, from memoized powers (``memo_power``), each image starting
+    from a copy of its first power; a mixed monomial's image is not stored.
+    Every exponent of the image of x^a is at most deg(x^a)/q, so
+    ExponentOverflowError comes first when that bound passes the field
+    width (``_key_bound``)."""
+    _key_bound(ctx, x, name)
+    acc = _Flat({})
+    for exps, c in x.terms.items():
+        image = None
+        for i, e in enumerate(exps, start=1):
+            if e:
+                power = memo_power(ctx, generator, i, e)
+                image = _Flat(dict(power.terms)) if image is None else image * power
+        image = _Flat({0: c}) if image is None else image if c == 1 else image.scale(c)
+        acc = acc + image if acc.terms else image
+    return acc
+
+
+@memoized
+def _v_in_m_flat(ctx: Context, i: int) -> _Flat:
+    """v_i in the m-basis (``ctx.v_in_m(i)``, integer coefficients) as a
+    flat table {packed m-key: int}."""
+    return _Flat({_pack(e): c for e, c in ctx.v_in_m(i).terms.items()})
+
+
+@memoized
+def _m_in_v_scaled(ctx: Context, i: int) -> _Flat:
+    """p^i * m_i in the v-basis (p^i * ``ctx.m_in_v(i)``) as a flat table
+    {packed v-key: int}; integral: p m1 = v1, p^2 m2 = p v2 + v1^(p+1), ..."""
+    scale = ctx.prime**i
+    return _Flat({_pack(e): _num(c * scale) for e, c in ctx.m_in_v(i).terms.items()})
+
+
+@memoized
+def _m_to_v_scaled(ctx: Context, key: int):
+    """(s, p^s * m^a as {packed v-key: int}) for the packed m-monomial m^a,
+    s = a1 + 2 a2 + 3 a3: p^s * m^a = prod_i (p^i m_i)^(a_i), the flat image
+    over ``_m_in_v_scaled``."""
+    exps = _unpack(key)
+    s = sum(i * e for i, e in enumerate(exps, start=1))
+    mono = Poly._raw(ctx.M, {exps: 1})
+    return s, _flat_image(ctx, mono, _m_in_v_scaled, "m_to_v").terms
+
+
+def _m_to_v_flat(ctx: Context, terms: dict, K: int, where) -> _Flat:
+    """A flat table with m-monomials in its low fields, rewritten in the
+    v-basis: each term times its scaled image p^s * m^a
+    (``_m_to_v_scaled``) raised to the scale p^K (K >= every s; deg/q
+    bounds s), then one exact division by p^K.  A remainder, or a p left
+    in a Fraction's denominator, is a non-integral value:
+    ValueError(where(t-part of the key))."""
+    p = ctx.prime
+    acc = {}
+    for k, c in terms.items():
+        s, image = _m_to_v_scaled(ctx, k & _V_MASK)
+        c *= p ** (K - s)
+        t = k & ~_V_MASK
+        for vk, d in image.items():
+            vk += t
+            acc[vk] = acc.get(vk, 0) + c * d
+    out, pK = {}, p**K
+    for k, c in acc.items():
+        c, r = divmod(c, pK) if c.__class__ is int else (_num(c / pK), 0)
+        if r or c.__class__ is Fraction and padic_valuation(c, p) < 0:
+            raise ValueError(where(k >> _T_SHIFT))
+        if c:
+            out[k] = c
+    return _Flat(out)
+
+
+def _hazewinkel_input(x: Poly, source: Alphabet, name: str) -> None:
+    """The input contract of the basis change ``name`` out of ``source``:
+    another alphabet raises AlphabetError, and a term in generator 4 or
+    above (past the Hazewinkel relations and the packed fields)
+    TruncationError naming it, both before any arithmetic."""
+    if x.alphabet != source:
+        article = "an" if source.tag == "m" else "a"
+        raise AlphabetError(f"{name} expects {article} {source.tag}-polynomial")
+    for exps in x.terms:
+        for i in range(HAZEWINKEL_MAX_INDEX, len(exps)):
+            if exps[i]:
+                raise TruncationError(f"no substitution image for {source.name(i + 1)}")
+
+
+def _v_to_m_flat(ctx: Context, x: Poly, name: str) -> _Flat:
+    """The flat image of the v-polynomial x in the m-basis over
+    ``_v_in_m_flat``, after the check of its input (``_hazewinkel_input``)
+    and of its key bound (``_flat_image``)."""
+    _hazewinkel_input(x, ctx.V, "to_m_basis")
+    return _flat_image(ctx, x, _v_in_m_flat, name)

@@ -47,18 +47,18 @@ expansions v_i in the m-basis (``_v_in_m_flat``), the Cartan tables in
 closed form (the multinomial theorem on the factor actions R_(p^a e_(i-a))
 m_i = m_a), then the change back over the integral scaled generators p^i m_i
 in the v-basis (``_m_in_v_scaled``), divided exactly by p^K once.  Both
-generator tables are read off ``Context``'s Hazewinkel relations; its
-tuple-keyed maps ``to_m_basis``/``to_v_basis`` serve only as the reference
-in the round-trip check.  The Cartan side must not be made multiplicative
-in the v-basis: the Cartan formula is exactly the multiplicativity of
-eta_R, so the cross-check would then compare one computation with itself.
+basis changes, with their generator tables read off ``Context``'s
+Hazewinkel relations, are ``grading``'s one implementation, which
+``Context.to_m_basis``/``to_v_basis`` run on too.  The Cartan side must
+not be made multiplicative in the v-basis: the Cartan formula is exactly
+the multiplicativity of eta_R, so the cross-check would then compare one
+computation with itself.
 For the same reason the right unit's eta_R(m_i) are written out on their
 own, not read from the Cartan side's factor actions.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -67,25 +67,34 @@ from .arith import padic_valuation
 from .errors import (
     AlphabetError,
     DegreeError,
-    ExponentOverflowError,
     TruncationError,
 )
 from .grading import (
+    _FIELD_BITS,
+    _T_SHIFT,
+    _V_MASK,
     HAZEWINKEL_MAX_INDEX,
     Context,
     Poly,
     Sparse,
     SparseRing,
+    _Flat,
+    _flat_image,
     _format_mono,
+    _gen,
     _join_signed,
+    _key_bound,
+    _m_to_v_flat,
     _num,
+    _pack,
     _term,
     _trim,
+    _unpack,
+    _v_to_m_flat,
     add_exps,
     add_term,
     exps_divides,
     format_poly,
-    memo_power,
     memoized,
     monomials_up_to,
     single_degree,
@@ -242,38 +251,8 @@ class TensorPoly(_Coeffs, SparseRing):
 # Flat tables under packed-int keys
 # ---------------------------------------------------------------------------
 
-# A flat table is {key: coefficient}: the key packs exponents into
-# _FIELD_BITS-bit fields, so a product key is a plain sum and the one
-# sparse kernel multiplies them (``_Flat``).  The low HAZEWINKEL_MAX_INDEX
-# fields hold a v- or m-monomial (every flat image involves only indices
-# 1..3 there); from ``_T_SHIFT`` up come t-exponents: the right unit packs
-# t1..t3, the Cartan tables the index J, and the diagonal one block of
-# t1..tN (N = ctx.truncation, ``_block``) per tensor factor.  The generator
-# tables write each generator power's key with ``_gen``.
-_FIELD_BITS = 16
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
-_T_SHIFT = _FIELD_BITS * HAZEWINKEL_MAX_INDEX
-_V_MASK = (1 << _T_SHIFT) - 1
-
-
-def _pack(exps, shift=0) -> int:
-    key = 0
-    for j, e in enumerate(exps):
-        key |= e << (shift + _FIELD_BITS * j)
-    return key
-
-
-def _unpack(key) -> tuple:
-    exps = []
-    while key:
-        exps.append(key & _FIELD_MASK)
-        key >>= _FIELD_BITS
-    return tuple(exps)
-
-
-def _gen(i, e=1, shift=0) -> int:
-    """The key of generator i to the power e from bit shift (i = 0: 1, key 0)."""
-    return e << shift + _FIELD_BITS * (i - 1) if i else 0
+# On the packed keys of ``grading``, from ``_T_SHIFT`` up: t1..t3 in the right
+# unit, J in the Cartan tables, one block of t1..tN (``_block``) per factor.
 
 
 def _block(ctx: Context) -> int:
@@ -286,107 +265,6 @@ def _t_blocks(ctx: Context, tkey: int, n: int) -> tuple:
     width = _block(ctx)
     mask = (1 << width) - 1
     return tuple(_unpack(tkey >> width * b & mask) for b in range(n))
-
-
-def _key_bound(ctx: Context, x: Poly, name: str) -> int:
-    """max deg/q over the terms of x, a bound on every exponent of their
-    packed images; ExponentOverflowError when it passes the field width."""
-    bound = max((x.alphabet.degree_of(e) // ctx.q for e in x.terms), default=0)
-    if bound > _FIELD_MASK:
-        raise ExponentOverflowError(
-            f"{name}: an exponent of the image (up to deg/q = {bound}) would "
-            f"exceed the {_FIELD_BITS}-bit key field"
-        )
-    return bound
-
-
-class _Flat(SparseRing):
-    """A flat table: packed int key -> int (or Fraction) coefficient."""
-
-    __slots__ = ()
-    _add_keys = staticmethod(operator.add)
-
-    def __init__(self, terms):
-        self.terms = terms
-
-    def _like(self, terms):
-        return _Flat(terms)
-
-    def _one(self):
-        return _Flat({0: 1})
-
-
-def _flat_image(ctx: Context, x: Poly, generator, name: str) -> _Flat:
-    """The flat image of x under the ring map with generator images
-    ``generator(ctx, i)``: sum c * prod_i generator(ctx, i)^(a_i) over the
-    terms c * x^a, from memoized powers (``memo_power``), each image starting
-    from a copy of its first power; a mixed monomial's image is not stored.
-    Every exponent of the image of x^a is at most deg(x^a)/q, so
-    ExponentOverflowError comes first when that bound passes the field
-    width (``_key_bound``)."""
-    _key_bound(ctx, x, name)
-    acc = _Flat({})
-    for exps, c in x.terms.items():
-        image = None
-        for i, e in enumerate(exps, start=1):
-            if e:
-                power = memo_power(ctx, generator, i, e)
-                image = _Flat(dict(power.terms)) if image is None else image * power
-        image = _Flat({0: c}) if image is None else image if c == 1 else image.scale(c)
-        acc = acc + image if acc.terms else image
-    return acc
-
-
-@memoized
-def _v_in_m_flat(ctx: Context, i: int) -> _Flat:
-    """v_i in the m-basis (``ctx.v_in_m(i)``, integer coefficients) as a
-    flat table {packed m-key: int}."""
-    return _Flat({_pack(e): c for e, c in ctx.v_in_m(i).terms.items()})
-
-
-@memoized
-def _m_in_v_scaled(ctx: Context, i: int) -> _Flat:
-    """p^i * m_i in the v-basis (p^i * ``ctx.m_in_v(i)``) as a flat table
-    {packed v-key: int}; integral: p m1 = v1, p^2 m2 = p v2 + v1^(p+1), ..."""
-    scale = ctx.prime**i
-    return _Flat({_pack(e): _num(c * scale) for e, c in ctx.m_in_v(i).terms.items()})
-
-
-@memoized
-def _m_to_v_scaled(ctx: Context, key: int):
-    """(s, p^s * m^a as {packed v-key: int}) for the packed m-monomial m^a,
-    s = a1 + 2 a2 + 3 a3: p^s * m^a = prod_i (p^i m_i)^(a_i), the flat image
-    over ``_m_in_v_scaled``."""
-    exps = _unpack(key)
-    s = sum(i * e for i, e in enumerate(exps, start=1))
-    mono = Poly._raw(ctx.M, {exps: 1})
-    return s, _flat_image(ctx, mono, _m_in_v_scaled, "m_to_v").terms
-
-
-def _m_to_v_flat(ctx: Context, terms: dict, K: int, where) -> _Flat:
-    """A flat table with m-monomials in its low fields, rewritten in the
-    v-basis: each term times its scaled image p^s * m^a
-    (``_m_to_v_scaled``) raised to the scale p^K (K >= every s; deg/q
-    bounds s), then one exact division by p^K.  A remainder, or a p left
-    in a Fraction's denominator, is a non-integral value:
-    ValueError(where(t-part of the key))."""
-    p = ctx.prime
-    acc = {}
-    for k, c in terms.items():
-        s, image = _m_to_v_scaled(ctx, k & _V_MASK)
-        c *= p ** (K - s)
-        t = k & ~_V_MASK
-        for vk, d in image.items():
-            vk += t
-            acc[vk] = acc.get(vk, 0) + c * d
-    out, pK = {}, p**K
-    for k, c in acc.items():
-        c, r = divmod(c, pK) if c.__class__ is int else (_num(c / pK), 0)
-        if r or c.__class__ is Fraction and padic_valuation(c, p) < 0:
-            raise ValueError(where(k >> _T_SHIFT))
-        if c:
-            out[k] = c
-    return _Flat(out)
 
 
 def _by_t(flat: _Flat, alphabet, t_of=_unpack) -> dict:
@@ -668,25 +546,17 @@ def _mono_action_table(ctx: Context, exps) -> dict:
 
 def _m_terms(ctx: Context, x: Poly):
     """The (m-exponents, coefficient) terms of x in the rational m-basis:
-    an m-polynomial as it is, a v-polynomial through the flat image over
-    ``_v_in_m_flat``.  The input contract of ``ctx.to_m_basis``: another
-    alphabet raises AlphabetError, and a term in v4 or above
-    TruncationError, both before any arithmetic.  The packed m-fields hold
-    m1..m3 (m4 would land in the index fields), so a term in m4 or above
-    raises TruncationError too."""
+    an m-polynomial as it is, a v-polynomial through the one flat v -> m
+    change (``_v_to_m_flat``, with ``ctx.to_m_basis``'s input contract).
+    The packed m-fields hold m1..m3 (m4 would land in the index fields), so
+    a term in m4 or above raises TruncationError."""
     if x.alphabet == ctx.M:
         if any(len(e) > HAZEWINKEL_MAX_INDEX for e in x.terms):
             raise TruncationError(
                 f"r_action covers m1..m{HAZEWINKEL_MAX_INDEX}, the packed m-fields"
             )
         return x.terms.items()
-    if x.alphabet != ctx.V:
-        raise AlphabetError("to_m_basis expects a v-polynomial")
-    for exps in x.terms:
-        for i in range(HAZEWINKEL_MAX_INDEX, len(exps)):
-            if exps[i]:
-                raise TruncationError(f"no substitution image for {ctx.V.name(i + 1)}")
-    flat = _flat_image(ctx, x, _v_in_m_flat, "r_action")
+    flat = _v_to_m_flat(ctx, x, "r_action")
     return [(_unpack(k), c) for k, c in flat.terms.items()]
 
 
@@ -936,10 +806,11 @@ class OperationExpr:
         (``_cartan_m``), and the sum of s * D times each word (D = p^k clears
         every p in a scalar's denominator) comes back once (``_m_to_v_flat``),
         over D: only that value must be integral, else ValueError.  Identity
-        words scale x in its own alphabet, added to that value only when
-        their scalars do not sum to 0.  Every letter is checked against the
-        truncation before any arithmetic, so a word whose value is 0 before
-        it reaches a bad letter still raises TruncationError."""
+        words alone scale x in its own alphabet; beside other words they
+        scale x in the v-basis (``ctx.to_v_basis``), added to that value
+        only when their scalars do not sum to 0.  Every letter is checked
+        against the truncation before any arithmetic, so a word whose value
+        is 0 before it reaches a bad letter still raises TruncationError."""
         ctx, p = self.ctx, self.ctx.prime
         bad = [i for _, w in self.parts for i in w if len(i) > ctx.truncation]
         if bad:
@@ -962,7 +833,7 @@ class OperationExpr:
                 add_term(acc, _pack(exps), c * _num(s * D))
         flat = _m_to_v_flat(ctx, acc, K, lambda _: f"non-integral value of {self}")
         value = _by_t(flat, ctx.V).get((), Poly.zero(ctx.V)).scale(Fraction(1, D))
-        return value + x.scale(same) if same else value
+        return value + ctx.to_v_basis(x).scale(same) if same else value
 
     def pair_monomial(self, exps) -> Poly:
         out = Poly.zero(self.ctx.V)
@@ -1043,18 +914,6 @@ def recomputed_pairing_table(ctx: Context) -> list:
     return table
 
 
-def _flat_round_trip(ctx: Context, x: Poly) -> bool:
-    """True iff the v-polynomial x comes back from its flat m-basis image
-    (``_v_in_m_flat``) through the scaled change back (``_m_to_v_flat``),
-    the two basis changes of the Cartan side."""
-    image = _flat_image(ctx, x, _v_in_m_flat, "round trip")
-    try:
-        back = _m_to_v_flat(ctx, image.terms, _key_bound(ctx, x, "round trip"), str)
-    except ValueError:
-        return False
-    return back.terms == {_pack(e): c for e, c in x.terms.items()}
-
-
 def verify_structural(ctx: Context) -> Report:
     """Structural coherence: exact basis round trip, integral diagonal for
     k <= 3, and Cartan action == right-unit coefficients on every v-monomial
@@ -1074,10 +933,7 @@ def verify_structural(ctx: Context) -> Report:
         ctx.v(1) ** p * ctx.v(2) - 3 * ctx.v(3),
         (ctx.v(1) + 17) ** 3 * ctx.v(2),
     ]
-    ok = all(
-        ctx.to_v_basis(ctx.to_m_basis(x)) == x and _flat_round_trip(ctx, x)
-        for x in samples
-    )
+    ok = all(ctx.to_v_basis(ctx.to_m_basis(x)) == x for x in samples)
     report.check(
         id="hazewinkel-round-trip",
         anchor="to_v_basis . to_m_basis = id on v-polynomials with indices <= 3",

@@ -1,5 +1,6 @@
-"""The memoized v <-> m basis change against an independent sympy expansion,
-and the flat basis changes of ``hopf``'s Cartan side against it.
+"""The v <-> m basis change against an independent sympy expansion and
+the tuple-keyed oracle of ``_basis_oracle``, and the flat basis changes
+of ``grading`` under both.
 
 The oracle expands the Hazewinkel relations (Ravenel, *Complex Cobordism*,
 ch. 4) with sympy rationals:
@@ -11,10 +12,22 @@ from fractions import Fraction
 
 import pytest
 
+import _basis_oracle as oracle
 from bpcalc import hopf
-from bpcalc.cli import EXIT_TRUNCATION, main
-from bpcalc.errors import AlphabetError, TruncationError
-from bpcalc.grading import Alphabet, Context, Poly, _trim, monomials_up_to
+from bpcalc.cli import EXIT_TRUNCATION, Config, main, run_verify
+from bpcalc.errors import AlphabetError, ExponentOverflowError, TruncationError
+from bpcalc.grading import (
+    Alphabet,
+    Context,
+    Poly,
+    _flat_image,
+    _m_to_v_scaled,
+    _pack,
+    _trim,
+    _unpack,
+    _v_in_m_flat,
+    monomials_up_to,
+)
 
 sp = pytest.importorskip("sympy")
 
@@ -63,7 +76,7 @@ def test_warm_context_agrees_with_fresh(prime):
     polys = [Poly(warm.V, {mono.exps: 1}) for mono in window]
     images = [warm.to_m_basis(x) for x in polys]
     back = [warm.to_v_basis(y) for y in images]
-    assert warm.memo["v_to_m"] and warm.memo["m_to_v"]
+    assert warm.memo["_v_in_m_flat"] and warm.memo["_m_to_v_scaled"]
     for x, y, z in list(zip(polys, images, back))[::7]:
         fresh = Context(prime=prime)
         assert warm.to_m_basis(x) == fresh.to_m_basis(x) == y
@@ -78,10 +91,15 @@ def test_warm_context_agrees_with_fresh(prime):
 def test_tables_fill_lazily_and_are_per_context():
     ctx = Context(prime=5)
     memo = ctx.memo
-    assert memo["m_to_v"] == {} and memo["v_to_m"] == {} and memo["m_in_v_pow"] == {}
     ctx.to_v_basis(ctx.m(2, 3))
-    assert set(memo["m_to_v"]) == {((0, 3),)} and memo["v_to_m"] == {}
-    assert Context(prime=5).memo["m_to_v"] == {}
+    assert set(memo["_m_to_v_scaled"]) == {(_pack((0, 3)),)}
+    assert set(memo["_m_in_v_scaled"]) == {(2,)}
+    assert set(memo["_m_in_v_scaled_pow"]) == {(2, 3)}
+    assert memo["_v_in_m_flat"] == {} and memo["_v_in_m_flat_pow"] == {}
+    ctx.to_m_basis(ctx.v(1) * ctx.v(3))
+    assert set(memo["_v_in_m_flat"]) == {(1,), (3,)}
+    assert set(memo["_v_in_m_flat_pow"]) == {(1, 1), (3, 1)}
+    assert not any(Context(prime=5).memo.values())
 
 
 def test_results_never_alias_memo_entries():
@@ -90,28 +108,44 @@ def test_results_never_alias_memo_entries():
     first, second = ctx.to_v_basis(x), ctx.to_v_basis(x)
     assert first == second
     assert first.terms is not second.terms
-    assert all(first.terms is not entry for entry in ctx.memo["m_to_v"].values())
+    tables = [entry for _, entry in ctx.memo["_m_to_v_scaled"].values()]
+    tables += [entry.terms for entry in ctx.memo["_m_in_v_scaled_pow"].values()]
+    assert all(first.terms is not entry for entry in tables)
     # mutating a result leaves later conversions intact
     first.terms.clear()
     assert ctx.to_v_basis(x) == second
     y = ctx.v(3)
     a, b = ctx.to_m_basis(y), ctx.to_m_basis(y)
     assert a == b and a.terms is not b.terms
-    assert all(a.terms is not entry for entry in ctx.memo["v_to_m"].values())
+    tables = [entry.terms for entry in ctx.memo["_v_in_m_flat"].values()]
+    tables += [entry.terms for entry in ctx.memo["_v_in_m_flat_pow"].values()]
+    assert all(a.terms is not entry for entry in tables)
+    a.terms.clear()
+    assert ctx.to_m_basis(y) == b == oracle.to_m(Context(prime=7), y)
 
 
 def test_truncation_errors_on_the_memoized_path(capsys):
     ctx = Context(prime=5)
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match="no substitution image for m4"):
         ctx.to_v_basis(ctx.m(4))
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match="no substitution image for v4"):
         ctx.to_m_basis(ctx.v(1) * ctx.v(4))
-    # a failed monomial is not memoized; its neighbours still convert
-    assert ((0, 0, 0, 1),) not in ctx.memo["m_to_v"]
+    # both fail before any key is packed: m4 would land in the t-fields
+    assert not any(ctx.memo.values())
     assert ctx.to_v_basis(ctx.prime * ctx.m(1)) == ctx.v(1)
     assert main(["eval", "R[1]", "v4", "--prime", "5"]) == EXIT_TRUNCATION
     err = capsys.readouterr().err
     assert err.startswith("truncation error:")
+
+
+def test_field_overflow_raises_before_any_memo_entry():
+    # at p = 5, deg(v1^e)/q = e: 2^16 is one past the 16-bit key field, and
+    # m1^(2^16) packed would read as m2
+    ctx = Context(prime=5)
+    for convert, x in ((ctx.to_m_basis, ctx.v(1)), (ctx.to_v_basis, ctx.m(1))):
+        with pytest.raises(ExponentOverflowError):
+            convert(x + x ** (1 << 16))
+        assert not any(ctx.memo.values())
 
 
 def test_alphabet_errors_on_the_memoized_path():
@@ -138,24 +172,70 @@ def test_equal_but_distinct_alphabets_mix():
 
 @pytest.mark.parametrize("prime", [3, 5, 7])
 def test_flat_images_match_context_maps(prime):
-    # the Cartan side's flat basis changes against the tuple-keyed maps:
-    # v^a in the m-basis (over _v_in_m_flat), and p^s * m^a in the v-basis
-    # (over _m_in_v_scaled, s = a1 + 2 a2 + 3 a3), all with int coefficients
+    # the flat basis changes against the tuple-keyed oracle over the
+    # context's Hazewinkel recursions: v^a in the m-basis (over
+    # _v_in_m_flat), and p^s * m^a in the v-basis (over _m_in_v_scaled,
+    # s = a1 + 2 a2 + 3 a3), all with int coefficients
     ctx, flat = Context(prime=prime), Context(prime=prime)
     bound = 2 * (prime**3 - 1)
     for mono in monomials_up_to(bound, ctx.V):
         x = Poly(flat.V, {mono.exps: 1})
-        image = hopf._flat_image(flat, x, hopf._v_in_m_flat, "test").terms
-        assert {hopf._unpack(k): c for k, c in image.items()} == ctx.v_to_m(mono.exps)
+        image = _flat_image(flat, x, _v_in_m_flat, "test").terms
+        expected = oracle.to_m(ctx, Poly(ctx.V, {mono.exps: 1})).terms
+        assert {_unpack(k): c for k, c in image.items()} == expected
         assert all(type(c) is int for c in image.values()), str(mono)
     for mono in monomials_up_to(bound, ctx.M):
-        s, image = hopf._m_to_v_scaled(flat, hopf._pack(mono.exps))
+        s, image = _m_to_v_scaled(flat, _pack(mono.exps))
         assert s == sum(i * e for i, e in enumerate(mono.exps, start=1))
-        expected = {e: c * prime**s for e, c in ctx.m_to_v(mono.exps).items()}
-        assert {hopf._unpack(k): c for k, c in image.items()} == expected
+        oracle_image = oracle.to_v(ctx, Poly(ctx.M, {mono.exps: 1})).terms
+        expected = {e: c * prime**s for e, c in oracle_image.items()}
+        assert {_unpack(k): c for k, c in image.items()} == expected
         assert all(type(c) is int for c in image.values()), str(mono)
-    # the Cartan side reads neither tuple-keyed map
+    # the Cartan side fills the same flat tables
     cold = Context(prime=prime)
     hopf.r_action(cold, (1,), cold.v(1) ** prime * cold.v(2) + cold.v(3))
-    assert cold.memo["v_to_m"] == {} and cold.memo["m_to_v"] == {}
     assert cold.memo["_v_in_m_flat"] and cold.memo["_m_in_v_scaled"]
+
+
+COEFFS = [1, 2, -3, Fraction(1, 2), Fraction(-3, 2)]
+
+
+@pytest.mark.parametrize("prime", [3, 5, 7])
+def test_maps_match_oracle_on_window(prime):
+    # to_m_basis and to_v_basis against the tuple-keyed oracle on every
+    # monomial of degree <= 2(p^3 - 1), with int and Fraction coefficients
+    # (1, 2, -3 over 1, 2, p and p^2), one term and summed over the window
+    ctx, octx = Context(prime=prime), Context(prime=prime)
+    coeffs = COEFFS + [Fraction(c, prime**k) for c in (1, 2, -3) for k in (1, 2)]
+    bound = 2 * (prime**3 - 1)
+    for source, convert, expect in (
+        ("V", ctx.to_m_basis, oracle.to_m),
+        ("M", ctx.to_v_basis, oracle.to_v),
+    ):
+        window = monomials_up_to(bound, getattr(ctx, source))
+        total = {}
+        for n, mono in enumerate(window):
+            c = coeffs[n % len(coeffs)]
+            total[mono.exps] = c
+            for d in (1, c):
+                x = Poly(getattr(ctx, source), {mono.exps: d})
+                y = Poly(getattr(octx, source), {mono.exps: d})
+                assert convert(x) == expect(octx, y), (str(mono), d)
+        x, y = Poly(getattr(ctx, source), total), Poly(getattr(octx, source), total)
+        assert convert(x) == expect(octx, y)
+
+
+def test_verify_all_fills_no_tuple_keyed_table(monkeypatch):
+    # the round-trip record reads to_m_basis/to_v_basis, which run on the
+    # flat tables: no tuple-keyed image or power table is left in the memo
+    built, real = [], Config.context
+
+    def context(self):
+        built.append(real(self))
+        return built[-1]
+
+    monkeypatch.setattr(Config, "context", context)
+    assert run_verify("all", Config(prime=7, timing=False)).passed
+    (ctx,) = built
+    assert not {"v_to_m", "m_to_v", "v_in_m_pow", "m_in_v_pow"} & set(ctx.memo)
+    assert ctx.memo["_v_in_m_flat"] and ctx.memo["_m_to_v_scaled"]

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from bpcalc import hopf
+from bpcalc import grading, hopf
 from bpcalc.cli import main
 from bpcalc.grading import Context, _trim, monomials_up_to
 
@@ -32,7 +32,7 @@ def walk_oracle(p, exps, memo):
         actions = [_m(i)]  # R_0 m_i = m_i
         for a in range(i):
             index = (0,) * (i - a - 1) + (p**a,)
-            actions.append(_m(a) + hopf._pack(index, hopf._T_SHIFT))
+            actions.append(_m(a) + grading._pack(index, grading._T_SHIFT))
         rest, table = table, {}
         for k, c in rest.items():
             for d in actions:
@@ -42,7 +42,7 @@ def walk_oracle(p, exps, memo):
 
 
 def _m(i):
-    return hopf._pack((0,) * (i - 1) + (1,)) if i else 0
+    return grading._pack((0,) * (i - 1) + (1,)) if i else 0
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -61,11 +61,11 @@ def test_closed_form_tables_match_the_cartan_formula_oracle(p):
         assert hopf._mono_action_table(ctx, mono.exps) == want, mono.exps
         by_index = {}
         for k, c in want.items():
-            by_index.setdefault(k >> hopf._T_SHIFT, {})[k] = c
+            by_index.setdefault(k >> grading._T_SHIFT, {})[k] = c
         for index in indices:
             got = hopf._cartan_m(ctx, [(mono.exps, 1)], index)
             # an entry past the field packs onto another index: no term
-            key = hopf._pack(index) if max(index) <= hopf._FIELD_MASK else None
+            key = grading._pack(index) if max(index) <= grading._FIELD_MASK else None
             assert got == by_index.get(key, {}), (mono.exps, index)
     # full tables are memoized per monomial, one-index tables not at all
     assert len(ctx.memo["rtable"]) == len(monos)
@@ -77,7 +77,7 @@ def test_one_index_on_a_deep_m1_power():
     ctx, n = Context(prime=5), 20000
     for k in (1, 2, 5, 25, 19999, 20000):
         table = hopf._cartan_m(ctx, [((n,), 1)], (k,))
-        key = hopf._pack((n - k,)) + hopf._pack((k,), hopf._T_SHIFT)
+        key = grading._pack((n - k,)) + grading._pack((k,), grading._T_SHIFT)
         assert table == {key: math.comb(n, k)}
     assert hopf._cartan_m(ctx, [((n,), 1)], (n + 1,)) == {}
     assert not ctx.memo["rtable"]

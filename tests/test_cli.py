@@ -215,6 +215,24 @@ def test_bad_input_exits_usage_with_one_line_error(argv, capsys, tmp_path, monke
         assert lines[0].startswith("error: latin-1.cat: not UTF-8 text")
 
 
+@pytest.mark.parametrize(
+    "prime, truncation",
+    [(9, 4), (2, 4), (1, 4), (-7, 4), (7, 2), (5, 0), (9, 2), (7, 3), (3, 5)],
+)
+def test_config_and_context_share_one_ring_rule(prime, truncation):
+    # Config reads Context's (prime, truncation) rule: the same inputs pass
+    # or fail, with the same message
+    def outcome(make):
+        try:
+            make(prime=prime, truncation=truncation)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    assert outcome(cli.Config) == outcome(Context)
+    assert outcome(Context) is None or outcome(Context).split()[0] in ("prime", "truncation")
+
+
 # each flag a command does not read, after an argv that parses without it
 DROPPED_FLAG_ARGVS = [
     *(

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bpcalc import hopf
+import _basis_oracle as oracle
+from bpcalc import grading, hopf
 from bpcalc.arith import padic_valuation
 from bpcalc.errors import (
     AlphabetError,
@@ -85,7 +86,7 @@ def test_psi_t3_key_coefficient(ctx5, ctx7):
     for ctx in (ctx5, ctx7):
         p = ctx.prime
         c = psi_t(ctx, 3).coeff((p,), (p * p - p,))
-        diff = ctx.to_m_basis(c) + ctx.to_m_basis(ctx.v(2))
+        diff = oracle.to_m(ctx, c) + oracle.to_m(ctx, ctx.v(2))
         assert set(diff.terms) <= {(0, 1)}
         assert all(
             padic_valuation(Fraction(v), p) >= 3 for v in diff.terms.values()
@@ -160,14 +161,15 @@ def _psi_t_rational(ctx, k, memo):
 @pytest.fixture(scope="module")
 def psi_oracle():
     """psi t_k at the prime p from the nested recursion, each coefficient
-    changed to the v-basis, on contexts of its own."""
+    changed to the v-basis by the tuple-keyed oracle, on contexts of its
+    own."""
     contexts, rational, done = {}, {}, {}
 
     def get(p, k):
         if (p, k) not in done:
             ctx = contexts.setdefault(p, Context(prime=p))
             value = _psi_t_rational(ctx, k, rational.setdefault(p, {}))
-            done[p, k] = value.map_coeffs(ctx.to_v_basis)
+            done[p, k] = value.map_coeffs(lambda c: oracle.to_v(ctx, c))
         return done[p, k]
 
     return get
@@ -207,16 +209,16 @@ def test_psi_checks_reject_edited_m_tables():
     # negative controls: the integrality, degree and counit checks run on
     # the flat table, here psi t_2 at p = 5 over Z[m] with one edit
     ctx = Context(prime=5)
-    T, width = hopf._T_SHIFT, hopf._block(ctx)
+    T, width = grading._T_SHIFT, hopf._block(ctx)
 
     def key(m, left, right):  # m^m t^left (x) t^right
-        return hopf._pack(m) + hopf._pack(left, T) + hopf._pack(right, T + width)
+        return grading._pack(m) + grading._pack(left, T) + grading._pack(right, T + width)
 
     def psi_t2_after(edit):
         edited = Context(prime=5)
         terms = dict(hopf._psi_t_m(ctx, 2).terms)
         edit(terms)
-        edited.memo["_psi_t_m"][(2,)] = hopf._Flat(terms)
+        edited.memo["_psi_t_m"][(2,)] = grading._Flat(terms)
         return psi_t(edited, 2)
 
     # -5 m1 t1 (x) t1^4 becomes -4 m1 t1 (x) t1^4 = -4/5 v1 t1 (x) t1^4
@@ -534,8 +536,10 @@ def _eta_r_m_oracle(ctx, x):
 
 def _eta_r_oracle(ctx, x):
     """The right unit through the m-basis: the nested oracle on every
-    m-monomial, then each coefficient back to the v-basis."""
-    return _eta_r_m_oracle(ctx, ctx.to_m_basis(x)).map_coeffs(ctx.to_v_basis)
+    m-monomial, then each coefficient back to the v-basis, both changes by
+    the tuple-keyed oracle."""
+    m_basis = _eta_r_m_oracle(ctx, oracle.to_m(ctx, x))
+    return m_basis.map_coeffs(lambda c: oracle.to_v(ctx, c))
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -558,8 +562,8 @@ def _pow_keys(ctx, table="_eta_v_generator_pow"):
 POWER_MAPS = {
     "_eta_v_generator_pow": lambda ctx, exps: eta_r(ctx, Poly(ctx.V, {exps: 1})),
     "_eta_r_m_generator_pow": lambda ctx, exps: eta_r_m(ctx, Poly(ctx.M, {exps: 1})),
-    "v_in_m_pow": lambda ctx, exps: ctx.to_m_basis(Poly(ctx.V, {exps: 1})),
-    "m_in_v_pow": lambda ctx, exps: ctx.to_v_basis(Poly(ctx.M, {exps: 1})),
+    "_v_in_m_flat_pow": lambda ctx, exps: ctx.to_m_basis(Poly(ctx.V, {exps: 1})),
+    "_m_in_v_scaled_pow": lambda ctx, exps: ctx.to_v_basis(Poly(ctx.M, {exps: 1})),
     "_psi_t_v_pow": psi_monomial,
 }
 
@@ -577,8 +581,8 @@ def _closed_form(table, ctx, n):
         "_eta_r_m_generator_pow": lambda: {
             t(k): Poly(ctx.M, {(n - k,): C(n, k)}) for k in range(n + 1)
         },
-        "v_in_m_pow": lambda: {(n,): p**n},
-        "m_in_v_pow": lambda: {(n,): Fraction(1, p**n)},
+        "_v_in_m_flat_pow": lambda: {(n,): p**n},
+        "_m_in_v_scaled_pow": lambda: {(n,): Fraction(1, p**n)},
         "_psi_t_v_pow": lambda: {
             (t(k), t(n - k)): Poly.constant(ctx.V, C(n, k)) for k in range(n + 1)
         },
@@ -664,9 +668,9 @@ def _decode(key):
     fields hold the v-monomial, the fields from ``_T_SHIFT`` up t^I or J."""
     fields = []
     while key:
-        key, e = divmod(key, 1 << hopf._FIELD_BITS)
+        key, e = divmod(key, 1 << grading._FIELD_BITS)
         fields.append(e)
-    low = hopf._T_SHIFT // hopf._FIELD_BITS
+    low = grading._T_SHIFT // grading._FIELD_BITS
     return _trim(fields[:low]), _trim(fields[low:])
 
 
@@ -705,7 +709,7 @@ def test_flat_image_hands_out_no_memo_object():
         (ctx.v(2), hopf._eta_v_generator),
         (Poly.gen(ctx.T, 2), hopf._psi_t_v),
     ):
-        image = hopf._flat_image(ctx, x, generator, generator.__name__)
+        image = grading._flat_image(ctx, x, generator, generator.__name__)
         assert image.terms == generator(Context(prime=5), 2).terms
         image.terms.clear()
         assert generator(ctx, 2).terms == generator(Context(prime=5), 2).terms
@@ -734,9 +738,9 @@ def test_coherence_fails_on_a_perturbed_cartan_basis_change():
     ctx = Context(prime=5)
     for i in (1, 2, 3):
         hopf._eta_v_generator(ctx, i)
-    s, image = hopf._m_to_v_scaled(ctx, hopf._pack((1,)))
-    assert (s, image) == (1, {hopf._pack((1,)): 1})
-    image[hopf._pack((1,))] += 1
+    s, image = grading._m_to_v_scaled(ctx, grading._pack((1,)))
+    assert (s, image) == (1, {grading._pack((1,)): 1})
+    image[grading._pack((1,))] += 1
     sweep = _coherence(hopf.verify_structural(ctx))
     assert not sweep.status
     # the sweep stops at its fourth witness: 1, v1, ..., v1^4 checked
@@ -748,13 +752,13 @@ def test_coherence_fails_on_a_perturbed_cartan_v_to_m():
     # negative control on the Cartan side's change to the m-basis: any one
     # coefficient of v2 = p m2 - v1^p m1 changed by 1 leaves R_0(v2)
     # non-integral, which the sweep records as a mismatch at v2
-    keys = list(hopf._v_in_m_flat(Context(prime=5), 2).terms)
+    keys = list(grading._v_in_m_flat(Context(prime=5), 2).terms)
     assert len(keys) == 2
     for key in keys:
         ctx = Context(prime=5)
         for i in (1, 2, 3):
             hopf._eta_v_generator(ctx, i)
-        hopf._v_in_m_flat(ctx, 2).terms[key] += 1
+        grading._v_in_m_flat(ctx, 2).terms[key] += 1
         sweep = _coherence(hopf.verify_structural(ctx))
         assert not sweep.status, key
         assert sweep.witness.split("; ")[0].startswith("v2: "), key
@@ -805,9 +809,9 @@ def test_structural_passes_at_p3():
     assert _coherence(report).computed == "33 monomials checked"
 
 
-# (input, r_action(R[1], x), r_action_table(x)) at p = 5, captured from the
-# tuple-keyed basis change (``ctx.to_m_basis``) the Cartan side used to read;
-# a str is an exception's "type: message"
+# (input, r_action(R[1], x), r_action_table(x)) at p = 5, captured when the
+# Cartan side still read the tuple-keyed basis change; a str is an
+# exception's "type: message"
 CARTAN_CONTRACT = [
     ("m1", "1", "ValueError: r_action: non-integral value at index ()"),
     (
@@ -952,6 +956,18 @@ def test_r_action_identity_and_additivity(ctx7):
     assert r_action(ctx7, (1,), x + y) == r_action(ctx7, (1,), x) + r_action(
         ctx7, (1,), y
     )
+
+
+def test_act_identity_beside_a_word_on_m_input():
+    # the value comes back in the v-basis, so R[0] beside R[1] adds x in
+    # the v-basis too: (R[1] + R[0]) m1 = 1 + v1/5 at p = 5
+    ctx = Context(prime=5)
+    E = OperationExpr.word
+    expr = E(ctx, (1,)) + E(ctx, (0,))
+    expected = Poly(ctx.V, {(): 1, (1,): Fraction(1, 5)})
+    assert expr.act(ctx.m(1)) == expected == expr.act(ctx.to_v_basis(ctx.m(1)))
+    # the identity words alone still return the input as it is
+    assert (E(ctx, (0,)) + E(ctx, ())).act(ctx.m(1)) == 2 * ctx.m(1)
 
 
 def _act_oracle(expr, x):
