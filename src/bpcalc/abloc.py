@@ -60,15 +60,8 @@ class FGAbelianGroup:
             self, "torsion", tuple(sorted(normal, key=lambda n: (min(_factor(n)), n)))
         )
 
-    @property
-    def torsion_order(self) -> int:
-        return math.prod(self.torsion) if self.torsion else 1
-
     def torsion_primes(self):
         return sorted({min(_factor(n)) for n in self.torsion})
-
-    def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
-        return FGAbelianGroup(self.rank + other.rank, self.torsion + other.torsion)
 
     def __str__(self):
         return _group_str("Z", self.rank, self.torsion)
@@ -163,15 +156,6 @@ def localize(M: FGAbelianGroup, S: InvertedSet) -> LocalizedGroup:
     """Rank preserved; Z/p^k factors deleted exactly when S inverts p."""
     kept = tuple(n for n in M.torsion if not S.inverts(min(_factor(n))))
     return LocalizedGroup(M.rank, kept, S)
-
-
-def is_s_local(M: FGAbelianGroup, S: InvertedSet) -> bool:
-    """Multiplication by every inverted prime is bijective on M."""
-    if any(S.inverts(p) for p in M.torsion_primes()):
-        return False
-    if M.rank > 0 and (S.rationalize or S.complement or S.primes):
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

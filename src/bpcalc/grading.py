@@ -10,8 +10,8 @@ co-operations ``TPoly``, the tensor square ``TensorPoly``, the operation
 combinations ``OperationCombo``, and the packed-key tables ``_Flat`` of
 the basis change here and of the diagonal, the right unit and the Cartan
 side there -- runs on one kernel: ``Sparse`` holds a terms dict ``{key:
-nonzero coefficient}`` and implements sum, difference, negation, scaling
-and ``map_coeffs``; ``SparseRing`` adds the product and powers.
+nonzero coefficient}`` and implements sum, difference, negation and
+scaling; ``SparseRing`` adds the product and powers.
 ``add_term`` is the accumulate step that keeps a terms dict free of zeros
 (the product loop inlines it).  A subclass supplies only what differs:
 
@@ -232,15 +232,6 @@ class Sparse:
                 terms[k] = _num(c)
         return self._like(terms)
 
-    def map_coeffs(self, fn):
-        """Apply fn to every coefficient, dropping the zeros it produces."""
-        terms = {}
-        for k, c in self.terms.items():
-            c = fn(c)
-            if c:
-                terms[k] = c
-        return self._like(terms)
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -382,10 +373,6 @@ class Poly(SparseRing):
 
     def coeff(self, exps) -> Fraction:
         return Fraction(self.terms.get(_trim(exps), 0))
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.alphabet.degree_of(e) for e in self.terms}
-        return len(degs) <= 1
 
     def degree(self):
         """Common degree of all terms; None for 0; raises if inhomogeneous."""

@@ -371,15 +371,6 @@ def psi_monomial(ctx: Context, exps: tuple) -> TensorPoly:
     return _to_tensor(ctx, _psi_flat(ctx, exps))
 
 
-def psi(x: TPoly) -> TensorPoly:
-    """Multiplicative extension of the diagonal; left coefficients pass through."""
-    ctx = x.ctx
-    out = TensorPoly.zero(ctx)
-    for exps, c in x.terms.items():
-        out = out + psi_monomial(ctx, exps).scale(c)
-    return out
-
-
 def coassociativity_check(ctx: Context, k: int) -> bool:
     """(psi (x) 1) psi t_k == (1 (x) psi) psi t_k.
 

@@ -1,11 +1,12 @@
 """Matrices of operations, cyclic graded modules, and verification pipelines.
 
-The cyclic modules model quotients pi_*(BP)/I carried on one graded
-generator.  Operations act on module elements through their coefficient,
-guarded by an explicit grading assertion: any R_J applied to the generator
-itself (J != 0) would require a coefficient of negative degree, hence
-vanishes.  Every act/apply step asserts the cohomological bookkeeping
-degree(out) = degree(in) + degree(operation).
+The cyclic modules model quotients pi_*(BP)/I carried on one generator;
+an element is a coefficient times that generator, and only the
+coefficient is graded.  Operations act on module elements through their
+coefficient, guarded by an explicit grading assertion: any R_J applied to
+the generator itself (J != 0) would require a coefficient of negative
+degree, hence vanishes.  Every act/apply step asserts the bookkeeping
+degree(coefficient in) - degree(coefficient out) = degree(operation).
 
 The pipelines chase the composite-complex computations down to their
 final coset representatives and emit deterministic reports: every step
@@ -48,21 +49,17 @@ from .report import Report
 
 @dataclass(frozen=True)
 class CyclicModule:
-    """pi_*(BP)/I on a single graded generator."""
+    """pi_*(BP)/I on a single generator."""
 
     ctx: Context
     ideal: TermIdeal
     gen_name: str
-    gen_degree: int
 
     def element(self, coeff: Poly) -> "ModuleElement":
         return ModuleElement(self, coeff)
 
     def zero(self) -> "ModuleElement":
         return ModuleElement(self, Poly.zero(self.ctx.V))
-
-    def __str__(self):
-        return f"pi/{self.ideal} on {self.gen_name} (degree {self.gen_degree})"
 
 
 @dataclass(frozen=True)
@@ -75,12 +72,6 @@ class ModuleElement:
     def __post_init__(self):
         reduced = canonical_mod(self.coeff, self.module.ideal)
         object.__setattr__(self, "coeff", reduced)
-
-    def degree(self):
-        """Cohomological degree: generator degree - coefficient degree."""
-        if self.coeff.is_zero():
-            return None
-        return self.module.gen_degree - self.coeff.degree()
 
     def is_zero(self):
         return self.coeff.is_zero()
@@ -101,7 +92,9 @@ def act(op, e: ModuleElement) -> ModuleElement:
 
     The operation acts on the coefficient only; the grading guard asserts
     that every non-identity index raises degree, so its value on the bare
-    generator would need a negative-degree coefficient and is zero.
+    generator would need a negative-degree coefficient and is zero.  A
+    nonzero value must lower the coefficient's degree by exactly the
+    operation's degree, else DegreeError.
     """
     ctx = e.module.ctx
     if isinstance(op, tuple):
@@ -112,14 +105,13 @@ def act(op, e: ModuleElement) -> ModuleElement:
             "degree cannot be discharged onto the coefficient"
         )
     op_degree = op.degree()
-    in_degree = e.degree()
-    raw = op.act(e.coeff)
-    out = ModuleElement(e.module, raw)
+    in_degree = e.coeff.degree()
+    out = ModuleElement(e.module, op.act(e.coeff))
     if not out.is_zero() and in_degree is not None:
-        expected = in_degree + op_degree
-        if out.degree() != expected:
+        if in_degree - out.coeff.degree() != op_degree:
             raise DegreeError(
-                f"degree bookkeeping: got {out.degree()}, expected {expected}"
+                f"degree bookkeeping: coefficient degree {in_degree} went to "
+                f"{out.coeff.degree()}, expected a drop of {op_degree}"
             )
     return out
 
@@ -199,14 +191,12 @@ def apply_matrix(matrix: OpMatrix, vec: list) -> list:
     if len(vec) != len(matrix.src_shifts):
         raise ValueError("vector length does not match matrix source")
     out = []
-    for i, row in enumerate(matrix.entries):
-        acc = None
-        for j, entry in enumerate(row):
-            if entry is None or not entry.parts:
-                continue
-            term = act(entry, vec[j])
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else vec[0].module.zero())
+    for row in matrix.entries:
+        acc = vec[0].module.zero()
+        for entry, e in zip(row, vec):
+            if entry is not None and entry.parts:
+                acc = acc + act(entry, e)
+        out.append(acc)
     return out
 
 
@@ -288,30 +278,17 @@ def check_complex(ctx: Context, matrices: list, degree_bound_q: int | None = Non
 
 @dataclass(frozen=True)
 class GeneratorRelation:
-    """source generator restricts to coeff * mono * target generator.
-
-    ``shift`` counts the suspensions separating the stated degree of the
-    source generator from the frame the target generator lives in (the
-    chase works one or two suspensions up from the original complexes).
-    """
+    """A source generator restricts to coeff * mono * target generator."""
 
     name: str
-    source_name: str
-    source_degree: int
     coeff: Fraction
     mono_exps: tuple
     target: CyclicModule
-    shift: int = 0
 
-    def validate(self):
-        factor_degree = self.target.ctx.V.degree_of(self.mono_exps)
-        want = self.target.gen_degree - factor_degree
-        if self.source_degree + self.shift != want:
-            raise DegreeError(
-                f"relation {self.name}: {self.source_name} has degree "
-                f"{self.source_degree} (+{self.shift} suspension) but the "
-                f"factor forces {want}"
-            )
+    def image(self) -> ModuleElement:
+        """The restricted source generator, coeff * mono * target generator."""
+        V = self.target.ctx.V
+        return self.target.element(Poly(V, {self.mono_exps: self.coeff}))
 
     def divide(self, e: ModuleElement, new_module: CyclicModule) -> ModuleElement:
         """Rewrite an element of the target module as (quotient) * source
@@ -332,27 +309,26 @@ def _vector_str(vec) -> str:
 
 
 def default_gamma1_spec(ctx: Context) -> dict:
-    """The generator relations the gamma_1 chain consumes, degree-validated."""
-    p, q = ctx.prime, ctx.q
-    r = (p * p - 1) * q
-    M_gbar1 = CyclicModule(ctx, ctx.ideal_chain(1), "gbar1", (p * p + p + 1) * q)
-    M_g1 = CyclicModule(ctx, ctx.ideal_chain(1), "g1", p * p * q)
-    M_gbar0 = CyclicModule(ctx, ctx.ideal_chain(0), "gbar0", p * p * q)
-    M_g0 = CyclicModule(ctx, ctx.ideal_chain(0), "g0", r - 1)
-    M_lbar = CyclicModule(ctx, TermIdeal.zero(p), "lbar", r - 1)
-    M_l = CyclicModule(ctx, ctx.ideal_chain(1), "l", r - 2)
+    """The generator relations the gamma_1 chain consumes."""
+    p = ctx.prime
+    M_gbar1 = CyclicModule(ctx, ctx.ideal_chain(1), "gbar1")
+    M_g1 = CyclicModule(ctx, ctx.ideal_chain(1), "g1")
+    M_gbar0 = CyclicModule(ctx, ctx.ideal_chain(0), "gbar0")
+    M_g0 = CyclicModule(ctx, ctx.ideal_chain(0), "g0")
+    M_lbar = CyclicModule(ctx, TermIdeal.zero(p), "lbar")
+    M_l = CyclicModule(ctx, ctx.ideal_chain(1), "l")
     return {
         "h1_restriction": GeneratorRelation(
-            "h1 i = v3 gbar1", "h1", 0, Fraction(1), (0, 0, 1), M_gbar1
+            "h1 i = v3 gbar1", Fraction(1), (0, 0, 1), M_gbar1
         ),
         "g1_restriction": GeneratorRelation(
-            "g1 i = v2 gbar1", "g1", p * p * q, Fraction(1), (0, 1), M_gbar1
+            "g1 i = v2 gbar1", Fraction(1), (0, 1), M_gbar1
         ),
         "g0_restriction": GeneratorRelation(
-            "g0 i = v1 gbar0", "g0", r - 1, Fraction(1), (1,), M_gbar0, shift=1
+            "g0 i = v1 gbar0", Fraction(1), (1,), M_gbar0
         ),
         "l_restriction": GeneratorRelation(
-            "l S^2i = p lbar", "l", r - 2, Fraction(p), (), M_lbar, shift=1
+            "l S^2i = p lbar", Fraction(p), (), M_lbar
         ),
         "modules": {
             "gbar1": M_gbar1,
@@ -372,13 +348,10 @@ def lemma75_check(ctx: Context, spec=None, report: Report | None = None):
     report = report if report is not None else Report(
         "first-stage value of the composite chain", config={"prime": p}
     )
-    spec["h1_restriction"].validate()
-    spec["g1_restriction"].validate()
     M_gbar1 = spec["modules"]["gbar1"]
     M_g1 = spec["modules"]["g1"]
     d0, _, _ = d_matrices(ctx)
-    h1_image = M_gbar1.element(ctx.v(3))
-    vec = apply_matrix(d0, [h1_image])
+    vec = apply_matrix(d0, [spec["h1_restriction"].image()])
     report.expect(
         "lemma7.5.restricted",
         "[R1; Rp] v3 gbar1 = [-v2^p; 0] gbar1 mod (p, v1)",
@@ -428,7 +401,6 @@ def lemma77_check(ctx: Context, spec=None, report: Report | None = None):
         show=_vector_str,
         modulus=str(M_gbar0.ideal),
     )
-    spec["g0_restriction"].validate()
     g0_vec = [spec["g0_restriction"].divide(e, M_g0) for e in minus_d1_xi]
     report.expect(
         "lemma7.7.value",
@@ -532,7 +504,6 @@ def gamma1_pipeline(ctx: Context, spec=None) -> Report:
         modulus=str(mixed),
     )
 
-    spec["l_restriction"].validate()
     expected_final = M_l.element(-2 * ctx.v(2) ** (p - 3))
     try:
         final, witness = spec["l_restriction"].divide(M_lbar.element(reduced), M_l), ""
@@ -558,20 +529,16 @@ def gamma1_pipeline(ctx: Context, spec=None) -> Report:
 def betap_pipeline(ctx: Context) -> Report:
     """R_(p^2) h = v1^(p-1) g0 in pi/(p), via the Cartan expansion of
     R_(p^2)(v2^p) and the restriction g0 i = v1 gbar0."""
-    p, q = ctx.prime, ctx.q
+    p = ctx.prime
     if p < 5:
         raise PreconditionError("the pipeline needs p >= 5")
     report = Report(
         "order-p invariant value on the pinch complex",
         config={"prime": p, "truncation": ctx.truncation},
     )
-    r = p * p + p - 1  # the two-cell degree is rq - 2 with p^2 < r < p^2 + p
-    M_gbar0 = CyclicModule(ctx, ctx.ideal_chain(0), "gbar0", (r + 1) * q)
-    M_g0 = CyclicModule(ctx, ctx.ideal_chain(0), "g0", (r + 1) * q - q)
-    rel_g0 = GeneratorRelation(
-        "g0 i = v1 gbar0", "g0", (r + 1) * q - q, Fraction(1), (1,), M_gbar0
-    )
-    rel_g0.validate()
+    M_gbar0 = CyclicModule(ctx, ctx.ideal_chain(0), "gbar0")
+    M_g0 = CyclicModule(ctx, ctx.ideal_chain(0), "g0")
+    rel_g0 = GeneratorRelation("g0 i = v1 gbar0", Fraction(1), (1,), M_gbar0)
 
     exact = r_action(ctx, (p * p,), ctx.v(2) ** p)
     correction = exact - ctx.v(1) ** p

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bpcalc.errors import (
     AlphabetError,
+    DegreeError,
     NotDivisibleError,
     ParseError,
     TruncationError,
@@ -17,6 +18,7 @@ from bpcalc.grading import (
     Monomial,
     Poly,
     TermIdeal,
+    canonical_mod,
     divide_exact,
     format_poly,
     monomials_of_degree,
@@ -71,11 +73,11 @@ def test_homogeneity(ctx7):
     v1, v2 = ctx7.v(1), ctx7.v(2)
     x = v1**8  # degree 96 at p=7
     y = v2  # degree 96
-    assert (x + y).is_homogeneous()
     assert (x + y).degree() == 96
     prod = (x + y) * v1
     assert prod.degree() == 96 + 12
-    assert not (v1 + v2).is_homogeneous()
+    with pytest.raises(DegreeError):
+        (v1 + v2).degree()
 
 
 def test_hazewinkel_values(ctx7, ctx5):
@@ -269,6 +271,18 @@ def test_poly_parse_print_roundtrip(ctx7):
             parse_poly(text, ctx7.V)
     with pytest.raises(TruncationError):
         parse_poly("v9", ctx7.V)
+
+
+def test_parse_leading_plus_sign(ctx7):
+    v1, v2 = ctx7.v(1), ctx7.v(2)
+    assert parse_poly("+v1", ctx7.V) == v1
+    assert parse_poly("+2*v1 - v2", ctx7.V) == 2 * v1 - v2
+
+
+def test_canonical_mod_inverts_a_p_local_denominator(ctx5):
+    # 1/2 = 13 = -12 mod 25, from pow(2, -1, 25)
+    v1 = ctx5.v(1)
+    assert canonical_mod(Fraction(1, 2) * v1, ctx5.ideal((2, ()))) == -12 * v1
 
 
 def test_parse_normal_form_bijection(ctx7):

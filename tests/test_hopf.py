@@ -38,7 +38,6 @@ from bpcalc.hopf import (
     pair,
     pair_word,
     product_in_basis,
-    psi,
     psi_monomial,
     psi_t,
     r_action,
@@ -50,6 +49,21 @@ from bpcalc.hopf import (
 @pytest.fixture(scope="module")
 def ctx7():
     return Context(prime=7)
+
+
+def psi(x):
+    """The diagonal on a TPoly, extended multiplicatively from
+    ``psi_monomial``; left coefficients pass through."""
+    out = TensorPoly.zero(x.ctx)
+    for exps, c in x.terms.items():
+        out = out + psi_monomial(x.ctx, exps).scale(c)
+    return out
+
+
+def _to_v_coeffs(ctx, x):
+    """x with every m-basis coefficient changed to the v-basis by the
+    tuple-keyed oracle."""
+    return type(x)(ctx, {k: oracle.to_v(ctx, c) for k, c in x.terms.items()})
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +134,13 @@ def _budget(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_t_monomial_truncation_boundary():
+    ctx = Context(prime=3, truncation=5)
+    assert TPoly.monomial(ctx, (0, 0, 0, 0, 1)).terms == {(0, 0, 0, 0, 1): 1}
+    with pytest.raises(TruncationError):
+        TPoly.monomial(ctx, (0, 0, 0, 0, 0, 1))
+
+
 def test_psi_truncation_error(ctx7):
     with pytest.raises(TruncationError):
         psi_t(ctx7, 5)
@@ -169,7 +190,7 @@ def psi_oracle():
         if (p, k) not in done:
             ctx = contexts.setdefault(p, Context(prime=p))
             value = _psi_t_rational(ctx, k, rational.setdefault(p, {}))
-            done[p, k] = value.map_coeffs(lambda c: oracle.to_v(ctx, c))
+            done[p, k] = _to_v_coeffs(ctx, value)
         return done[p, k]
 
     return get
@@ -539,7 +560,7 @@ def _eta_r_oracle(ctx, x):
     m-monomial, then each coefficient back to the v-basis, both changes by
     the tuple-keyed oracle."""
     m_basis = _eta_r_m_oracle(ctx, oracle.to_m(ctx, x))
-    return m_basis.map_coeffs(lambda c: oracle.to_v(ctx, c))
+    return _to_v_coeffs(ctx, m_basis)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))

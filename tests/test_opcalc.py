@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,9 +11,9 @@ from bpcalc.arith import padic_valuation
 from bpcalc.errors import DegreeError, NotDivisibleError
 from bpcalc.grading import Context, Poly, TermIdeal, reduce_mod
 from bpcalc.hopf import OperationExpr
+from bpcalc.report import Report
 from bpcalc.opcalc import (
     CyclicModule,
-    GeneratorRelation,
     ModuleElement,
     _plocal_smith,
     act,
@@ -42,8 +44,7 @@ def ctx5():
 
 
 def _mod_gbar1(ctx):
-    p, q = ctx.prime, ctx.q
-    return CyclicModule(ctx, ctx.ideal_chain(1), "gbar1", (p * p + p + 1) * q)
+    return CyclicModule(ctx, ctx.ideal_chain(1), "gbar1")
 
 
 def test_act_examples(ctx7):
@@ -56,22 +57,23 @@ def test_act_examples(ctx7):
 
 
 def test_act_degree_bookkeeping(ctx7):
+    # R[1] has degree q and lowers the coefficient's degree by q
     M = _mod_gbar1(ctx7)
     e = M.element(ctx7.v(3))
     out = act((1,), e)
-    assert out.degree() == e.degree() + ctx7.q
+    assert e.coeff.degree() - out.coeff.degree() == ctx7.q
 
 
 def test_module_element_normal_form(ctx7):
     p = ctx7.prime
-    M = CyclicModule(ctx7, ctx7.ideal_chain(0), "g", 100)
+    M = CyclicModule(ctx7, ctx7.ideal_chain(0), "g")
     e = M.element((p * 12 + 2) * ctx7.v(2) + p * ctx7.v(1))
     assert e.coeff == 2 * ctx7.v(2)
     assert M.element(Poly.zero(ctx7.V)).is_zero()
 
 
 def test_module_element_prints_through_the_term_printer(ctx7):
-    M = CyclicModule(ctx7, ctx7.ideal_chain(0), "g1", 100)
+    M = CyclicModule(ctx7, ctx7.ideal_chain(0), "g1")
     v1, v2 = ctx7.v(1), ctx7.v(2)
     assert str(M.element(Poly.zero(ctx7.V))) == "0"
     assert str(M.element(Poly.constant(ctx7.V, 1))) == "g1"
@@ -144,19 +146,68 @@ def test_gamma1_pipeline_values(ctx5, ctx7):
     assert not any(r.id == "caveat.small-prime" for r in rep7.records)
 
 
-def test_gamma1_mutated_generator_spec_fails_degree_check(ctx7):
-    spec = default_gamma1_spec(ctx7)
-    broken = GeneratorRelation(
-        "h1 i = v3^2 gbar1",
-        "h1",
-        0,
-        Fraction(1),
-        (0, 0, 2),
-        spec["h1_restriction"].target,
+# d0 reads the value h1 restricts to, so a wrong h1 fails the first-stage
+# value and every stage after it; the l relation is read by the last stage
+_WRONG_H1 = [
+    "lemma7.5.restricted",
+    "lemma7.5.value",
+    "lemma7.7.restricted",
+    "lemma7.7.value",
+    "thm7.2.d2-value",
+    "thm7.2.final",
+]
+
+
+@pytest.mark.parametrize(
+    "relation, mutation, failing",
+    [
+        ("h1_restriction", {"mono_exps": (0, 0, 2)}, _WRONG_H1),
+        ("h1_restriction", {"coeff": Fraction(-1)}, _WRONG_H1),
+        ("l_restriction", {"coeff": Fraction(-5)}, ["thm7.2.final"]),
+    ],
+    ids=["h1-v3-squared", "h1-negated", "l-negated"],
+)
+def test_gamma1_mutated_relation_fails_a_value_record(
+    monkeypatch, capsys, relation, mutation, failing
+):
+    original = opcalc.default_gamma1_spec
+
+    def default_gamma1_spec(ctx):
+        spec = original(ctx)
+        spec[relation] = replace(spec[relation], **mutation)
+        return spec
+
+    monkeypatch.setattr(opcalc, "default_gamma1_spec", default_gamma1_spec)
+    code = cli.main(["verify", "thm7.2", "--prime", "5", "--format", "json"])
+    assert code == cli.EXIT_CHECK_FAILURE
+    failed = [r.id for r in Report.from_json(capsys.readouterr().out).failures()]
+    # the exact list also rules out a thm7.2.crashed record
+    assert failed == failing
+
+
+def test_generator_relation_image(ctx5):
+    spec = default_gamma1_spec(ctx5)
+    assert spec["h1_restriction"].image() == spec["modules"]["gbar1"].element(ctx5.v(3))
+    lbar = spec["modules"]["lbar"]
+    assert spec["l_restriction"].image() == lbar.element(Poly.constant(ctx5.V, 5))
+
+
+def test_act_bookkeeping_rejects_a_value_off_by_a_degree(monkeypatch, capsys):
+    # an operation value one v1 too high keeps the coefficient homogeneous
+    # but lowers its degree by q less than the operation's degree
+    original = OperationExpr.act
+    monkeypatch.setattr(
+        OperationExpr, "act", lambda self, x: original(self, x) * self.ctx.v(1)
     )
-    spec["h1_restriction"] = broken
-    with pytest.raises(DegreeError):
-        gamma1_pipeline(ctx7, spec)
+    ctx = Context(prime=5)
+    e = CyclicModule(ctx, ctx.ideal_chain(0), "g").element(ctx.v(2))
+    with pytest.raises(DegreeError, match="^degree bookkeeping: "):
+        act((1,), e)
+    code = cli.main(["verify", "thm7.10", "--prime", "5", "--format", "json"])
+    assert code == cli.EXIT_CHECK_FAILURE
+    failed = Report.from_json(capsys.readouterr().out).failures()
+    assert [r.id for r in failed] == ["thm7.10.crashed"]
+    assert failed[0].witness.startswith("DegreeError: degree bookkeeping: ")
 
 
 def test_act_rejects_grading_guard_violation(ctx7):
@@ -246,6 +297,56 @@ def test_plocal_smith_basic():
                 v = padic_valuation(C[coord][k], 5) - a
                 worst[coord] = min(worst.get(coord, 0), v)
     assert min(worst.values()) == -1
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * _det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
+
+
+def _elementary_divisor_valuations(M, p):
+    """v_p of the elementary divisors d_k / d_(k-1), where d_k is the
+    minimal valuation of the nonzero k x k minors."""
+    m, n = len(M), len(M[0])
+    d = [0]
+    for k in range(1, min(m, n) + 1):
+        minors = [
+            _det([[M[i][j] for j in cols] for i in rows])
+            for rows in itertools.combinations(range(m), k)
+            for cols in itertools.combinations(range(n), k)
+        ]
+        vals = [padic_valuation(x, p) for x in minors if x]
+        if not vals:
+            break
+        d.append(min(vals))
+    return [b - a for a, b in zip(d, d[1:])]
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_plocal_smith_against_minors(p):
+    rng = random.Random(p)
+    entries = (0, 0, 1, 1, -1, 2, p, p + 1, 2 * p, p * p)
+    for _ in range(40):
+        m, n = rng.randrange(1, 5), rng.randrange(1, 5)
+        M = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+        vals, C = _plocal_smith(M, p)
+        assert vals == _elementary_divisor_valuations(M, p), M
+        assert all(padic_valuation(c, p) >= 0 for row in C for c in row if c)
+        assert padic_valuation(_det(C), p) == 0
+        for k in range(n):
+            image = [sum(a * row[k] for a, row in zip(Mi, C)) for Mi in M]
+            if k >= len(vals):
+                assert not any(image), M
+                continue
+            scaled = [Fraction(x, p ** vals[k]) for x in image]
+            assert all(padic_valuation(x, p) >= 0 for x in scaled if x), M
+            assert any(padic_valuation(x, p) == 0 for x in scaled if x), M
 
 
 def test_verify_lemma_7_3(ctx5, ctx7):
