@@ -9,12 +9,9 @@ coefficient ring, all in exact arithmetic.
 from bpcalc import Context
 from bpcalc.grading import format_poly
 from bpcalc.hopf import (
-    OperationCombo,
-    TPoly,
-    compose_pair,
+    OperationExpr,
     eta_r,
-    pair,
-    product_in_basis,
+    pair_word,
     psi_t,
     r_action,
     verify_lemma_7_1,
@@ -36,15 +33,14 @@ for i in (1, 2):
 
 print()
 print("== dual operations and the pairing ==")
-r1 = OperationCombo.basis(ctx, 1)
-rp = OperationCombo.basis(ctx, p)
-r01 = OperationCombo.basis(ctx, 0, 1)
-print("<R[0,1], t2> =", format_poly(pair(r01, TPoly.t(ctx, 2))))
-print("<R[1]R[p], t1*t2> =", format_poly(compose_pair(r1, rp, TPoly.monomial(ctx, (1, 1)))))
-print("<R[p]R[1], t1*t2> =", format_poly(compose_pair(rp, r1, TPoly.monomial(ctx, (1, 1)))))
+r1, rp, r01 = (1,), (p,), (0, 1)
+print("<R[0,1], t2> =", format_poly(pair_word(ctx, (r01,), (0, 1))))
+print("<R[1]R[p], t1*t2> =", format_poly(pair_word(ctx, (r1, rp), (1, 1))))
+print("<R[p]R[1], t1*t2> =", format_poly(pair_word(ctx, (rp, r1), (1, 1))))
 
 bound = ctx.qdeg(2 * p + 4)
-commutator = product_in_basis(r1, rp, bound) - product_in_basis(rp, r1, bound)
+E = OperationExpr.word
+commutator = (E(ctx, r1, rp) - E(ctx, rp, r1)).in_basis(bound)
 print("R[1]R[p] - R[p]R[1] expands to:", commutator)
 
 print()

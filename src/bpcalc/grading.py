@@ -6,8 +6,8 @@ with no zero entries and trailing zeros trimmed from exponent tuples.
 All values are immutable by convention and safe to share between threads.
 
 Every sparse algebra of the package -- ``Poly`` here, and in ``hopf`` the
-co-operations ``TPoly``, the tensor square ``TensorPoly``, the operation
-combinations ``OperationCombo``, and the packed-key tables ``_Flat`` of
+co-operations ``TPoly``, the tensor square ``TensorPoly``, the dual-basis
+expansions ``OperationCombo``, and the packed-key tables ``_Flat`` of
 the basis change here and of the diagonal, the right unit and the Cartan
 side there -- runs on one kernel: ``Sparse`` holds a terms dict ``{key:
 nonzero coefficient}`` and implements sum, difference, negation and
@@ -61,8 +61,9 @@ Z[m]) and ``_psi_t_v`` (v-basis) with ``_psi_t_v_pow`` and ``_psi_flat``
 (per t-monomial), the right unit's ``_eta_r_m_generator(_pow)``,
 ``_eta_v_generator(_pow)`` and ``_eta_flat`` (per v-monomial); decoded at
 its edge or otherwise: ``psi_monomial``, ``_factor_actions``,
-``pair_word`` and ``_eta_r_cached`` (eta_r per inner value of the nested
-pairing, keyed by the hashable ``Poly``).  Only ``rtable``, the Cartan
+``pair_word`` (the one composite pairing, which ``OperationExpr.in_basis``
+reads too) and ``_eta_r_cached`` (eta_r per inner value of ``pair_word``,
+keyed by the hashable ``Poly``).  Only ``rtable``, the Cartan
 side's full tables (counts), is filled by hand, in closed form per monomial
 by ``hopf._mono_action_table``.  Callers must not mutate a memo entry.
 """

@@ -22,8 +22,9 @@ Conventions (validated wholesale by verify_lemma_7_1):
   * coefficients live on the LEFT tensor factor;
   * the composition product evaluates <ab, x> = sum_i <a, e_i <b, x_i>>
     with <b, x_i> multiplied into the left coefficient of e_i through the
-    right unit; ``compose_pair`` and the nested ``pair_word`` share that
-    one step, ``_through_diagonal``;
+    right unit; ``pair_word`` is the one composite pairing, and
+    ``OperationExpr.in_basis`` expands a sum of words in the dual basis
+    from its values;
   * all Koszul signs are +1 -- every generator degree 2(p^i - 1) is even.
 
 The action of R_I on the coefficient ring is computed two independent ways:
@@ -199,22 +200,6 @@ class TPoly(_Coeffs, SparseRing):
     """Element of BP_*(BP): finite mapping t-monomial -> left coefficient."""
 
     __slots__ = ()
-
-    @classmethod
-    def t(cls, ctx, i, power=1):
-        if i < 1:
-            raise TruncationError(f"t{i} outside truncation N={ctx.truncation}")
-        return cls.monomial(ctx, (0,) * (i - 1) + (power,))
-
-    @classmethod
-    def monomial(cls, ctx, exps, coeff=None):
-        exps = _trim(exps)
-        if len(exps) > ctx.truncation:
-            raise TruncationError("t-monomial outside truncation")
-        coeff = coeff if coeff is not None else Poly.constant(ctx.V, 1)
-        if coeff.is_zero():
-            return cls.zero(ctx)
-        return cls._raw(ctx, {exps: coeff})
 
 
 def _add_exp_pairs(k1, k2) -> tuple:
@@ -626,7 +611,7 @@ def r_action(ctx: Context, index, x: Poly) -> Poly:
 
 class OperationCombo(_Coeffs):
     """Finite left-coefficient combination of dual operations R_I:
-    index -> coefficient Poly over V."""
+    index -> coefficient Poly over V; the value of ``OperationExpr.in_basis``."""
 
     __slots__ = ()
 
@@ -638,35 +623,33 @@ class OperationCombo(_Coeffs):
         return format_opindex(idx)
 
 
-def pair(a: OperationCombo, x: TPoly) -> Poly:
-    """Kronecker pairing, left-linear over the coefficient ring."""
-    ctx = a.ctx
-    out = Poly.zero(ctx.V)
-    for idx, c in a.terms.items():
-        b = x.terms.get(idx)
-        if b is not None:
-            out = out + c * b
-    return out
-
-
 @memoized
 def _eta_r_cached(ctx: Context, x: Poly) -> TPoly:
     """eta_r(x), memoized under x: the inner values of the nested pairing."""
     return eta_r(ctx, x)
 
 
-def _through_diagonal(ctx: Context, head: tuple, exps: tuple, inner) -> Poly:
-    """<R_head b, t^exps> for the operation b with <b, t^re> = inner(re)
-    (None for 0): the sum over psi t^exps = sum c t^le (x) t^re of c times
-    the t^(head - le)-coefficient of eta_R(inner(re)).  The inner value
-    multiplies the left factor through the right unit; a scalar crosses as
-    itself, so only le = head takes it.  inner is called only on the
-    right factors of terms whose le divides head."""
+@memoized
+def pair_word(ctx: Context, word: tuple, exps: tuple) -> Poly:
+    """<R_(w1) R_(w2) ... , t^exps> by nested evaluation of the diagonal.
+
+    The one-letter word pairs by the dual basis.  A longer word sums, over
+    psi t^exps = sum c t^le (x) t^re, c times the t^(w1 - le)-coefficient of
+    eta_R(<tail, t^re>): the inner value multiplies the left factor through
+    the right unit, so the nested evaluation is associative (see the
+    associativity checks).  A scalar inner value crosses as itself, so only
+    le = w1 takes it.  The tail is paired only on terms whose le divides w1.
+    Signs are all +1: every generator degree 2(p^i - 1) is even.
+    """
+    word = tuple(_trim(w) for w in word) or ((),)  # the empty word is R[0]
+    exps, head, rest = _trim(exps), word[0], word[1:]
+    if not rest:
+        return Poly.constant(ctx.V, 1 if exps == head else 0)
     acc = Poly.zero(ctx.V)
     for (le, re), c in psi_monomial(ctx, exps).terms.items():
         if not exps_divides(le, head):
             continue
-        value = inner(re)
+        value = pair_word(ctx, rest, re)
         if not value:
             continue
         if value.terms.keys() == {()}:
@@ -678,60 +661,6 @@ def _through_diagonal(ctx: Context, head: tuple, exps: tuple, inner) -> Poly:
         if d is not None:
             acc = acc + c * d
     return acc
-
-
-def compose_pair(a: OperationCombo, b: OperationCombo, x: TPoly) -> Poly:
-    """<ab, x> = sum_i <a, e_i <b, x_i>> over psi x = sum e_i (x) x_i.
-
-    Left-linear over the terms of x and the indices of a: each pair is one
-    step of the nested evaluation (``_through_diagonal``), where the inner
-    value <b, x_i> multiplies the left factor e_i through the right unit
-    (e_i . d = eta_R(d)-multiplication), landing in its left coefficient;
-    a scalar inner value is plain left-coefficient multiplication.  Signs
-    are all +1: every generator degree 2(p^i - 1) is even.
-    """
-    ctx = a.ctx
-    out = Poly.zero(ctx.V)
-    for exps, c in x.terms.items():
-        for idx, d in a.terms.items():
-            got = _through_diagonal(ctx, idx, exps, b.terms.get)
-            if got:
-                out = out + d * c * got
-    return out
-
-
-@memoized
-def pair_word(ctx: Context, word: tuple, exps: tuple) -> Poly:
-    """<R_(w1) R_(w2) ... , t^exps> by nested evaluation of the diagonal:
-    the one-letter word pairs by the dual basis, a longer one is one step
-    ``_through_diagonal`` over the pairing of its tail.
-
-    Inner values cross the left tensor factor through the right unit, so
-    the nested evaluation is associative (see the associativity checks).
-    """
-    word = tuple(_trim(w) for w in word) or ((),)  # the empty word is R[0]
-    exps = _trim(exps)
-    if len(word) == 1:
-        return Poly.constant(ctx.V, 1 if exps == word[0] else 0)
-    rest = word[1:]
-    return _through_diagonal(ctx, word[0], exps, lambda re: pair_word(ctx, rest, re))
-
-
-def product_in_basis(
-    a: OperationCombo, b: OperationCombo, degree_bound: int
-) -> OperationCombo:
-    """Expand ab in the dual basis: ab = sum_J <ab, t^J> R_J.
-
-    Exact for every index of degree <= degree_bound (homotopy degree).
-    """
-    ctx = a.ctx
-    terms = {}
-    for mono in monomials_up_to(degree_bound, ctx.T):
-        x = TPoly.monomial(ctx, mono.exps)
-        c = compose_pair(a, b, x)
-        if not c.is_zero():
-            terms[mono.exps] = c
-    return OperationCombo(ctx, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -831,6 +760,12 @@ class OperationExpr:
         for scalar, word in self.parts:
             out = out + scalar * pair_word(self.ctx, word, exps)
         return out
+
+    def in_basis(self, degree_bound: int) -> OperationCombo:
+        """The dual-basis expansion sum_J <self, t^J> R_J, exact for every
+        index of degree <= degree_bound (homotopy degree)."""
+        monos = monomials_up_to(degree_bound, self.ctx.T)
+        return OperationCombo(self.ctx, {m.exps: self.pair_monomial(m.exps) for m in monos})
 
     def __str__(self):
         parts = (_term(str(s), format_word(w)) for s, w in self.parts)
@@ -1017,13 +952,14 @@ def verify_lemma_7_1(ctx: Context, degree_bound_q: int | None = None) -> Report:
             modulus=f"pairing window deg <= {bound_q}q",
             witness=witness,
         )
-    # the dual-basis expansion of the first commutator is exactly R[0,1]
-    a = OperationCombo.basis(ctx, 1)
-    b = OperationCombo.basis(ctx, ctx.prime)
+    # the dual-basis expansion of the first commutator is exactly R[0,1];
+    # relation 1 has filled the pairing memo it reads
+    r1, rp = (1,), (ctx.prime,)
+    E = OperationExpr.word
     report.expect(
         "basis-expansion[R[1]R[p]-R[p]R[1]]",
         "R[1]R[p] - R[p]R[1] expands to exactly R[0,1]",
-        product_in_basis(a, b, bound) - product_in_basis(b, a, bound),
+        (E(ctx, r1, rp) - E(ctx, rp, r1)).in_basis(bound),
         OperationCombo.basis(ctx, 0, 1),
         modulus=f"pairing window deg <= {bound_q}q",
     )

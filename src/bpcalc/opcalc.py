@@ -582,9 +582,11 @@ def betap_pipeline(ctx: Context) -> Report:
 
 def _plocal_smith(rows: list, p: int):
     """Smith normal form over Z_(p): returns (pivot valuations, C) with
-    R*M*C diagonal, R and C invertible over Z_(p); C accumulates the column
-    operations.  Entries are exact Fractions; pivots are chosen with
-    minimal p-valuation."""
+    R*M*C diagonal for some R invertible over Z_(p), and C invertible over
+    Z_(p), the column operations.  R is not built: the row step would
+    subtract from each later row what the column step already subtracts,
+    and column k is never read again.  Entries are exact Fractions; pivots
+    are chosen with minimal p-valuation."""
     M = [list(map(Fraction, row)) for row in rows]
     mrows, ncols = len(M), len(M[0]) if M else 0
     C = [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
@@ -608,11 +610,6 @@ def _plocal_smith(rows: list, p: int):
         for row in C:
             row[k], row[pj] = row[pj], row[k]
         pivot = M[k][k]
-        for i in range(k + 1, mrows):
-            if M[i][k] == 0:
-                continue
-            f = M[i][k] / pivot
-            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
         for j in range(k + 1, ncols):
             if M[k][j] == 0:
                 continue

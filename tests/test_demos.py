@@ -1,8 +1,10 @@
 """Byte-for-byte pin of the demos' output.
 
-Each ``demos/<name>.py`` prints ``TPoly``, ``TensorPoly``,
-``OperationCombo`` and ``OperationExpr`` values among others;
-``tests/golden/demos/<name>.txt`` holds its stdout.  Rewrite a golden
+Each ``demos/<name>.py`` prints ``TPoly``, ``TensorPoly`` and
+``OperationCombo`` values among others; the pairings and the commutator
+expansion of ``operation_calculus`` come from ``pair_word`` and
+``OperationExpr.in_basis``.  ``tests/golden/demos/<name>.txt`` holds each
+demo's stdout.  Rewrite a golden
 file only for a deliberate change of what a demo prints.
 """
 

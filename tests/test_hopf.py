@@ -22,6 +22,7 @@ from bpcalc.grading import (
     _trim,
     add_exps,
     add_term,
+    monomials_of_degree,
     monomials_up_to,
     reduce_mod,
 )
@@ -32,12 +33,9 @@ from bpcalc.hopf import (
     TPoly,
     coassociativity_check,
     commutator_relations,
-    compose_pair,
     eta_r,
     eta_r_m,
-    pair,
     pair_word,
-    product_in_basis,
     psi_monomial,
     psi_t,
     r_action,
@@ -132,13 +130,6 @@ def _budget(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def test_t_monomial_truncation_boundary():
-    ctx = Context(prime=3, truncation=5)
-    assert TPoly.monomial(ctx, (0, 0, 0, 0, 1)).terms == {(0, 0, 0, 0, 1): 1}
-    with pytest.raises(TruncationError):
-        TPoly.monomial(ctx, (0, 0, 0, 0, 0, 1))
 
 
 def test_psi_truncation_error(ctx7):
@@ -268,19 +259,19 @@ def test_psi_field_overflow_raises_before_any_table():
 
 
 def test_psi_multiplicative(ctx7):
-    pt = psi(TPoly.t(ctx7, 1, 2))
+    pt = psi(TPoly(ctx7, {(2,): 1}))
     assert pt.coeff((2,), ()) == 1
     assert pt.coeff((1,), (1,)) == 2
     assert pt.coeff((), (2,)) == 1
     assert psi(TPoly.unit(ctx7)).coeff((), ()) == 1
     # left coefficients pass through unchanged
-    x = TPoly.monomial(ctx7, (1,), coeff=ctx7.v(3))
+    x = TPoly(ctx7, {(1,): ctx7.v(3)})
     assert psi(x).coeff((1,), ()) == ctx7.v(3)
 
 
 def test_psi_t1t2_term_feeds_pairing_table(ctx7):
     # the term with right factor t1^p and left factor -c*v1*t1 has c = 1
-    x = TPoly.monomial(ctx7, (1, 1))
+    x = TPoly(ctx7, {(1, 1): 1})
     assert psi(x).coeff((1,), (7,)) == -ctx7.v(1)
 
 
@@ -316,77 +307,85 @@ def test_eta_r_is_ring_homomorphism(ctx7):
     assert eta_r(ctx7, x + y) == eta_r(ctx7, x) + eta_r(ctx7, y)
 
 
+def pair(a, x):
+    """The Kronecker pairing <a, x> of an OperationCombo with a TPoly,
+    left-linear over the coefficient ring: the test oracle's last step."""
+    out = Poly.zero(a.ctx.V)
+    for idx, c in a.terms.items():
+        out = out + c * x.coeff(idx)
+    return out
+
+
 def test_pairing_dual_basis(ctx7):
     r01 = OperationCombo.basis(ctx7, 0, 1)
-    assert pair(r01, TPoly.t(ctx7, 2)) == 1
-    assert pair(r01, TPoly.monomial(ctx7, (0, 1), coeff=ctx7.v(3))) == ctx7.v(3)
-    r1 = OperationCombo.basis(ctx7, 1)
-    assert pair(r1, TPoly.monomial(ctx7, (7,))).is_zero()
+    assert pair_word(ctx7, ((0, 1),), (0, 1)) == 1
+    assert pair(r01, TPoly(ctx7, {(0, 1): ctx7.v(3)})) == ctx7.v(3)
+    assert pair_word(ctx7, ((1,),), (7,)).is_zero()
+    # a one-letter word expands to its own basis element
+    assert OperationExpr.word(ctx7, (0, 1)).in_basis(ctx7.qdeg(10)) == r01
 
 
 def test_compose_pair_table_values(ctx5, ctx7):
     for ctx in (ctx5, ctx7):
         p = ctx.prime
-        r1 = OperationCombo.basis(ctx, 1)
-        rp = OperationCombo.basis(ctx, p)
-        t1t2 = TPoly.monomial(ctx, (1, 1))
-        assert compose_pair(r1, rp, t1t2) == -ctx.v(1)
-        assert compose_pair(rp, r1, t1t2) == -ctx.v(1)
-        t1p1 = TPoly.monomial(ctx, (p + 1,))
-        assert compose_pair(r1, rp, t1p1) == p + 1
-        assert compose_pair(rp, r1, t1p1) == p + 1
-        # counit behavior of the identity operation
-        r0 = OperationCombo.basis(ctx, 0)
-        a = OperationCombo(ctx, {(1,): ctx.v(2), (0, 1): Poly.constant(ctx.V, 3)})
-        x = TPoly.monomial(ctx, (1, 1))
-        assert compose_pair(r0, a, x) == pair(a, x)
-        assert compose_pair(a, r0, x) == pair(a, x)
+        r1, rp = (1,), (p,)
+        assert pair_word(ctx, (r1, rp), (1, 1)) == -ctx.v(1)
+        assert pair_word(ctx, (rp, r1), (1, 1)) == -ctx.v(1)
+        assert pair_word(ctx, (r1, rp), (p + 1,)) == p + 1
+        assert pair_word(ctx, (rp, r1), (p + 1,)) == p + 1
+        # counit behavior of the identity operation, on either side
+        for w in (r1, (0, 1)):
+            for exps in ((1,), (0, 1), (1, 1), (p + 1,)):
+                alone = pair_word(ctx, (w,), exps)
+                assert pair_word(ctx, ((), w), exps) == alone
+                assert pair_word(ctx, (w, ()), exps) == alone
 
 
 def test_product_in_basis_commutator(ctx7):
     p = ctx7.prime
     bound = ctx7.qdeg(2 * p + 4)
-    r1 = OperationCombo.basis(ctx7, 1)
-    rp = OperationCombo.basis(ctx7, p)
-    r01 = OperationCombo.basis(ctx7, 0, 1)
-    commutator = product_in_basis(r1, rp, bound) - product_in_basis(rp, r1, bound)
-    assert commutator == r01
-    zero = product_in_basis(r1, r01, bound) - product_in_basis(r01, r1, bound)
+    E = OperationExpr.word
+    r1, rp, r01 = (1,), (p,), (0, 1)
+    commutator = (E(ctx7, r1, rp) - E(ctx7, rp, r1)).in_basis(bound)
+    assert commutator == OperationCombo.basis(ctx7, 0, 1)
+    assert str(commutator) == "R[0,1]"
+    zero = (E(ctx7, r1, r01) - E(ctx7, r01, r1)).in_basis(bound)
     assert not zero.terms
 
 
 def test_duality_of_product_and_pairing(ctx7):
     p = ctx7.prime
     bound = ctx7.qdeg(10)
-    r1 = OperationCombo.basis(ctx7, 1)
-    rp = OperationCombo.basis(ctx7, p)
-    prod = product_in_basis(r1, rp, bound)
+    prod = OperationExpr.word(ctx7, (1,), (p,)).in_basis(bound)
+    assert prod.terms
     for mono in monomials_up_to(bound, ctx7.T):
-        x = TPoly.monomial(ctx7, mono.exps)
-        assert pair(prod, x) == compose_pair(r1, rp, x)
+        x = TPoly(ctx7, {mono.exps: 1})
+        assert pair(prod, x) == pair_word(ctx7, ((1,), (p,)), mono.exps)
 
 
 def test_pair_word_associativity_sample(ctx7):
     p = ctx7.prime
     bound = ctx7.qdeg(2 * p + 4)
-    r1 = OperationCombo.basis(ctx7, 1)
     rp = OperationCombo.basis(ctx7, p)
-    ab = product_in_basis(rp, r1, bound)
-    bc = product_in_basis(r1, rp, bound)
+    ab = OperationExpr.word(ctx7, (p,), (1,)).in_basis(bound)
+    bc = OperationExpr.word(ctx7, (1,), (p,)).in_basis(bound)
     for mono in monomials_up_to(bound, ctx7.T):
-        x = TPoly.monomial(ctx7, mono.exps)
-        left_assoc = compose_pair(ab, rp, x)  # (Rp R1) Rp
+        # (Rp R1) Rp: left-linear over the coefficients of Rp R1
+        left_assoc = Poly.zero(ctx7.V)
+        for J, c in ab.terms.items():
+            left_assoc = left_assoc + c * pair_word(ctx7, (J, (p,)), mono.exps)
         nested = pair_word(ctx7, ((p,), (1,), (p,)), mono.exps)
-        right_assoc = compose_pair(rp, bc, x)  # Rp (R1 Rp)
+        # Rp (R1 Rp): the inner values cross through the right unit
+        right_assoc = _compose_pair_oracle(rp, bc, TPoly(ctx7, {mono.exps: 1}))
         assert left_assoc == nested == right_assoc
 
 
 def _compose_pair_oracle(a, b, x):
     """<ab, x> by the carried loop: psi x = sum e_i (x) x_i in full, each
     inner value <b, x_i> carried into the left factor e_i through eta_r,
-    then the result paired with a.  A test oracle for the nested step that
-    compose_pair and pair_word share: it reads every term of psi x, where
-    that step reads only the terms whose left factor divides an index of a."""
+    then the result paired with a.  A test oracle for the nested step of
+    pair_word: it reads every term of psi x, where that step reads only the
+    terms whose left factor divides the head letter."""
     ctx = a.ctx
     carried = {}
     for (le, re), c in psi(x).terms.items():
@@ -397,68 +396,62 @@ def _compose_pair_oracle(a, b, x):
     return pair(a, TPoly(ctx, carried))
 
 
-# the lemma 7.1 pairing window at p = 5: t-monomials of degree <= (2p + 4)q
-WINDOW_T5 = [m.exps for m in monomials_up_to(14 * 8, Context(prime=5).T)]
-small_polys = st.dictionaries(
-    st.sampled_from([(), (1,), (2,), (0, 1), (1, 1)]),
-    st.integers(-3, 3).filter(bool),
-    min_size=1,
-    max_size=2,
-)
-small_combos = st.dictionaries(
-    st.sampled_from(WINDOW_T5), small_polys, min_size=1, max_size=2
-)
+# letters of degree <= (p + 1)q at p = 5
+T5 = Context(prime=5).T
+LETTERS_T5 = [m.exps for m in monomials_up_to(6 * 8, T5)]
 
 
-def _compose_inputs(ab):
-    """x with homogeneous monomial coefficients on t^(I + J), on
-    t^(I + J - (1,)) (where the inner v1's p t1 from eta_R(v1) = v1 + p t1
-    crosses into the left factor) and on the window."""
-    a, b = ab
-    sums = {add_exps(I, J) for I in a for J in b}
-    shifted = {_trim((e[0] - 1,) + e[1:]) for e in sums if e and e[0]}
-    x = st.dictionaries(
-        st.sampled_from(sorted(sums | shifted | set(WINDOW_T5))),
-        st.tuples(st.sampled_from([(), (1,), (0, 1)]), st.integers(-3, 3).filter(bool)),
-        min_size=1,
-        max_size=2,
-    )
-    return st.tuples(st.just(a), st.just(b), x)
+def _word_inputs(head_tail_raise):
+    """t^exps of the word's degree raised by 0, q, 2q or 6q, so that the
+    value is a v-polynomial of that degree."""
+    head, tail, raise_q = head_tail_raise
+    degree = sum(T5.degree_of(i) for i in (head, *tail)) + 8 * raise_q
+    exps = [m.exps for m in monomials_of_degree(degree, T5)]
+    return st.tuples(st.just(head), st.just(tail), st.sampled_from(exps))
 
 
-compose_cases = st.tuples(small_combos, small_combos).flatmap(_compose_inputs)
+word_cases = st.tuples(
+    st.sampled_from(LETTERS_T5),
+    st.lists(st.sampled_from(LETTERS_T5), min_size=1, max_size=2),
+    st.sampled_from([0, 1, 2, 6]),
+).flatmap(_word_inputs)
 
 
 @pytest.fixture(scope="module")
 def compose_contexts():
-    """One context for compose_pair and one for the carried-loop oracle."""
+    """One context for pair_word and one for the carried-loop oracle."""
     return Context(prime=5), Context(prime=5)
 
 
-@given(compose_cases)
-@example(({(2,): {(): 1}}, {(1,): {(1,): 1}}, {(2,): ((), 1)}))
+@given(word_cases)
+@example(((1,), [(1,), (5,)], (1, 1)))
+@example(((2,), [(1,)], (4,)))
 @settings(max_examples=40, deadline=None)
 def test_compose_pair_matches_carried_loop_oracle(compose_contexts, case):
-    values = []
-    for ctx, evaluate in zip(compose_contexts, (compose_pair, _compose_pair_oracle)):
-        a, b = (
-            OperationCombo(ctx, {I: Poly(ctx.V, c) for I, c in terms.items()})
-            for terms in case[:2]
-        )
-        x = TPoly(ctx, {e: Poly(ctx.V, {v: n}) for e, (v, n) in case[2].items()})
-        values.append(evaluate(a, b, x))
-    assert values[0] == values[1]
+    """<R_I w, t^exps> for a head letter I and a 1-2-letter tail w: the
+    tail's expansion has v-polynomial coefficients, which the oracle
+    carries through eta_r."""
+    I, w, exps = case
+    nested_ctx, oracle_ctx = compose_contexts
+    tail = OperationExpr.word(oracle_ctx, *w).in_basis(oracle_ctx.T.degree_of(exps))
+    want = _compose_pair_oracle(
+        OperationCombo.basis(oracle_ctx, *I), tail, TPoly(oracle_ctx, {exps: 1})
+    )
+    assert pair_word(nested_ctx, (I, *w), exps) == want
 
 
 def test_compose_pair_crosses_inner_values_through_the_right_unit(ctx5):
-    # <R[2] (v1 R[1]), t1^2>: psi t1^2 has the term 2 t1 (x) t1, the inner
-    # value v1 crosses t1 as eta_R(v1) = v1 + p t1, and R[2] reads the
-    # t1^2-coefficient 2p
-    a = OperationCombo.basis(ctx5, 2)
-    b = OperationCombo(ctx5, {(1,): ctx5.v(1)})
-    x = TPoly.monomial(ctx5, (2,))
-    assert compose_pair(a, b, x) == 2 * ctx5.prime
-    assert _compose_pair_oracle(a, b, x) == 2 * ctx5.prime
+    # <R[1]R[1]R[p], t1*t2>: the term 1 (x) t1*t2 of psi(t1*t2) carries the
+    # inner value <R[1]R[p], t1*t2> = -v1, which crosses as
+    # eta_R(-v1) = -v1 - p t1, so R[1] reads -p from it and the value is
+    # 7 - 5 = 2; were -v1 to cross as itself, R[1] would read 0 there and
+    # the value would be 7
+    p = ctx5.prime
+    assert pair_word(ctx5, ((1,), (p,)), (1, 1)) == -ctx5.v(1)
+    assert pair_word(ctx5, ((1,), (1,), (p,)), (1, 1)) == 2
+    tail = OperationExpr.word(ctx5, (1,), (p,)).in_basis(ctx5.T.degree_of((1, 1)))
+    x = TPoly(ctx5, {(1, 1): 1})
+    assert _compose_pair_oracle(OperationCombo.basis(ctx5, 1), tail, x) == 2
 
 
 def test_r_action_examples(ctx5, ctx7):
@@ -1183,5 +1176,5 @@ def test_printed_forms_parse_back(ctx7):
 def test_binomial_expansion_in_diagonal(ctx7):
     # right-factor t1^p coefficient of psi(t1^(p+1)) is (p+1) t1
     p = ctx7.prime
-    diag = psi(TPoly.t(ctx7, 1, p + 1))
+    diag = psi(TPoly(ctx7, {(p + 1,): 1}))
     assert diag.coeff((1,), (p,)) == p + 1

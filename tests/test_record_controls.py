@@ -1,7 +1,8 @@
 """A control for every record that compares a computed value with an exact
 expected one (``Report.expect``), and for these ``Report.check`` records:
-lemma7.9's coboundary and integrality tables, lemma 7.1's relations and
-thm7.2's two indeterminacy scans.  A control is a named perturbation of a
+lemma7.9's coboundary and integrality tables, lemma 7.1's relations,
+thm7.2's two indeterminacy scans and the structural ``coassociativity``
+record at each k it covers.  A control is a named perturbation of a
 table entry, a relation or an operation value under which a single ``verify
 <target>`` at p = 5 exits 1 with that record failing and no
 ``<target>.crashed`` record.  The controls are hand-named mutants of the
@@ -89,11 +90,11 @@ def module_action_doubled(monkeypatch):
     monkeypatch.setattr(opcalc, "act", act)
 
 
-def product_in_basis_doubled(monkeypatch):
-    """The dual-basis expansion of every product doubled."""
-    original = hopf.product_in_basis
+def in_basis_doubled(monkeypatch):
+    """The dual-basis expansion of every operation expression doubled."""
+    original = hopf.OperationExpr.in_basis
     monkeypatch.setattr(
-        hopf, "product_in_basis", lambda a, b, bound: original(a, b, bound).scale(2)
+        hopf.OperationExpr, "in_basis", lambda self, bound: original(self, bound).scale(2)
     )
 
 
@@ -174,7 +175,7 @@ CONTROLS = {
         ["thm7.10.restricted", "thm7.10.value"],
     ),
     "thm7.10.value": ("thm7.10", betap_relation_negated),
-    "basis-expansion[R[1]R[p]-R[p]R[1]]": ("lemma7.1", product_in_basis_doubled),
+    "basis-expansion[R[1]R[p]-R[p]R[1]]": ("lemma7.1", in_basis_doubled),
     **{
         f"lemma7.9.top-action[r={r}]": (
             "lemma7.9",
@@ -255,6 +256,19 @@ def test_record_control(monkeypatch, capsys, record):
     assert code == cli.EXIT_CHECK_FAILURE
     # the exact list also rules out a <target>.crashed record
     assert [r.id for r in report.failures()] == (failing[0] if failing else [record])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_coassociativity_control(monkeypatch, capsys, k):
+    """The structural record covers each k it names: coassociativity
+    failing at k alone fails that record and no other."""
+    original = hopf.coassociativity_check
+    monkeypatch.setattr(
+        hopf, "coassociativity_check", lambda ctx, j: j != k and original(ctx, j)
+    )
+    code, report = _verify("structural", capsys)
+    assert code == cli.EXIT_CHECK_FAILURE
+    assert [r.id for r in report.failures()] == ["coassociativity"]
 
 
 @pytest.mark.parametrize("record", sorted(SCAN_CONTROLS))
