@@ -23,12 +23,14 @@ Options come from argv alone, each command taking only those it reads:
 ``eval`` --prime --truncation, ``localize-group`` --invert --oracle, ``cat``
 --format --out --no-timing --marked-class.  Any other flag is a usage
 error; an option not given keeps ``Config``'s default.  Each invocation
-builds one subparser.
+builds one parser: the named command's own, or, when the first argument
+names no command, the parser of every command, for the top-level usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -47,7 +49,13 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATION = 3
 
-COMMANDS = ("verify", "eval", "localize-group", "cat")
+# command -> its line in the top-level help, in the order listed
+COMMANDS = {
+    "verify": "run a verification pipeline",
+    "eval": "apply an operation to a polynomial",
+    "localize-group": "localize a finitely generated abelian group",
+    "cat": "finite-category checks",
+}
 
 
 @dataclass
@@ -75,7 +83,7 @@ class Config:
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A command's parser: a flag it does not read is its own usage error."""
+    """A subparser: a flag its command does not read is its own usage error."""
 
     def parse_known_args(self, args=None, namespace=None):
         parsed, extra = super().parse_known_args(args, namespace)
@@ -85,81 +93,73 @@ class _CommandParser(argparse.ArgumentParser):
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser with ``command``'s subparser only, or with all of them when
-    it names none; the usage line lists every command either way.  An option
-    not given is left out of the namespace (SUPPRESS), for ``Config`` to fill."""
-    parser = argparse.ArgumentParser(
-        prog="bpcalc",
-        description="exact-arithmetic workbench: operation calculus on the "
-        "Brown-Peterson coefficient ring, category-of-fractions checks, "
-        "abelian group localization",
-    )
-    parser.add_argument("--version", action="version", version=f"bpcalc {__version__}")
-    ring = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    ring.add_argument("--prime", type=int, help=f"odd prime (default {Config.prime})")
-    ring.add_argument(
-        "--truncation", type=int, help=f"generator count N (default {Config.truncation})"
-    )
-    output = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    output.add_argument("--format", choices=("text", "json"))
-    output.add_argument("--out")
-    output.add_argument(
-        "--no-timing",
-        dest="timing",
-        action="store_false",
-        help="omit runtime fields for byte-identical output",
-    )
-    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
-    wanted = (command,) if command in COMMANDS else COMMANDS
-    sub.metavar = "{%s}" % ",".join(COMMANDS) if command in COMMANDS else None
+    """``command``'s own parser, for the arguments after the command word, or
+    when ``command`` names none, the parser of every command, for all of argv.
+    A ``Config`` option not given is left out of the namespace (SUPPRESS)."""
+    if command in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"bpcalc {command}")
+        parsers = {command: parser}
+    else:
+        parser = argparse.ArgumentParser(
+            prog="bpcalc",
+            description="exact-arithmetic workbench: operation calculus on the "
+            "Brown-Peterson coefficient ring, category-of-fractions checks, "
+            "abelian group localization",
+        )
+        parser.add_argument("--version", action="version", version=f"bpcalc {__version__}")
+        sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
+        parsers = {c: sub.add_parser(c, help=line) for c, line in COMMANDS.items()}
 
-    if "verify" in wanted:
-        p_verify = sub.add_parser(
-            "verify", parents=[ring, output], help="run a verification pipeline"
-        )
-        p_verify.add_argument("target", choices=VERIFY_TARGETS)
-        p_verify.add_argument(
-            "--degree-bound",
-            dest="degree_bound_q",
-            metavar="B",
-            type=int,
-            default=argparse.SUPPRESS,
-            help="pairing window in units of q (default 2p+4)",
-        )
-
-    if "eval" in wanted:
-        p_eval = sub.add_parser(
-            "eval",
-            parents=[ring],
-            help="apply an operation to a polynomial",
-            epilog='a literal that starts with a minus sign reads as an option '
-            'unless "--" comes before the literals: bpcalc eval -- "R[1]" -3*v1',
-        )
-        p_eval.add_argument("operation", help="e.g. R[1], R[p]R[1], R[1]R[p] - R[p]R[1]")
-        p_eval.add_argument("poly", help="v-polynomial literal, e.g. v2 or -2*v2^4")
-
-    if "localize-group" in wanted:
-        p_loc = sub.add_parser(
-            "localize-group", help="localize a finitely generated abelian group"
-        )
-        p_loc.add_argument("group", help='group literal, e.g. "Z/12" or "Z^2 + Z/5"')
-        p_loc.add_argument(
-            "--invert",
-            required=True,
-            help='primes to invert: "2", "2,3", "all", or "not 2"',
-        )
-        p_loc.add_argument(
-            "--oracle",
-            action="store_true",
-            help="also run the literal fraction construction (finite groups only)",
-        )
-
-    if "cat" in wanted:
-        p_cat = sub.add_parser("cat", parents=[output], help="finite-category checks")
-        p_cat.add_argument("action", choices=("localize", "check"))
-        p_cat.add_argument("file", help="category description file")
-        p_cat.add_argument("--marked-class", default="S", help="class name (default S)")
-
+    for name, p in parsers.items():
+        add_option = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+        if name in ("verify", "eval"):  # the ring
+            add_option("--prime", type=int, help=f"odd prime (default {Config.prime})")
+            add_option(
+                "--truncation",
+                type=int,
+                help=f"generator count N (default {Config.truncation})",
+            )
+        if name in ("verify", "cat"):  # the output
+            add_option("--format", choices=("text", "json"))
+            add_option("--out")
+            add_option(
+                "--no-timing",
+                dest="timing",
+                action="store_false",
+                help="omit runtime fields for byte-identical output",
+            )
+        if name == "verify":
+            p.add_argument("target", choices=VERIFY_TARGETS)
+            add_option(
+                "--degree-bound",
+                dest="degree_bound_q",
+                metavar="B",
+                type=int,
+                help="pairing window in units of q (default 2p+4)",
+            )
+        elif name == "eval":
+            p.epilog = (
+                'a literal that starts with a minus sign reads as an option '
+                'unless "--" comes before the literals: bpcalc eval -- "R[1]" -3*v1'
+            )
+            p.add_argument("operation", help="e.g. R[1], R[p]R[1], R[1]R[p] - R[p]R[1]")
+            p.add_argument("poly", help="v-polynomial literal, e.g. v2 or -2*v2^4")
+        elif name == "localize-group":
+            p.add_argument("group", help='group literal, e.g. "Z/12" or "Z^2 + Z/5"')
+            p.add_argument(
+                "--invert",
+                required=True,
+                help='primes to invert: "2", "2,3", "all", or "not 2"',
+            )
+            p.add_argument(
+                "--oracle",
+                action="store_true",
+                help="also run the literal fraction construction (finite groups only)",
+            )
+        else:
+            p.add_argument("action", choices=("localize", "check"))
+            p.add_argument("file", help="category description file")
+            p.add_argument("--marked-class", default="S", help="class name (default S)")
     return parser
 
 
@@ -335,11 +335,10 @@ def _config_from(args) -> Config:
 
 
 def main(argv=None) -> int:
-    parser = build_parser(next(iter(sys.argv[1:] if argv is None else argv), None))
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return EXIT_USAGE
+    argv = list(sys.argv[1:] if argv is None else argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = build_parser(command)
+    args = parser.parse_args(argv[1:] if command else argv)
     try:
         config = _config_from(args)
     except ValueError as exc:
@@ -349,15 +348,15 @@ def main(argv=None) -> int:
     try:
         if config.out:  # an unwritable path fails before any work, leaving no file
             existed = os.path.exists(config.out)
-            if existed and args.command == "cat" and os.path.samefile(config.out, args.file):
+            if existed and command == "cat" and os.path.samefile(config.out, args.file):
                 raise ParseError(f"--out {config.out} is the input file {args.file}")
             open(config.out, "a").close()
             if not existed:
                 os.remove(config.out)
-        if args.command == "verify":
+        if command == "verify":
             return _emit(run_verify(args.target, config), config)
 
-        if args.command == "eval":
+        if command == "eval":
             ctx = config.context()
             op = parse_operation(args.operation, ctx)
             try:
@@ -366,7 +365,7 @@ def main(argv=None) -> int:
                 raise ParseError(exc) from None
             return EXIT_PASS
 
-        if args.command == "localize-group":
+        if command == "localize-group":
             group = abloc.parse_group(args.group)
             inverted = parse_inverted(args.invert)
             localized = abloc.localize(group, inverted)
@@ -385,7 +384,7 @@ def main(argv=None) -> int:
                         return EXIT_CHECK_FAILURE
             return EXIT_PASS
 
-        if args.command == "cat":
+        if command == "cat":
             try:
                 with open(args.file, encoding="utf-8") as fh:
                     text = fh.read()
@@ -439,7 +438,7 @@ def main(argv=None) -> int:
     except BPCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
-    parser.print_help()
+    parser.print_help()  # no command word
     return EXIT_USAGE
 
 

@@ -650,8 +650,9 @@ def canonical_mod(x: Poly, ideal: TermIdeal) -> Poly:
 
 
 def monomials_of_degree(degree: int, alphabet: Alphabet):
-    """Exhaustive, duplicate-free list of monomials of the given degree."""
-    return [m for m in _monomials(degree, alphabet) if m.degree == degree]
+    """Exhaustive, duplicate-free list of monomials of the given degree,
+    sorted by exps; the last generator's exponent is fixed by the rest."""
+    return _monomials(degree, alphabet, exact=True)
 
 
 def monomials_up_to(bound: int, alphabet: Alphabet):
@@ -660,15 +661,17 @@ def monomials_up_to(bound: int, alphabet: Alphabet):
     return _monomials(bound, alphabet)
 
 
-def _monomials(bound, alphabet):
+def _monomials(bound, alphabet, exact=False):
     out = []
 
     def rec(i, remaining, exps):
         if i > alphabet.size:
-            out.append(Monomial(alphabet, tuple(exps)))
+            if not (exact and remaining):
+                out.append(Monomial(alphabet, tuple(exps)))
             return
         d = alphabet.gen_degree(i)
-        for e in range(remaining // d + 1):
+        top = remaining // d
+        for e in range(top if exact and i == alphabet.size else 0, top + 1):
             exps.append(e)
             rec(i + 1, remaining - e * d, exps)
             exps.pop()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 
@@ -594,30 +595,70 @@ PARSER_ARGVS = [
 @pytest.mark.parametrize("env", [{}, {"BPCALC_PRIME": "5", "BPCALC_DEGREE_BOUND": "3"}])
 @pytest.mark.parametrize("argv", PARSER_ARGVS)
 def test_one_subparser_parses_as_every_subparser(monkeypatch, capsys, env, argv):
-    # main builds only the subparser its first argument names; the parsers
-    # read no environment, so a BPCALC_ variable leaves every parse as it is
-    def parse(parser):
+    # main builds only the parser its first argument names and hands it the
+    # rest of argv; that parse matches the all-commands parser's on all of
+    # argv (namespace plus command, output, exit code).  The parsers read no
+    # environment, so a BPCALC_ variable leaves every parse as it is
+    def parse(parser, args, command=None):
         try:
-            got = vars(parser.parse_args(argv))
+            got = vars(parser.parse_args(args))
         except SystemExit as exc:
             got = exc.code
+        else:
+            got = {**got, "command": command} if command else got
         return got, capsys.readouterr()
 
-    without_env = parse(cli.build_parser())
+    without_env = parse(cli.build_parser(), argv)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    assert parse(cli.build_parser(argv[0])) == parse(cli.build_parser()) == without_env
+    own = parse(cli.build_parser(argv[0]), argv[1:], argv[0])
+    assert own == parse(cli.build_parser(), argv) == without_env
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_one_subparser_help_is_every_subparser_help(capsys, command):
     helps = []
-    for parser in (cli.build_parser(command), cli.build_parser()):
+    for parser, args in (
+        (cli.build_parser(command), ["--help"]),
+        (cli.build_parser(), [command, "--help"]),
+    ):
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args([command, "--help"])
+            parser.parse_args(args)
         assert exc.value.code == 0
         helps.append(capsys.readouterr())
-    assert helps[0] == helps[1] and helps[0].out
+    assert helps[0] == helps[1] and helps[0].out.startswith(f"usage: bpcalc {command} [-h]")
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["eval", "--prime", "5", "--", "R[1]", "v1^2"], "10*v1\n"),
+        (["verify", "thm7.10", "--prime", "5", "--no-timing"], "status: PASS\n"),
+        (["localize-group", "Z/12", "--invert", "2"], "Z/3\n"),
+    ],
+)
+def test_a_named_command_builds_one_parser(monkeypatch, capsys, argv, out):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == EXIT_PASS
+    assert built == [f"bpcalc {argv[0]}"]
+    assert out in capsys.readouterr().out
+    # with no command word, the all-commands parser prints the top-level usage
+    assert main([]) == EXIT_USAGE
+    assert capsys.readouterr().out.startswith(
+        "usage: bpcalc [-h] [--version] {verify,eval,localize-group,cat} ..."
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bpcalc [-h] [--version]") and "invalid choice: 'bogus'" in err
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
