@@ -717,7 +717,7 @@ def divide_exact(x: Poly, coeff, mono_exps, ideal: TermIdeal) -> Poly:
     quotient = reduce_mod(Poly._raw(x.alphabet, out), ideal)
     # verification: re-multiplying reproduces the dividend in the quotient
     divisor = Poly._raw(x.alphabet, {mono_exps: _num(Fraction(coeff))})
-    if reduce_mod(quotient * divisor - x + Poly.zero(x.alphabet), ideal):
+    if reduce_mod(quotient * divisor - x, ideal):
         raise NotDivisibleError("quotient check failed under the ideal")
     return quotient
 

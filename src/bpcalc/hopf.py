@@ -37,10 +37,10 @@ of every R_I(x) (``r_action_table`` and the cross-check) come from
 
 The right unit is a ring homomorphism, so ``eta_r`` multiplies memoized
 powers of the generator images eta_R(v_i), flat int tables in the integral
-v-basis.  They come from the flat m-basis right unit (``eta_r_m`` decodes
-the same images) on the integral Hazewinkel expansions ``ctx.v_in_m(i)``,
-changed back to the v-basis by one exact division.  The coherence sweep
-walks each v1-chain v1^a m upward, one 2-term product per monomial:
+v-basis.  They come from the flat m-basis right unit (``_eta_r_m_generator``)
+on the integral Hazewinkel expansions ``ctx.v_in_m(i)``, changed back to
+the v-basis by one exact division.  The coherence sweep walks each
+v1-chain v1^a m upward, one 2-term product per monomial:
 eta_R(v1^a m) = eta_R(v1) * eta_R(v1^(a-1) m).  The Cartan side is not
 chained: it runs its own path on every monomial, on flat int tables of its
 own (m-exponents and J in one key): the change to the m-basis over the
@@ -401,26 +401,6 @@ def _eta_r_m_generator(ctx: Context, i: int) -> _Flat:
     return _Flat({_gen(a) + _gen(i - a, p**a, _T_SHIFT): 1 for a in range(i + 1)})
 
 
-def eta_r_m(ctx: Context, x: Poly) -> TPoly:
-    """Right unit on a rational m-polynomial; coefficients stay in the
-    m-basis.  The flat right unit (products of memoized powers of
-    ``_eta_r_m_generator``) unpacked into a TPoly; ``_eta_v_generator``
-    reads the same flat images.
-
-    The packed m-fields hold m1..m3, the generators the Hazewinkel
-    relations cover, so x may involve only m1, m2, m3: a term in m4 or
-    above raises TruncationError.
-    """
-    if x.alphabet != ctx.M:
-        raise AlphabetError("eta_r_m expects an m-polynomial")
-    if any(len(e) > HAZEWINKEL_MAX_INDEX for e in x.terms):
-        raise TruncationError(
-            f"eta_r_m covers m1..m{HAZEWINKEL_MAX_INDEX}, the packed m-fields"
-        )
-    flat = _flat_image(ctx, x, _eta_r_m_generator, "eta_r_m")
-    return TPoly._raw(ctx, _by_t(flat, ctx.M))
-
-
 @memoized
 def _eta_v_generator(ctx: Context, i: int) -> _Flat:
     """Flat eta_R(v_i): the flat m-basis right unit of the Hazewinkel
@@ -465,9 +445,7 @@ def eta_r(ctx: Context, x: Poly) -> TPoly:
     multiplicativity (see the module docstring).
     """
     if x.alphabet != ctx.V:
-        raise AlphabetError(
-            "eta_r expects a v-polynomial (eta_r_m takes m-polynomials)"
-        )
+        raise AlphabetError("eta_r expects a v-polynomial")
     acc = _eta_r_flat(ctx, x)
     for k, c in acc.terms.items():
         # the images have int coefficients, so only a non-int input

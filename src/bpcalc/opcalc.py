@@ -10,7 +10,11 @@ degree(coefficient in) - degree(coefficient out) = degree(operation).
 
 The pipelines chase the composite-complex computations down to their
 final coset representatives and emit deterministic reports: every step
-records its expected term list, computed term list, and modulus.
+records its expected term list, computed term list, and modulus.  The
+generator restrictions they divide by are one table,
+``default_gamma1_spec``: each ``GeneratorRelation`` carries its source and
+target modules, the gamma_1 chain reads all four relations, and the beta_p
+pipeline reads the chain's g0 relation.
 """
 
 from __future__ import annotations
@@ -121,31 +125,19 @@ class OpMatrix:
     """Rectangular array of operation expressions with degree shifts.
 
     ``entries[i][j]`` maps summand j of the source to summand i of the
-    target; consistency of each entry degree with tgt_shift[i] - src_shift[j]
-    is validated unless the matrix is deliberately built unchecked (used to
-    document a known-misprinted matrix).
+    target; ``validate_degrees`` checks each entry's degree against
+    tgt_shifts[i] - src_shifts[j].
     """
 
     entries: list
     src_shifts: list
     tgt_shifts: list
     name: str = ""
-    checked: bool = True
-
-    def __post_init__(self):
-        rows = len(self.entries)
-        if rows != len(self.tgt_shifts):
-            raise ValueError("row count does not match target shifts")
-        for row in self.entries:
-            if len(row) != len(self.src_shifts):
-                raise ValueError("column count does not match source shifts")
-        if self.checked:
-            self.validate_degrees()
 
     def validate_degrees(self):
         for i, row in enumerate(self.entries):
             for j, entry in enumerate(row):
-                if entry is None or not entry.parts:
+                if not entry.parts:
                     continue
                 want = self.tgt_shifts[i] - self.src_shifts[j]
                 got = entry.degree()
@@ -157,32 +149,14 @@ class OpMatrix:
 
     def compose(self, other: "OpMatrix") -> "OpMatrix":
         """self . other (self applied after other)."""
-        if self.src_shifts != other.tgt_shifts:
-            raise ValueError("shapes/shifts do not align for composition")
-        ctx = None
-        for row in self.entries:
-            for entry in row:
-                if entry is not None:
-                    ctx = entry.ctx
-        entries = []
-        for i in range(len(self.entries)):
-            row = []
-            for j in range(len(other.src_shifts)):
-                acc = OperationExpr.zero(ctx)
-                for l in range(len(self.src_shifts)):
-                    a = self.entries[i][l]
-                    b = other.entries[l][j]
-                    if a is None or b is None:
-                        continue
-                    acc = acc + a.compose(b)
-                row.append(acc)
-            entries.append(row)
+        zero = OperationExpr.zero(self.entries[0][0].ctx)
+        cols = list(zip(*other.entries))
+        entries = [
+            [sum((a.compose(b) for a, b in zip(row, col)), zero) for col in cols]
+            for row in self.entries
+        ]
         return OpMatrix(
-            entries,
-            other.src_shifts,
-            self.tgt_shifts,
-            name=f"{self.name}.{other.name}",
-            checked=False,
+            entries, other.src_shifts, self.tgt_shifts, name=f"{self.name}.{other.name}"
         )
 
 
@@ -194,7 +168,7 @@ def apply_matrix(matrix: OpMatrix, vec: list) -> list:
     for row in matrix.entries:
         acc = vec[0].module.zero()
         for entry, e in zip(row, vec):
-            if entry is not None and entry.parts:
+            if entry.parts:
                 acc = acc + act(entry, e)
         out.append(acc)
     return out
@@ -230,17 +204,19 @@ def d_matrices(ctx: Context):
         name="d1",
     )
     d2 = OpMatrix([[E(ctx, rp), E(ctx, r1)]], C2, C3, name="d2")
+    for d in (d0, d1, d2):
+        d.validate_degrees()
     return d0, d1, d2
 
 
 def d1_misprint(ctx: Context) -> OpMatrix:
-    """The circulating misprint of d1 ((1,2) = R1, (2,2) = R1Rp); built
-    unchecked because entry (1,2) already fails the degree validation."""
+    """The circulating misprint of d1 ((1,2) = R1, (2,2) = R1Rp); not
+    validated, because entry (1,2) already fails ``validate_degrees``."""
     d1 = d_matrices(ctx)[1]
     (first, _), (second, _) = d1.entries
     E, r1, rp = OperationExpr.word, (1,), (ctx.prime,)
     entries = [[first, E(ctx, r1)], [second, E(ctx, r1, rp)]]
-    return replace(d1, entries=entries, name="d1-misprint", checked=False)
+    return replace(d1, entries=entries, name="d1-misprint")
 
 
 def check_complex(ctx: Context, matrices: list, degree_bound_q: int | None = None) -> Report:
@@ -278,9 +254,10 @@ def check_complex(ctx: Context, matrices: list, degree_bound_q: int | None = Non
 
 @dataclass(frozen=True)
 class GeneratorRelation:
-    """A source generator restricts to coeff * mono * target generator."""
+    """The source module's generator restricts to coeff * mono * target
+    generator.  ``source`` is None where no stage divides into it."""
 
-    name: str
+    source: CyclicModule | None
     coeff: Fraction
     mono_exps: tuple
     target: CyclicModule
@@ -290,11 +267,11 @@ class GeneratorRelation:
         V = self.target.ctx.V
         return self.target.element(Poly(V, {self.mono_exps: self.coeff}))
 
-    def divide(self, e: ModuleElement, new_module: CyclicModule) -> ModuleElement:
+    def divide(self, e: ModuleElement) -> ModuleElement:
         """Rewrite an element of the target module as (quotient) * source
         generator: exact termwise division by coeff * mono, verified by
         re-multiplication modulo the target ideal."""
-        return new_module.element(
+        return self.source.element(
             divide_exact(e.coeff, self.coeff, self.mono_exps, self.target.ideal)
         )
 
@@ -309,49 +286,40 @@ def _vector_str(vec) -> str:
 
 
 def default_gamma1_spec(ctx: Context) -> dict:
-    """The generator relations the gamma_1 chain consumes."""
+    """The generator relations of the composite chain, the one table both
+    pipelines read: the gamma_1 chain all four, the beta_p pipeline
+    g0_restriction.  Each stage reads its modules off the relation it
+    uses."""
     p = ctx.prime
-    M_gbar1 = CyclicModule(ctx, ctx.ideal_chain(1), "gbar1")
-    M_g1 = CyclicModule(ctx, ctx.ideal_chain(1), "g1")
-    M_gbar0 = CyclicModule(ctx, ctx.ideal_chain(0), "gbar0")
-    M_g0 = CyclicModule(ctx, ctx.ideal_chain(0), "g0")
-    M_lbar = CyclicModule(ctx, TermIdeal.zero(p), "lbar")
-    M_l = CyclicModule(ctx, ctx.ideal_chain(1), "l")
+    module = lambda k, name: CyclicModule(ctx, ctx.ideal_chain(k), name)
+    gbar1, lbar = module(1, "gbar1"), CyclicModule(ctx, TermIdeal.zero(p), "lbar")
     return {
-        "h1_restriction": GeneratorRelation(
-            "h1 i = v3 gbar1", Fraction(1), (0, 0, 1), M_gbar1
-        ),
+        # h1 i = v3 gbar1
+        "h1_restriction": GeneratorRelation(None, Fraction(1), (0, 0, 1), gbar1),
+        # g1 i = v2 gbar1
         "g1_restriction": GeneratorRelation(
-            "g1 i = v2 gbar1", Fraction(1), (0, 1), M_gbar1
+            module(1, "g1"), Fraction(1), (0, 1), gbar1
         ),
+        # g0 i = v1 gbar0
         "g0_restriction": GeneratorRelation(
-            "g0 i = v1 gbar0", Fraction(1), (1,), M_gbar0
+            module(0, "g0"), Fraction(1), (1,), module(0, "gbar0")
         ),
-        "l_restriction": GeneratorRelation(
-            "l S^2i = p lbar", Fraction(p), (), M_lbar
-        ),
-        "modules": {
-            "gbar1": M_gbar1,
-            "g1": M_g1,
-            "gbar0": M_gbar0,
-            "g0": M_g0,
-            "lbar": M_lbar,
-            "l": M_l,
-        },
+        # l S^2i = p lbar
+        "l_restriction": GeneratorRelation(module(1, "l"), Fraction(p), (), lbar),
     }
 
 
-def lemma75_check(ctx: Context, spec=None, report: Report | None = None):
+def lemma75_check(ctx: Context, report: Report | None = None):
     """First stage: d0 h1 = [-v2^(p-1); 0] g1 in pi/(p, v1)."""
     p = ctx.prime
-    spec = spec or default_gamma1_spec(ctx)
+    spec = default_gamma1_spec(ctx)
     report = report if report is not None else Report(
         "first-stage value of the composite chain", config={"prime": p}
     )
-    M_gbar1 = spec["modules"]["gbar1"]
-    M_g1 = spec["modules"]["g1"]
+    h1, g1 = spec["h1_restriction"], spec["g1_restriction"]
+    M_gbar1, M_g1 = h1.target, g1.source
     d0, _, _ = d_matrices(ctx)
-    vec = apply_matrix(d0, [spec["h1_restriction"].image()])
+    vec = apply_matrix(d0, [h1.image()])
     report.expect(
         "lemma7.5.restricted",
         "[R1; Rp] v3 gbar1 = [-v2^p; 0] gbar1 mod (p, v1)",
@@ -360,7 +328,7 @@ def lemma75_check(ctx: Context, spec=None, report: Report | None = None):
         show=_vector_str,
         modulus=str(M_gbar1.ideal),
     )
-    g1_vec = [spec["g1_restriction"].divide(e, M_g1) for e in vec]
+    g1_vec = [g1.divide(e) for e in vec]
     report.expect(
         "lemma7.5.value",
         "d0 h1 = [-v2^(p-1); 0] g1",
@@ -372,18 +340,17 @@ def lemma75_check(ctx: Context, spec=None, report: Report | None = None):
     return g1_vec, report
 
 
-def lemma77_check(ctx: Context, spec=None, report: Report | None = None):
+def lemma77_check(ctx: Context, report: Report | None = None):
     """Second stage: the secondary bracket value
     [2 v1^p v2^(p-3); 2 v1 v2^(p-3)] g0 mod p, via the lift
     xi = [-v2^(p-1) gbar0; 0] and -d1 xi."""
     p = ctx.prime
-    spec = spec or default_gamma1_spec(ctx)
     report = report if report is not None else Report(
         "second-stage value of the composite chain", config={"prime": p}
     )
-    g1_vec, _ = lemma75_check(ctx, spec, report)
-    M_gbar0 = spec["modules"]["gbar0"]
-    M_g0 = spec["modules"]["g0"]
+    g1_vec, _ = lemma75_check(ctx, report)
+    g0 = default_gamma1_spec(ctx)["g0_restriction"]
+    M_gbar0, M_g0 = g0.target, g0.source
     xi = [M_gbar0.element(e.coeff) for e in g1_vec]  # lift along gbar0 -> g1
     _, d1, _ = d_matrices(ctx)
     minus_d1_xi = [
@@ -401,7 +368,7 @@ def lemma77_check(ctx: Context, spec=None, report: Report | None = None):
         show=_vector_str,
         modulus=str(M_gbar0.ideal),
     )
-    g0_vec = [spec["g0_restriction"].divide(e, M_g0) for e in minus_d1_xi]
+    g0_vec = [g0.divide(e) for e in minus_d1_xi]
     report.expect(
         "lemma7.7.value",
         "secondary bracket = [2 v1^p v2^(p-3); 2 v1 v2^(p-3)] g0 mod p "
@@ -457,14 +424,13 @@ def indeterminacy_scan(ctx: Context, degrees: list, ideal: TermIdeal) -> Report:
     return report
 
 
-def gamma1_pipeline(ctx: Context, spec=None) -> Report:
+def gamma1_pipeline(ctx: Context) -> Report:
     """The full chain: first-stage value, lift, second-stage value,
     indeterminacy containment, final coset representative
     -2 v2^(p-3) l mod (p, v1)."""
     p, q = ctx.prime, ctx.q
     if p < 5:
         raise PreconditionError("the chain needs p >= 5 (exponent p-3 >= 2)")
-    spec = spec or default_gamma1_spec(ctx)
     report = Report(
         "tertiary-operation value on the two-cell complex",
         config={"prime": p, "truncation": ctx.truncation},
@@ -477,7 +443,7 @@ def gamma1_pipeline(ctx: Context, spec=None) -> Report:
             status=True,
             note="instantiated at p = %d for cross-checking only" % p,
         )
-    g0_vec, _ = lemma77_check(ctx, spec, report)
+    g0_vec, _ = lemma77_check(ctx, report)
 
     scan = indeterminacy_scan(
         ctx,
@@ -486,8 +452,8 @@ def gamma1_pipeline(ctx: Context, spec=None) -> Report:
     )
     report.extend(scan, prefix="thm7.2")
 
-    M_lbar = spec["modules"]["lbar"]
-    M_l = spec["modules"]["l"]
+    l_rel = default_gamma1_spec(ctx)["l_restriction"]
+    M_lbar, M_l = l_rel.target, l_rel.source
     xi2 = [M_lbar.element(e.coeff) for e in g0_vec]  # lift along lbar -> g0
     _, _, d2 = d_matrices(ctx)
     val = apply_matrix(d2, xi2)[0]
@@ -506,7 +472,7 @@ def gamma1_pipeline(ctx: Context, spec=None) -> Report:
 
     expected_final = M_l.element(-2 * ctx.v(2) ** (p - 3))
     try:
-        final, witness = spec["l_restriction"].divide(M_lbar.element(reduced), M_l), ""
+        final, witness = l_rel.divide(M_lbar.element(reduced)), ""
     except NotDivisibleError as exc:
         final, witness = None, str(exc)
     report.check(
@@ -536,9 +502,8 @@ def betap_pipeline(ctx: Context) -> Report:
         "order-p invariant value on the pinch complex",
         config={"prime": p, "truncation": ctx.truncation},
     )
-    M_gbar0 = CyclicModule(ctx, ctx.ideal_chain(0), "gbar0")
-    M_g0 = CyclicModule(ctx, ctx.ideal_chain(0), "g0")
-    rel_g0 = GeneratorRelation("g0 i = v1 gbar0", Fraction(1), (1,), M_gbar0)
+    g0 = default_gamma1_spec(ctx)["g0_restriction"]
+    M_gbar0, M_g0 = g0.target, g0.source
 
     exact = r_action(ctx, (p * p,), ctx.v(2) ** p)
     correction = exact - ctx.v(1) ** p
@@ -568,7 +533,7 @@ def betap_pipeline(ctx: Context) -> Report:
     report.expect(
         "thm7.10.value",
         "R[p^2] h = v1^(p-1) g0 in pi/(p)",
-        rel_g0.divide(value, M_g0),
+        g0.divide(value),
         M_g0.element(ctx.v(1) ** (p - 1)),
         modulus=str(M_g0.ideal),
     )

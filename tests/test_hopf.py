@@ -34,7 +34,6 @@ from bpcalc.hopf import (
     coassociativity_check,
     commutator_relations,
     eta_r,
-    eta_r_m,
     pair_word,
     psi_monomial,
     psi_t,
@@ -47,6 +46,22 @@ from bpcalc.hopf import (
 @pytest.fixture(scope="module")
 def ctx7():
     return Context(prime=7)
+
+
+def eta_r_m(ctx, x):
+    """Right unit on a rational m-polynomial; coefficients stay in the
+    m-basis.  The flat right unit ``hopf._eta_r_m_generator`` that
+    ``eta_r`` reads through the Hazewinkel expansions, unpacked into a
+    TPoly.  The packed m-fields hold m1..m3, the generators the Hazewinkel
+    relations cover, so a term in m4 or above raises TruncationError."""
+    if x.alphabet != ctx.M:
+        raise AlphabetError("eta_r_m expects an m-polynomial")
+    if any(len(e) > grading.HAZEWINKEL_MAX_INDEX for e in x.terms):
+        raise TruncationError(
+            f"eta_r_m covers m1..m{grading.HAZEWINKEL_MAX_INDEX}, the packed m-fields"
+        )
+    flat = grading._flat_image(ctx, x, hopf._eta_r_m_generator, "eta_r_m")
+    return TPoly._raw(ctx, hopf._by_t(flat, ctx.M))
 
 
 def psi(x):
@@ -299,6 +314,8 @@ def test_eta_r_values(ctx7):
     # the flat right unit packs m1..m3 only, like the Hazewinkel relations
     with pytest.raises(TruncationError):
         eta_r_m(ctx7, ctx7.m(4))
+    with pytest.raises(AlphabetError):
+        eta_r_m(ctx7, ctx7.v(1))
 
 
 def test_eta_r_is_ring_homomorphism(ctx7):

@@ -97,9 +97,9 @@ def test_matrix_degree_validation(ctx7):
     from bpcalc.opcalc import OpMatrix
 
     with pytest.raises(DegreeError):
-        OpMatrix([[E(ctx7, (1,))]], [0], [p * q], name="bad")
-    # the printed d1 carries a degree-inconsistent entry and must be built
-    # unchecked
+        OpMatrix([[E(ctx7, (1,))]], [0], [p * q], name="bad").validate_degrees()
+    # the printed d1 carries a degree-inconsistent entry, so d1_misprint
+    # does not validate it
     with pytest.raises(DegreeError):
         d1_misprint(ctx7).validate_degrees()
 
@@ -187,8 +187,15 @@ def test_gamma1_mutated_relation_fails_a_value_record(
 
 def test_generator_relation_image(ctx5):
     spec = default_gamma1_spec(ctx5)
-    assert spec["h1_restriction"].image() == spec["modules"]["gbar1"].element(ctx5.v(3))
-    lbar = spec["modules"]["lbar"]
+    gbar1 = CyclicModule(ctx5, ctx5.ideal_chain(1), "gbar1")
+    lbar = CyclicModule(ctx5, TermIdeal.zero(5), "lbar")
+    assert sorted(spec) == [
+        "g0_restriction", "g1_restriction", "h1_restriction", "l_restriction"
+    ]
+    assert spec["h1_restriction"].source is None  # no stage divides into h1
+    assert spec["h1_restriction"].target == gbar1
+    assert spec["h1_restriction"].image() == gbar1.element(ctx5.v(3))
+    assert spec["l_restriction"].target == lbar
     assert spec["l_restriction"].image() == lbar.element(Poly.constant(ctx5.V, 5))
 
 
@@ -361,13 +368,14 @@ def test_generator_relation_divide_checks(ctx7):
     p = ctx7.prime
     spec = default_gamma1_spec(ctx7)
     rel = spec["g1_restriction"]
-    M_gbar1 = spec["modules"]["gbar1"]
-    M_g1 = spec["modules"]["g1"]
+    M_gbar1 = rel.target
+    M_g1 = CyclicModule(ctx7, ctx7.ideal_chain(1), "g1")
     e = M_gbar1.element(-ctx7.v(2) ** p)
-    q = rel.divide(e, M_g1)
+    q = rel.divide(e)
+    assert q.module == M_g1
     assert q.coeff == -ctx7.v(2) ** (p - 1)
     with pytest.raises(NotDivisibleError):
-        rel.divide(M_gbar1.element(ctx7.v(3)), M_g1)
+        rel.divide(M_gbar1.element(ctx7.v(3)))
 
 
 def test_gamma1_final_not_divisible_is_a_failed_record(ctx7, monkeypatch):
@@ -375,11 +383,11 @@ def test_gamma1_final_not_divisible_is_a_failed_record(ctx7, monkeypatch):
     p = ctx7.prime
     spec = default_gamma1_spec(ctx7)
     spec["l_restriction"] = replace(spec["l_restriction"], coeff=Fraction(p * p))
-    report = gamma1_pipeline(ctx7, spec)
+    monkeypatch.setattr(opcalc, "default_gamma1_spec", lambda ctx: spec)
+    report = gamma1_pipeline(ctx7)
     final = {r.id: r for r in report.records}["thm7.2.final"]
     assert not final.status
     assert "not divisible" in final.witness
-    monkeypatch.setattr(opcalc, "default_gamma1_spec", lambda ctx: spec)
     assert cli.main(["verify", "thm7.2", "--prime", "7"]) == cli.EXIT_CHECK_FAILURE
 
 

@@ -11,7 +11,6 @@ Lipton and Sayward, "Hints on test data selection", IEEE Computer 1978).
 """
 
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
@@ -67,16 +66,6 @@ def gamma1_relation_negated(name):
         monkeypatch.setattr(opcalc, "default_gamma1_spec", default_gamma1_spec)
 
     return perturb
-
-
-def betap_relation_negated(monkeypatch):
-    """The coefficient of the beta_p pipeline's g0 i = v1 gbar0 negated."""
-    original = opcalc.GeneratorRelation
-    monkeypatch.setattr(
-        opcalc,
-        "GeneratorRelation",
-        lambda *a, **kw: replace(original(*a, **kw), coeff=Fraction(-1)),
-    )
 
 
 def module_action_doubled(monkeypatch):
@@ -174,7 +163,7 @@ CONTROLS = {
         module_action_doubled,
         ["thm7.10.restricted", "thm7.10.value"],
     ),
-    "thm7.10.value": ("thm7.10", betap_relation_negated),
+    "thm7.10.value": ("thm7.10", gamma1_relation_negated("g0_restriction")),
     "basis-expansion[R[1]R[p]-R[p]R[1]]": ("lemma7.1", in_basis_doubled),
     **{
         f"lemma7.9.top-action[r={r}]": (

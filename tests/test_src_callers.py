@@ -23,8 +23,6 @@ ALLOWED = {
     "catfrac.library": "ROADMAP item 11; the demos and the benchmark read it",
     "report.Report.from_json": "the public report reader",
     "cli._CommandParser.parse_known_args": "argparse hook: parse_args calls it",
-    "hopf.eta_r_m": "the right unit on m-polynomials, with its own alphabet "
-    "and m-field guards; tests compare it with a nested oracle",
 }
 
 
