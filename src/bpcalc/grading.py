@@ -983,24 +983,27 @@ def _m_to_v_scaled(ctx: Context, key: int):
     return s, _flat_image(ctx, mono, _m_in_v_scaled, "m_to_v").terms
 
 
-def _m_to_v_flat(ctx: Context, terms: dict, K: int, where) -> _Flat:
-    """A flat table with m-monomials in its low fields, rewritten in the
-    v-basis: each term times its scaled image p^s * m^a
-    (``_m_to_v_scaled``) raised to the scale p^K (K >= every s; deg/q
-    bounds s), then one exact division by p^K.  A remainder, or a p left
-    in a Fraction's denominator, is a non-integral value:
-    ValueError(where(t-part of the key))."""
-    p = ctx.prime
-    acc = {}
+def _m_to_v_into(ctx: Context, terms: dict, K: int, into: dict) -> dict:
+    """Add p^K times a flat table with m-monomials in its low fields, in the
+    v-basis and undivided, into ``into`` (zeros kept): each term times its
+    image p^s m^a (``_m_to_v_scaled``'s memo) times p^(K - s), one per s met."""
+    p, scale, get, images = ctx.prime, {}, into.get, ctx.memo["_m_to_v_scaled"]
     for k, c in terms.items():
-        s, image = _m_to_v_scaled(ctx, k & _V_MASK)
-        c *= p ** (K - s)
+        s, image = images.get((k & _V_MASK,)) or _m_to_v_scaled(ctx, k & _V_MASK)
+        c *= scale.get(s) or scale.setdefault(s, p ** (K - s))
         t = k & ~_V_MASK
         for vk, d in image.items():
             vk += t
-            acc[vk] = acc.get(vk, 0) + c * d
-    out, pK = {}, p**K
-    for k, c in acc.items():
+            into[vk] = get(vk, 0) + c * d
+    return into
+
+
+def _m_to_v_flat(ctx: Context, terms: dict, K: int, where) -> _Flat:
+    """``_m_to_v_into``, then one exact division by p^K.  A remainder, or a
+    p left in a Fraction's denominator, is a non-integral value:
+    ValueError(where(t-part of the key))."""
+    p, out, pK = ctx.prime, {}, ctx.prime**K
+    for k, c in _m_to_v_into(ctx, terms, K, {}).items():
         c, r = divmod(c, pK) if c.__class__ is int else (_num(c / pK), 0)
         if r or c.__class__ is Fraction and padic_valuation(c, p) < 0:
             raise ValueError(where(k >> _T_SHIFT))

@@ -47,8 +47,10 @@ own (m-exponents and J in one key): the change to the m-basis over the
 expansions v_i in the m-basis (``_v_in_m_flat``), the Cartan tables in
 closed form (the multinomial theorem on the factor actions R_(p^a e_(i-a))
 m_i = m_a), then the change back over the integral scaled generators p^i m_i
-in the v-basis (``_m_in_v_scaled``), divided exactly by p^K once.  Both
-basis changes, with their generator tables read off ``Context``'s
+in the v-basis (``_m_in_v_scaled``), undivided: p^K R_J(x) = p^K eta_R(x)
+makes R_J(x) integral, as eta_R(x) is a product of generator images divided
+exactly and checked.  Only a failing monomial is divided, for its witness.
+Both basis changes, with their generator tables read off ``Context``'s
 Hazewinkel relations, are ``grading``'s one implementation, which
 ``Context.to_m_basis``/``to_v_basis`` run on too.  The Cartan side must
 not be made multiplicative in the v-basis: the Cartan formula is exactly
@@ -86,6 +88,7 @@ from .grading import (
     _join_signed,
     _key_bound,
     _m_to_v_flat,
+    _m_to_v_into,
     _num,
     _pack,
     _term,
@@ -555,11 +558,16 @@ def _cartan_m(ctx: Context, terms, cap=None) -> dict:
     return acc
 
 
+def _cartan_scaled(ctx: Context, x: Poly, K: int, into: dict) -> dict:
+    """p^K ``_cartan_flat`` (K: x's ``_key_bound``) undivided, added into ``into``."""
+    return _m_to_v_into(ctx, _cartan_m(ctx, _m_terms(ctx, x)), K, into)
+
+
 def _cartan_flat(ctx: Context, x: Poly) -> _Flat:
     """``_cartan_m`` for every J on the m-basis terms of x (``_m_terms``),
     back in the v-basis by one exact division (``_m_to_v_flat``), J from
-    ``_T_SHIFT`` up; a p left in a denominator is a non-integral R_J(x):
-    ValueError."""
+    ``_T_SHIFT`` up: ``_cartan_scaled`` over p^K.  A p left in a
+    denominator is a non-integral R_J(x): ValueError."""
     K = _key_bound(ctx, x, "r_action")
     acc = _cartan_m(ctx, _m_terms(ctx, x))
     where = "r_action: non-integral value at index {}".format
@@ -821,10 +829,11 @@ def recomputed_pairing_table(ctx: Context) -> list:
 def verify_structural(ctx: Context) -> Report:
     """Structural coherence: exact basis round trip, integral diagonal for
     k <= 3, and Cartan action == right-unit coefficients on every v-monomial
-    of degree <= 2(p^3 - 1), comparing the flat cores (one key layout) that
-    ``eta_r`` and ``r_action_table`` decode: ``_cartan_flat`` per monomial,
-    and ``_eta_r_flat`` where a1 = 0, else eta_R(v1) times the image of
-    v1^(a-1) m, which the (degree, exps) order reaches first."""
+    of degree <= 2(p^3 - 1), comparing the flat cores that ``eta_r`` and
+    ``r_action_table`` decode, times p^K (undivided, see the module
+    docstring): ``_cartan_scaled`` per monomial, else ``_cartan_flat`` for a
+    witness, and ``_eta_r_flat`` where a1 = 0, else eta_R(v1) times the
+    image of v1^(a-1) m, which the (degree, exps) order reaches first."""
     p = ctx.prime
     report = Report(
         "structural coherence of the operation calculus",
@@ -871,7 +880,10 @@ def verify_structural(ctx: Context) -> Report:
             eta = _eta_v_generator(ctx, 1) * prev if prev else _eta_r_flat(ctx, x)
             if mono.degree + ctx.q <= bound:  # v1 * mono is in the window
                 chains[mono.exps[1:]] = eta
-            same = eta.terms == _cartan_flat(ctx, x).terms
+            K = _key_bound(ctx, x, "r_action")
+            pK = -(p**K)
+            table = _cartan_scaled(ctx, x, K, {k: pK * c for k, c in eta.terms.items()})
+            same = not any(table.values()) or eta.terms == _cartan_flat(ctx, x).terms
         except ValueError as exc:  # a non-integral value is a mismatch
             same, witness = False, f"{mono}: {exc}"
         if not same:

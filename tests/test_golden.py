@@ -5,7 +5,8 @@ output of ``bpcalc verify all --prime P --no-timing --format json``.
 ``verify_lemma7_5_pP.json`` and ``verify_lemma7_7_pP.json`` hold the
 stand-alone ``verify lemma7.5`` and ``verify lemma7.7`` reports, which
 ``verify all`` folds into the ``thm7.2`` chain and does not print on their
-own.  A speedup or refactor must leave these bytes unchanged; rewrite the
+own.  ``verify_all_p11.json`` is the same report at p = 11; a CI step
+outside tier-1 compares it with ``cmp``, as it takes about 5 s.  A speedup or refactor must leave these bytes unchanged; rewrite the
 files only for a deliberate change of report content.
 """
 

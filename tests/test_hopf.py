@@ -715,9 +715,11 @@ def _decoded_rows(terms):
 
 
 def test_sweep_flat_cores_unpack_to_the_public_functions():
-    # the coherence sweep compares _eta_r_flat with _cartan_flat; on every
-    # monomial of its window they decode to what eta_r and r_action_table
-    # return, so equal flat forms mean equal public values and back
+    # the coherence sweep compares p^K _eta_r_flat with _cartan_scaled, the
+    # undivided _cartan_flat, and runs _cartan_flat itself on a failure; on
+    # every monomial of its window the flat cores decode to what eta_r and
+    # r_action_table return, so equal flat forms mean equal public values
+    # and back
     ctx = Context(prime=5)
     for exps in WINDOWS[ctx.prime]:
         x = Poly(ctx.V, {exps: 1})
@@ -730,6 +732,20 @@ def test_sweep_flat_cores_unpack_to_the_public_functions():
             I: c.terms for I, c in r_action_table(ctx, x).items()
         }, exps
         assert flat == cartan, exps
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_undivided_cartan_side_is_p_to_the_k_times_the_divided_one(p):
+    # the sweep's comparison: _cartan_scaled, zeros dropped, is p^K times
+    # _cartan_flat (K = deg/q) on every monomial of the window
+    ctx = Context(prime=p)
+    for mono in monomials_up_to(2 * (p**3 - 1), ctx.V):
+        x, K = Poly(ctx.V, {mono.exps: 1}), mono.degree // ctx.q
+        scaled = hopf._cartan_scaled(ctx, x, K, {})
+        divided = hopf._cartan_flat(ctx, x).terms
+        assert {k: c for k, c in scaled.items() if c} == {
+            k: p**K * c for k, c in divided.items()
+        }, mono
 
 
 def test_flat_image_hands_out_no_memo_object():
@@ -750,29 +766,68 @@ def _coherence(report):
     return {r.id: r for r in report.records}["cartan-right-unit-coherence"]
 
 
+def _eta_generators(ctx):
+    for i in (1, 2, 3):
+        hopf._eta_v_generator(ctx, i)
+
+
+def _right_unit(ctx, key):
+    hopf._eta_v_generator(ctx, 2).terms[key] += 1
+
+
+def _v1_right_unit(ctx, key):
+    hopf._eta_v_generator(ctx, 1).terms[key] += 1
+
+
+def _cartan_basis_change(ctx, key):
+    # the right unit's generators first: only the Cartan side reads the
+    # scaled image afterwards
+    _eta_generators(ctx)
+    grading._m_to_v_scaled(ctx, key)[1][key] += 1
+
+
+def _cartan_v_to_m(ctx, key):
+    _eta_generators(ctx)
+    grading._v_in_m_flat(ctx, 2).terms[key] += 1
+
+
+def _keys(table, i):
+    return lambda: list(table(Context(prime=5), i).terms)
+
+
+# the coherence controls at p = 5: name -> (perturbation(ctx, key) adding 1
+# to one entry, the keys of the entries it is run at)
+PERTURBATIONS = {
+    "right_unit": (_right_unit, _keys(hopf._eta_v_generator, 2)),
+    "v1_right_unit": (_v1_right_unit, _keys(hopf._eta_v_generator, 1)),
+    "cartan_basis_change": (_cartan_basis_change, lambda: [grading._pack((1,))]),
+    "cartan_v_to_m": (_cartan_v_to_m, _keys(grading._v_in_m_flat, 2)),
+}
+
+
+def _perturbed_coherence(name, key):
+    perturb, _ = PERTURBATIONS[name]
+    ctx = Context(prime=5)
+    perturb(ctx, key)
+    return _coherence(hopf.verify_structural(ctx))
+
+
 def test_coherence_fails_on_a_perturbed_right_unit():
     # negative control on the eta side: eta_R(v2) with any one coefficient
     # changed by 1 must break the flat comparison
-    keys = list(hopf._eta_v_generator(Context(prime=5), 2).terms)
-    for key in keys:
-        ctx = Context(prime=5)
-        hopf._eta_v_generator(ctx, 2).terms[key] += 1
-        sweep = _coherence(hopf.verify_structural(ctx))
+    for key in PERTURBATIONS["right_unit"][1]():
+        sweep = _perturbed_coherence("right_unit", key)
         assert not sweep.status and sweep.witness, key
         assert sweep.witness.split("; ")[0] == "v2", key
 
 
 def test_coherence_fails_on_a_perturbed_cartan_basis_change():
-    # negative control on the Cartan side: the right unit's generators are
-    # built first, then one entry of the scaled image of m1 (v1 = p m1)
-    # changed by 1, which only the Cartan side reads afterwards
+    # negative control on the Cartan side: one entry of the scaled image of
+    # m1 (v1 = p m1) changed by 1
     ctx = Context(prime=5)
-    for i in (1, 2, 3):
-        hopf._eta_v_generator(ctx, i)
     s, image = grading._m_to_v_scaled(ctx, grading._pack((1,)))
     assert (s, image) == (1, {grading._pack((1,)): 1})
-    image[grading._pack((1,))] += 1
-    sweep = _coherence(hopf.verify_structural(ctx))
+    sweep = _perturbed_coherence("cartan_basis_change", grading._pack((1,)))
     assert not sweep.status
     # the sweep stops at its fourth witness: 1, v1, ..., v1^4 checked
     assert sweep.witness == "v1; v1^2; v1^3; v1^4"
@@ -783,14 +838,10 @@ def test_coherence_fails_on_a_perturbed_cartan_v_to_m():
     # negative control on the Cartan side's change to the m-basis: any one
     # coefficient of v2 = p m2 - v1^p m1 changed by 1 leaves R_0(v2)
     # non-integral, which the sweep records as a mismatch at v2
-    keys = list(grading._v_in_m_flat(Context(prime=5), 2).terms)
+    keys = PERTURBATIONS["cartan_v_to_m"][1]()
     assert len(keys) == 2
     for key in keys:
-        ctx = Context(prime=5)
-        for i in (1, 2, 3):
-            hopf._eta_v_generator(ctx, i)
-        grading._v_in_m_flat(ctx, 2).terms[key] += 1
-        sweep = _coherence(hopf.verify_structural(ctx))
+        sweep = _perturbed_coherence("cartan_v_to_m", key)
         assert not sweep.status, key
         assert sweep.witness.split("; ")[0].startswith("v2: "), key
         assert "v1;" not in sweep.witness, key
@@ -800,35 +851,55 @@ def test_coherence_fails_on_a_perturbed_v1_right_unit():
     # negative control on the v1-chains: the sweep reads eta_R(v1) from its
     # memo at every step, so any one coefficient of v1 + p t1 changed by 1
     # breaks the comparison at v1 and on up the chain from 1
-    keys = list(hopf._eta_v_generator(Context(prime=5), 1).terms)
+    keys = PERTURBATIONS["v1_right_unit"][1]()
     assert len(keys) == 2
     for key in keys:
-        ctx = Context(prime=5)
-        hopf._eta_v_generator(ctx, 1).terms[key] += 1
-        sweep = _coherence(hopf.verify_structural(ctx))
+        sweep = _perturbed_coherence("v1_right_unit", key)
         assert not sweep.status, key
         assert sweep.witness == "v1; v1^2; v1^3; v1^4", key
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBATIONS))
+def test_undivided_sweep_records_what_the_dividing_comparison_gives(monkeypatch, name):
+    # with _cartan_scaled never 0, every monomial runs the dividing
+    # comparison eta == _cartan_flat; the record is the same either way
+    for key in PERTURBATIONS[name][1]():
+        undivided = _perturbed_coherence(name, key)
+        with monkeypatch.context() as patch:
+            patch.setattr(hopf, "_cartan_scaled", lambda ctx, x, K, into: {0: 1})
+            dividing = _perturbed_coherence(name, key)
+        assert not dividing.status, key
+        fields = lambda r: (r.status, r.computed, r.witness)
+        assert fields(undivided) == fields(dividing), key
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_sweep_eta_side_matches_eta_r_flat_on_every_monomial(monkeypatch, p):
     # the eta images the sweep builds along v1-chains, compared in place of
-    # the Cartan side with _eta_r_flat on a fresh context: equal on the whole
-    # window, and only the monomials with a1 = 0 are built from scratch
+    # the Cartan side with p^K _eta_r_flat on a fresh context: equal on the
+    # whole window, and only the monomials with a1 = 0 are built from scratch
     real, fresh = hopf._eta_r_flat, Context(prime=p)
-    built = []
+    built, compared = [], []
 
     def eta_r_flat(ctx, x):
         built.append(next(iter(x.terms)))
         return real(ctx, x)
 
+    def cartan_scaled(ctx, x, K, into):
+        compared.append(next(iter(x.terms)))
+        for k, c in real(fresh, x).terms.items():
+            into[k] = into.get(k, 0) + p**K * c
+        return into
+
     monkeypatch.setattr(hopf, "_eta_r_flat", eta_r_flat)
-    monkeypatch.setattr(hopf, "_cartan_flat", lambda ctx, x: real(fresh, x))
+    monkeypatch.setattr(hopf, "_cartan_scaled", cartan_scaled)
+    monkeypatch.setattr(hopf, "_cartan_flat", None)  # a pass divides nothing
     monkeypatch.setattr(hopf, "coassociativity_check", lambda ctx, k: True)
     ctx = Context(prime=p)
     sweep = _coherence(hopf.verify_structural(ctx))
     window = [m.exps for m in monomials_up_to(2 * (p**3 - 1), ctx.V)]
     assert sweep.status and sweep.computed == f"{len(window)} monomials checked"
+    assert compared == window
     assert built == [e for e in window if not e[:1] or not e[0]]
     # the sweep stores no power of v1: each chain multiplies its own image
     assert [k for k in ctx.memo["_eta_v_generator_pow"] if k[0] == 1] == []

@@ -1,8 +1,9 @@
 """A control for every record that compares a computed value with an exact
 expected one (``Report.expect``), and for these ``Report.check`` records:
 lemma7.9's coboundary and integrality tables, lemma 7.1's relations,
-thm7.2's two indeterminacy scans and the structural ``coassociativity``
-record at each k it covers.  A control is a named perturbation of a
+thm7.2's two indeterminacy scans, the structural ``coassociativity``
+record at each k it covers, and the structural coherence sweep on the
+closed-form Cartan tables.  A control is a named perturbation of a
 table entry, a relation or an operation value under which a single ``verify
 <target>`` at p = 5 exits 1 with that record failing and no
 ``<target>.crashed`` record.  The controls are hand-named mutants of the
@@ -15,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from bpcalc import cli, hopf, opcalc
-from bpcalc.grading import Poly, monomials_of_degree
+from bpcalc.grading import Context, Poly, _pack, monomials_of_degree, monomials_up_to
 from bpcalc.report import Report
 
 
@@ -258,6 +259,52 @@ def test_coassociativity_control(monkeypatch, capsys, k):
     code, report = _verify("structural", capsys)
     assert code == cli.EXIT_CHECK_FAILURE
     assert [r.id for r in report.failures()] == ["coassociativity"]
+
+
+def rtable_entry_raised(exps, key):
+    """1 added to the entry at key of the closed-form Cartan table of the
+    m-monomial exps, ``ctx.memo["rtable"][exps]``, once the right unit's
+    generators are built; only the Cartan side reads that table."""
+
+    def perturb(ctx):
+        for i in (1, 2, 3):
+            hopf._eta_v_generator(ctx, i)
+        hopf._mono_action_table(ctx, exps)
+        ctx.memo["rtable"][exps][key] += 1
+
+    return perturb
+
+
+@pytest.mark.parametrize("exps", [(1,), (0, 1), (0, 0, 1), (2, 1)])
+def test_coherence_control_on_a_closed_form_table(exps):
+    """Any one entry of the table of m^exps raised by 1 fails the sweep at
+    the first window monomial whose m-expansion contains m^exps."""
+    fresh = Context(prime=5)
+    first = next(
+        str(mono)
+        for mono in monomials_up_to(2 * (5**3 - 1), fresh.V)
+        if exps in (e for e, _ in hopf._m_terms(fresh, Poly(fresh.V, {mono.exps: 1})))
+    )
+    for key in list(hopf._mono_action_table(fresh, exps)):
+        ctx = Context(prime=5)
+        rtable_entry_raised(exps, key)(ctx)
+        report = hopf.verify_structural(ctx)
+        assert [r.id for r in report.failures()] == ["cartan-right-unit-coherence"]
+        witness = report.failures()[0].witness
+        assert witness.split("; ")[0].split(":")[0] == first, (key, witness)
+
+
+def test_structural_exits_1_on_a_raised_closed_form_table(monkeypatch, capsys):
+    original = hopf.verify_structural
+
+    def verify_structural(ctx):
+        rtable_entry_raised((0, 1), _pack((0, 1)))(ctx)  # R_0 m2 = 2 m2
+        return original(ctx)
+
+    monkeypatch.setattr(hopf, "verify_structural", verify_structural)
+    code, report = _verify("structural", capsys)
+    assert code == cli.EXIT_CHECK_FAILURE
+    assert [r.id for r in report.failures()] == ["cartan-right-unit-coherence"]
 
 
 @pytest.mark.parametrize("record", sorted(SCAN_CONTROLS))
