@@ -33,6 +33,7 @@ import argparse
 import functools
 import os
 import re
+import shutil
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -95,20 +96,28 @@ class _CommandParser(argparse.ArgumentParser):
 def build_parser(command=None) -> argparse.ArgumentParser:
     """``command``'s own parser, for the arguments after the command word, or
     when ``command`` names none, the parser of every command, for all of argv.
-    A ``Config`` option not given is left out of the namespace (SUPPRESS)."""
+    A ``Config`` option not given is left out of the namespace (SUPPRESS).
+    The terminal width that each help formatter would look up for itself
+    (``add_argument`` makes one per argument) is looked up once, here."""
+    columns = shutil.get_terminal_size().columns
+    formatter = functools.partial(argparse.HelpFormatter, width=columns - 2)
     if command in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"bpcalc {command}")
+        parser = argparse.ArgumentParser(prog=f"bpcalc {command}", formatter_class=formatter)
         parsers = {command: parser}
     else:
         parser = argparse.ArgumentParser(
             prog="bpcalc",
+            formatter_class=formatter,
             description="exact-arithmetic workbench: operation calculus on the "
             "Brown-Peterson coefficient ring, category-of-fractions checks, "
             "abelian group localization",
         )
         parser.add_argument("--version", action="version", version=f"bpcalc {__version__}")
         sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
-        parsers = {c: sub.add_parser(c, help=line) for c, line in COMMANDS.items()}
+        parsers = {
+            c: sub.add_parser(c, help=line, formatter_class=formatter)
+            for c, line in COMMANDS.items()
+        }
 
     for name, p in parsers.items():
         add_option = functools.partial(p.add_argument, default=argparse.SUPPRESS)
@@ -167,14 +176,21 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 # Operation expression literals
 # ---------------------------------------------------------------------------
 
+# the literal grammar's patterns, compiled once
+_INDEX_POWER_RE = re.compile(r"p\^(\d+)")
+_INDEX_INT_RE = re.compile(r"\d+")
+_OP_COEFF_RE = re.compile(r"(\d+(?:/\d+)?)\s*\*?")
+_OP_LETTER_RE = re.compile(r"\s*R\[([^\]]*)\]")
+
+
 def _parse_index_entry(tok: str, p: int) -> int:
     tok = tok.strip()
-    m = re.fullmatch(r"p\^(\d+)", tok)
+    m = _INDEX_POWER_RE.fullmatch(tok)
     if m:
         return p ** int(m.group(1))
     if tok == "p":
         return p
-    if re.fullmatch(r"\d+", tok):
+    if _INDEX_INT_RE.fullmatch(tok):
         return int(tok)
     raise ParseError(f"bad index entry {tok!r} (use integers, p, or p^k)")
 
@@ -187,7 +203,7 @@ def parse_operation(text: str, ctx: Context) -> OperationExpr:
     expr = OperationExpr.zero(ctx)
     for sign, chunk in split_signed_terms(text):
         # one term: optional coefficient then one or more R[...] factors
-        m = re.match(r"(\d+(?:/\d+)?)\s*\*?", chunk)
+        m = _OP_COEFF_RE.match(chunk)
         coeff, pos = Fraction(1), 0
         if m:
             num, _, den = m.group(1).partition("/")
@@ -197,13 +213,13 @@ def parse_operation(text: str, ctx: Context) -> OperationExpr:
             pos = m.end()
         indices = []
         while True:
-            m = re.match(r"\s*R\[([^\]]*)\]", chunk[pos:])
+            m = _OP_LETTER_RE.match(chunk, pos)
             if not m:
                 break
             entries = [e for e in m.group(1).split(",")]
             idx = tuple(_parse_index_entry(e, ctx.prime) for e in entries if e.strip())
             indices.append(idx)
-            pos += m.end()
+            pos = m.end()
         if not indices or chunk[pos:].strip():
             raise ParseError(f"expected R[..] factor at {chunk[pos:pos+12]!r}")
         expr = expr + OperationExpr.word(ctx, *indices, scalar=sign * coeff)

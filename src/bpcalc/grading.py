@@ -19,7 +19,8 @@ scaling; ``SparseRing`` adds the product and powers.
   context;
 * ``_one()``: the unit (rings only);
 * ``_add_keys``: the product-key rule, ``add_exps`` unless overridden
-  (``TensorPoly`` adds ``(left, right)`` pairs side by side);
+  (``TensorPoly`` adds ``(left, right)`` pairs side by side; ``_Flat``
+  keeps a product loop of its own that adds its int keys inline);
 * ``_scalars``: the types that multiply by scaling;
 * ``_operand`` and ``_product``: here ``Poly`` coerces int/Fraction
   operands, checks alphabets and checks products against the truncation.
@@ -60,18 +61,22 @@ and the scaled images ``_m_to_v_scaled`` (p^s * m^a per m-monomial, over
 Z[m]) and ``_psi_t_v`` (v-basis) with ``_psi_t_v_pow`` and ``_psi_flat``
 (per t-monomial), the right unit's ``_eta_r_m_generator(_pow)``,
 ``_eta_v_generator(_pow)`` and ``_eta_flat`` (per v-monomial); decoded at
-its edge or otherwise: ``psi_monomial``, ``_factor_actions``,
+its edge or otherwise: ``_psi_by_left`` (psi of a t-monomial grouped
+by left factor, the one decoded diagonal; ``psi_monomial`` builds its
+TensorPoly from it per call and stores nothing), ``_factor_actions``,
 ``pair_word`` (the one composite pairing, which ``OperationExpr.in_basis``
-reads too) and ``_eta_r_cached`` (eta_r per inner value of ``pair_word``,
-keyed by the hashable ``Poly``).  Only ``rtable``, the Cartan
-side's full tables (counts), is filled by hand, in closed form per monomial
-by ``hopf._mono_action_table``.  Callers must not mutate a memo entry.
+reads too) with ``_head_splits`` (the divisors of a head letter it visits)
+and ``_eta_r_cached`` (eta_r per inner value of ``pair_word``, keyed by
+the hashable ``Poly``).  ``OperationExpr.act`` stores nothing of its own;
+its one-index Cartan step reads ``_factor_actions``.  Only ``rtable``, the
+Cartan side's full tables (counts), is filled by hand, in closed form per
+monomial by ``hopf._mono_action_table``.  Callers must not mutate a memo
+entry.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -921,13 +926,35 @@ def _key_bound(ctx: Context, x: Poly, name: str) -> int:
 
 
 class _Flat(SparseRing):
-    """A flat table: packed int key -> int (or Fraction) coefficient."""
+    """A flat table: packed int key -> int (or Fraction) coefficient.  A
+    product key is the sum of the two keys, added in the loop itself rather
+    than through ``_add_keys``."""
 
     __slots__ = ()
-    _add_keys = staticmethod(operator.add)
 
     def __init__(self, terms):
         self.terms = terms
+
+    def __mul__(self, other):
+        if other.__class__ is not _Flat:
+            return SparseRing.__mul__(self, other)
+        terms = {}
+        get = terms.get
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = k1 + k2
+                prev = get(k)
+                if prev is None:
+                    terms[k] = c1 * c2
+                else:
+                    c = prev + c1 * c2
+                    if c:
+                        terms[k] = c
+                    else:
+                        del terms[k]
+        return _Flat(terms)
+
+    __rmul__ = __mul__
 
     def _like(self, terms):
         return _Flat(terms)

@@ -33,7 +33,8 @@ t^I-coefficient of the right unit eta_R; their agreement is a standing
 cross-check.  One R_I(x) on the Cartan side has one path,
 ``OperationExpr.act`` (``r_action`` is the one-letter word); the full tables
 of every R_I(x) (``r_action_table`` and the cross-check) come from
-``_cartan_flat``.  Both apply the same m-side step, ``_cartan_m``.
+``_cartan_flat``.  Both apply the same m-side step, ``_cartan_m``, to
+terms under packed m-keys, as ``_v_to_m_flat`` leaves them.
 
 The right unit is a ring homomorphism, so ``eta_r`` multiplies memoized
 powers of the generator images eta_R(v_i), flat int tables in the integral
@@ -64,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .arith import padic_valuation
@@ -97,7 +99,6 @@ from .grading import (
     _v_to_m_flat,
     add_exps,
     add_term,
-    exps_divides,
     format_poly,
     memoized,
     monomials_up_to,
@@ -353,10 +354,24 @@ def _psi_flat(ctx: Context, exps: tuple) -> _Flat:
 
 
 @memoized
+def _psi_by_left(ctx: Context, exps: tuple) -> dict:
+    """psi of the t-monomial t^exps grouped by left factor, {le: ((re, c),
+    ...)} for the terms c t^le (x) t^re, c a v-Poly: the one decoded form of
+    ``_psi_flat``, which ``pair_word`` reads by left factor."""
+    width = _block(ctx)
+    grouped = {}
+    for tk, c in _by_t(_psi_flat(ctx, exps), ctx.V, lambda tk: tk).items():
+        le = _unpack(tk & (1 << width) - 1)
+        grouped.setdefault(le, []).append((_unpack(tk >> width), c))
+    return {le: tuple(rows) for le, rows in grouped.items()}
+
+
 def psi_monomial(ctx: Context, exps: tuple) -> TensorPoly:
     """psi of the t-monomial with the given exponents: the flat product of
-    memoized powers psi(t_i)^e (``_psi_flat``), unpacked once."""
-    return _to_tensor(ctx, _psi_flat(ctx, exps))
+    memoized powers psi(t_i)^e (``_psi_flat``), decoded from its grouped
+    table (``_psi_by_left``)."""
+    rows = _psi_by_left(ctx, exps).items()
+    return TensorPoly._raw(ctx, {(le, re): c for le, rs in rows for re, c in rs})
 
 
 def coassociativity_check(ctx: Context, k: int) -> bool:
@@ -502,7 +517,7 @@ def _mono_action_table(ctx: Context, exps) -> dict:
 
 
 def _m_terms(ctx: Context, x: Poly):
-    """The (m-exponents, coefficient) terms of x in the rational m-basis:
+    """The (packed m-key, coefficient) terms of x in the rational m-basis:
     an m-polynomial as it is, a v-polynomial through the one flat v -> m
     change (``_v_to_m_flat``, with ``ctx.to_m_basis``'s input contract).
     The packed m-fields hold m1..m3 (m4 would land in the index fields), so
@@ -512,13 +527,12 @@ def _m_terms(ctx: Context, x: Poly):
             raise TruncationError(
                 f"r_action covers m1..m{HAZEWINKEL_MAX_INDEX}, the packed m-fields"
             )
-        return x.terms.items()
-    flat = _v_to_m_flat(ctx, x, "r_action")
-    return [(_unpack(k), c) for k, c in flat.terms.items()]
+        return [(_pack(e), c) for e, c in x.terms.items()]
+    return _v_to_m_flat(ctx, x, "r_action").terms.items()
 
 
 def _cartan_m(ctx: Context, terms, cap=None) -> dict:
-    """R_J of the (m-exponents, coefficient) terms for every J (their
+    """R_J of the (packed m-key, coefficient) terms for every J (their
     ``_mono_action_table``s) or for J = cap only, as {m-key + J << _T_SHIFT:
     coefficient}, zeros kept.  One index: the same closed form, no memo and
     no table per term; place 3 of J fixes m3's count there, each lower place
@@ -527,8 +541,8 @@ def _cartan_m(ctx: Context, terms, cap=None) -> dict:
     acc = {}
     get = acc.get
     if cap is None:
-        for exps, c in terms:
-            for k, n in _mono_action_table(ctx, exps).items():
+        for key, c in terms:
+            for k, n in _mono_action_table(ctx, _unpack(key)).items():
                 acc[k] = get(k, 0) + c * n
         return acc
     if any(cap[HAZEWINKEL_MAX_INDEX:]):
@@ -538,9 +552,11 @@ def _cartan_m(ctx: Context, terms, cap=None) -> dict:
     acts = map(_factor_actions, [ctx] * 3, (1, 2, 3))
     (u1, x11), (u2, x22, x21), (u3, x33, x32, x31) = acts
     p, pp, d11, d21 = ctx.prime, ctx.prime**2, x11 - u1, x21 - u2
-    for exps, c in terms:
-        a1, a2, a3 = (exps + (0, 0, 0))[:3]
-        r3, top = a3 - j3, a1 * u1 + a2 * u2 + a3 * u3 + j3 * (x33 - u3)
+    mask, top3 = (1 << _FIELD_BITS) - 1, j3 * (x33 - u3)
+    for key, c in terms:
+        # the m-key is a1 u1 + a2 u2 + a3 u3
+        a1, a2, a3 = key & mask, key >> _FIELD_BITS & mask, key >> 2 * _FIELD_BITS
+        r3, top = a3 - j3, key + top3
         # place 2: k32 factors of m3 (step p), k22 = j2 - p k32 of m2 (step 1)
         for k32 in range(max(0, -((a2 - j2) // p)), min(r3, j2 // p) + 1):
             k22 = j2 - p * k32
@@ -616,6 +632,16 @@ def _eta_r_cached(ctx: Context, x: Poly) -> TPoly:
 
 
 @memoized
+def _head_splits(ctx: Context, head: tuple) -> tuple:
+    """The pairs (le, head - le), both trimmed, over the divisors le of the
+    t-monomial head: where ``pair_word`` looks in the grouped diagonal."""
+    return tuple(
+        (_trim(le), _trim(tuple(h - e for h, e in zip(head, le))))
+        for le in product(*(range(h + 1) for h in head))
+    )
+
+
+@memoized
 def pair_word(ctx: Context, word: tuple, exps: tuple) -> Poly:
     """<R_(w1) R_(w2) ... , t^exps> by nested evaluation of the diagonal.
 
@@ -623,29 +649,33 @@ def pair_word(ctx: Context, word: tuple, exps: tuple) -> Poly:
     psi t^exps = sum c t^le (x) t^re, c times the t^(w1 - le)-coefficient of
     eta_R(<tail, t^re>): the inner value multiplies the left factor through
     the right unit, so the nested evaluation is associative (see the
-    associativity checks).  A scalar inner value crosses as itself, so only
-    le = w1 takes it.  The tail is paired only on terms whose le divides w1.
-    Signs are all +1: every generator degree 2(p^i - 1) is even.
+    associativity checks).  Only a left factor le dividing w1 contributes,
+    so the sum visits the divisors of w1 (``_head_splits``) and reads their
+    rows of the grouped diagonal (``_psi_by_left``).  A scalar inner value
+    crosses as itself, so only le = w1 takes it.  Signs are all +1: every
+    generator degree 2(p^i - 1) is even.
     """
     word = tuple(_trim(w) for w in word) or ((),)  # the empty word is R[0]
     exps, head, rest = _trim(exps), word[0], word[1:]
     if not rest:
         return Poly.constant(ctx.V, 1 if exps == head else 0)
     acc = Poly.zero(ctx.V)
-    for (le, re), c in psi_monomial(ctx, exps).terms.items():
-        if not exps_divides(le, head):
+    by_left = _psi_by_left(ctx, exps)
+    for le, u in _head_splits(ctx, head):
+        rows = by_left.get(le)
+        if rows is None:
             continue
-        value = pair_word(ctx, rest, re)
-        if not value:
-            continue
-        if value.terms.keys() == {()}:
-            if le == head:
-                acc = acc + c * value
-            continue
-        u = _trim(tuple(h - (le[i] if i < len(le) else 0) for i, h in enumerate(head)))
-        d = _eta_r_cached(ctx, value).terms.get(u)
-        if d is not None:
-            acc = acc + c * d
+        for re, c in rows:
+            value = pair_word(ctx, rest, re)
+            if not value:
+                continue
+            if value.terms.keys() == {()}:
+                if not u:
+                    acc = acc + c * value
+                continue
+            d = _eta_r_cached(ctx, value).terms.get(u)
+            if d is not None:
+                acc = acc + c * d
     return acc
 
 
@@ -708,15 +738,17 @@ class OperationExpr:
 
     def act(self, x: Poly) -> Poly:
         """The value on x, a v- or m-polynomial (``_m_terms``' contract): x
-        goes to the m-basis once, each word acts right-to-left on m-tables
-        (``_cartan_m``), and the sum of s * D times each word (D = p^k clears
-        every p in a scalar's denominator) comes back once (``_m_to_v_flat``),
-        over D: only that value must be integral, else ValueError.  Identity
-        words alone scale x in its own alphabet; beside other words they
-        scale x in the v-basis (``ctx.to_v_basis``), added to that value
-        only when their scalars do not sum to 0.  Every letter is checked
-        against the truncation before any arithmetic, so a word whose value
-        is 0 before it reaches a bad letter still raises TruncationError."""
+        goes to the m-basis once, each word acts right-to-left on its terms
+        under packed m-keys (``_cartan_m``), and the sum of s * D times each
+        word (D = p^k clears every p in a scalar's denominator) comes back
+        once (``_m_to_v_flat``), over D: only that value must be integral,
+        else ValueError.  Terms whose sum is 0, as all of a relation's are,
+        are dropped before the change back.  Identity words alone scale x in
+        its own alphabet; beside other words they scale x in the v-basis
+        (``ctx.to_v_basis``), added to that value only when their scalars do
+        not sum to 0.  Every letter is checked against the truncation before
+        any arithmetic, so a word whose value is 0 before it reaches a bad
+        letter still raises TruncationError."""
         ctx, p = self.ctx, self.ctx.prime
         bad = [i for _, w in self.parts for i in w if len(i) > ctx.truncation]
         if bad:
@@ -727,25 +759,31 @@ class OperationExpr:
             return x.scale(same)
         D = p ** max(padic_valuation(Fraction(s).denominator, p) for s, _ in words)
         K, m, acc = _key_bound(ctx, x, "r_action"), _m_terms(ctx, x), {}
+        get = acc.get
         for s, word in words:
             terms = m
             for idx in reversed(word):
                 if idx:
                     step = _cartan_m(ctx, terms, idx).items()
-                    terms = [(_unpack(k & _V_MASK), c) for k, c in step if c]
+                    terms = [(k & _V_MASK, c) for k, c in step if c]
                 if not terms:
                     break
-            for exps, c in terms:
-                add_term(acc, _pack(exps), c * _num(s * D))
+            sD = _num(s * D)
+            for k, c in terms:
+                acc[k] = get(k, 0) + c * sD
+        acc = {k: c for k, c in acc.items() if c}
         flat = _m_to_v_flat(ctx, acc, K, lambda _: f"non-integral value of {self}")
-        value = _by_t(flat, ctx.V).get((), Poly.zero(ctx.V)).scale(Fraction(1, D))
+        value = _by_t(flat, ctx.V).get((), Poly.zero(ctx.V))
+        if D > 1:
+            value = value.scale(Fraction(1, D))
         return value + ctx.to_v_basis(x).scale(same) if same else value
 
     def pair_monomial(self, exps) -> Poly:
-        out = Poly.zero(self.ctx.V)
+        acc = {}
         for scalar, word in self.parts:
-            out = out + scalar * pair_word(self.ctx, word, exps)
-        return out
+            for e, c in pair_word(self.ctx, word, exps).terms.items():
+                add_term(acc, e, scalar * c)
+        return Poly._raw(self.ctx.V, acc)
 
     def in_basis(self, degree_bound: int) -> OperationCombo:
         """The dual-basis expansion sum_J <self, t^J> R_J, exact for every

@@ -55,6 +55,63 @@ def test_parse_operation_literals():
         parse_operation("S[1]", ctx)
 
 
+# one row per ParseError branch of parse_operation and _parse_index_entry
+OPERATION_PARSE_ERRORS = [
+    ("", "empty operation literal"),
+    ("  ", "empty operation literal"),
+    ("2/0*R[1]", "bad coefficient '2/0' in '2/0*R[1]'"),
+    ("S[1]", "expected R[..] factor at 'S[1]'"),
+    ("R[1]x", "expected R[..] factor at 'x'"),
+    ("R[q]", "bad index entry 'q' (use integers, p, or p^k)"),
+    ("R[1,p^]", "bad index entry 'p^' (use integers, p, or p^k)"),
+]
+
+
+@pytest.mark.parametrize("literal, message", OPERATION_PARSE_ERRORS)
+def test_each_operation_parse_error_is_one_usage_line(capsys, literal, message):
+    assert main(["eval", "--prime", "5", "--", literal, "v1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+RELATION_LITERALS = [
+    "R[1]R[p] - R[p]R[1] - R[0,1]",
+    "R[1]R[0,1] - R[0,1]R[1]",
+    "R[p]R[0,1] - R[0,1]R[p]",
+    "R[p]R[1]R[1] - 2*R[1]R[p]R[1] + R[1]R[1]R[p]",
+    "R[p]R[p]R[1] - 2*R[p]R[1]R[p] + R[1]R[p]R[p]",
+]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("relation", RELATION_LITERALS)
+def test_eval_of_a_relation_changes_nothing_back_to_the_v_basis(monkeypatch, capsys, p, relation):
+    # a relation's words cancel on every m-monomial, so eval prints 0
+    # without reading one scaled image m^a -> v on its fresh context
+    made = []
+    context = cli.Config.context
+    monkeypatch.setattr(cli.Config, "context", lambda self: made.append(context(self)) or made[-1])
+    poly = "v1^3*v2^2 - 7*v3 + 2/3*v1^12*v2"
+    assert main(["eval", "--prime", str(p), "--", relation, poly]) == EXIT_PASS
+    assert capsys.readouterr().out == "0\n"
+    assert len(made) == 1 and made[0].memo["_m_to_v_scaled"] == {}
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+def test_help_wraps_at_the_terminal_width(monkeypatch, capsys, columns):
+    # the parser looks the width up once when it is built; help still
+    # wraps at COLUMNS - 2, as argparse's own lookup would
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert max(map(len, lines)) <= int(columns) - 2
+    description = [line for line in lines if line.startswith("exact-arithmetic")]
+    assert description[0].endswith("localization") == (columns == "200")
+
+
 def test_localize_group_cli(capsys):
     assert main(["localize-group", "Z/12", "--invert", "2"]) == EXIT_PASS
     assert capsys.readouterr().out.strip() == "Z/3"

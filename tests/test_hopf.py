@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import signal
 import sys
@@ -22,6 +23,7 @@ from bpcalc.grading import (
     _trim,
     add_exps,
     add_term,
+    exps_divides,
     monomials_of_degree,
     monomials_up_to,
     reduce_mod,
@@ -469,6 +471,51 @@ def test_compose_pair_crosses_inner_values_through_the_right_unit(ctx5):
     tail = OperationExpr.word(ctx5, (1,), (p,)).in_basis(ctx5.T.degree_of((1, 1)))
     x = TPoly(ctx5, {(1, 1): 1})
     assert _compose_pair_oracle(OperationCombo.basis(ctx5, 1), tail, x) == 2
+
+
+def _pair_word_scan(ctx, word, exps, memo):
+    """<word, t^exps> by the scanning loop that pair_word replaced, kept as
+    its test oracle: it reads every term of psi t^exps (``psi_monomial``)
+    and skips those whose left factor does not divide the head letter,
+    where pair_word visits only the divisors of the head.  Values are
+    memoized in ``memo`` under (word, exps)."""
+    got = memo.get((word, exps))
+    if got is not None:
+        return got
+    head, rest = word[0], word[1:]
+    if not rest:
+        return Poly.constant(ctx.V, 1 if _trim(exps) == head else 0)
+    acc = Poly.zero(ctx.V)
+    for (le, re), c in psi_monomial(ctx, exps).terms.items():
+        if not exps_divides(le, head):
+            continue
+        value = _pair_word_scan(ctx, rest, re, memo)
+        if not value:
+            continue
+        if value.terms.keys() == {()}:
+            if le == head:
+                acc = acc + c * value
+            continue
+        u = _trim(tuple(h - (le[i] if i < len(le) else 0) for i, h in enumerate(head)))
+        d = eta_r(ctx, value).terms.get(u)
+        if d is not None:
+            acc = acc + c * d
+    memo[word, exps] = acc
+    return acc
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_pair_word_matches_the_scanning_loop_on_the_window(p):
+    # every 2- and 3-letter word over R[1], R[p], R[0,1], against every
+    # t-monomial of the lemma 7.1 pairing window, each side on its own context
+    ctx, octx, memo = Context(prime=p), Context(prime=p), {}
+    letters = ((1,), (p,), (0, 1))
+    words = [w for n in (2, 3) for w in itertools.product(letters, repeat=n)]
+    window = monomials_up_to(ctx.qdeg(hopf.pairing_window_q(p)), ctx.T)
+    for mono in window:
+        for word in words:
+            want = _pair_word_scan(octx, word, mono.exps, memo)
+            assert pair_word(ctx, word, mono.exps) == want, (word, mono.exps)
 
 
 def test_r_action_examples(ctx5, ctx7):
@@ -1140,6 +1187,88 @@ def test_relations_act_as_zero_on_the_window(ctx5):
     for name, expr in commutator_relations(ctx5):
         for exps in WINDOWS[5]:
             assert expr.act(Poly(ctx5.V, {exps: 1})).is_zero(), (name, exps)
+
+
+def _table_value(ctx, word, x):
+    """w(x) letter by letter, rightmost first, each letter's value read from
+    the full Cartan tables of the value so far (``r_action_table``)."""
+    for idx in reversed(word):
+        if idx:
+            x = r_action_table(ctx, x).get(_trim(idx), Poly.zero(ctx.V))
+    return x
+
+
+ACT_WORDS = [((1,),), ((5,),), ((0, 1),), ((1, 1),), ((6,),), ((0, 0, 1),),
+             ((1,), (5,)), ((0, 1), (1,)), ((5,), (1,), (1,)), ((1,), (), (0, 1))]
+
+
+def _act_inputs(ctx):
+    """v-polynomials with int and with p-integral Fraction coefficients."""
+    v1, v2, v3 = ctx.v(1), ctx.v(2), ctx.v(3)
+    return [
+        v2,
+        v1**5 * v2 - 3 * v3,
+        v1**6 + 17,
+        Fraction(2, 3) * v1**2 * v2 + Fraction(-5, 7) * v3,
+        Fraction(1, 2) * v2**2 + v1**3,
+    ]
+
+
+def test_act_matches_the_full_cartan_tables():
+    # act keeps packed m-keys from the change to the m-basis through every
+    # letter; the tables run each letter through the closed-form tables of
+    # every index.  A v-polynomial and its m-basis form give the same value
+    ctx, tctx = Context(prime=5), Context(prime=5)
+    for y in _act_inputs(ctx):
+        x_m = ctx.to_m_basis(y)
+        assert x_m.alphabet == ctx.M
+        for word in ACT_WORDS:
+            want = _table_value(tctx, word, y)
+            expr = OperationExpr.word(ctx, *word)
+            assert expr.act(y) == want == expr.act(x_m), (str(y), word)
+            # a scalar with p in its denominator scales the value exactly
+            half = OperationExpr.word(ctx, *word, scalar=Fraction(3, 25))
+            assert half.act(y) == want.scale(Fraction(3, 25)) == half.act(x_m)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_act_value_error_is_a_non_integral_table_value(k):
+    # R_I(y / p^k) is the table value of y over p^k: act raises ValueError
+    # exactly when that is not integral
+    ctx, p = Context(prime=5), 5
+    y = ctx.v(1) ** 2 * ctx.v(2) + 2 * ctx.v(3)
+    x = y.scale(Fraction(1, p**k))
+    seen = set()
+    for index, value in r_action_table(Context(prime=p), y).items():
+        if not index:
+            continue
+        want = value.scale(Fraction(1, p**k))
+        expr = OperationExpr.word(ctx, index)
+        if want.is_integral(p):
+            assert expr.act(x) == want, index
+        else:
+            with pytest.raises(ValueError, match=r"^non-integral value of R\["):
+                expr.act(x)
+        seen.add(want.is_integral(p))
+    assert seen == {True, False}
+
+
+def test_act_truncation_errors_are_the_tables():
+    ctx = Context(prime=5)
+    E = OperationExpr.word
+    # an index past the truncation raises before any arithmetic, even on 0
+    for x in (Poly.zero(ctx.V), ctx.v(1)):
+        with pytest.raises(TruncationError, match=r"operation index \(0, 0, 0, 0, 1\)"):
+            E(ctx, (1,), (0, 0, 0, 0, 1)).act(x)
+    # m4 or v4 in the input: act and the tables raise the same error
+    for x, message in (
+        (ctx.m(1) * ctx.m(4), "r_action covers m1..m3, the packed m-fields"),
+        (ctx.v(1) * ctx.v(4), "no substitution image for v4"),
+    ):
+        for run in (lambda: E(ctx, (1,)).act(x), lambda: r_action_table(ctx, x)):
+            with pytest.raises(TruncationError) as exc:
+                run()
+            assert str(exc.value) == message
 
 
 def test_verify_relations_both_primes(ctx5, ctx7):

@@ -283,7 +283,7 @@ def test_coherence_control_on_a_closed_form_table(exps):
     first = next(
         str(mono)
         for mono in monomials_up_to(2 * (5**3 - 1), fresh.V)
-        if exps in (e for e, _ in hopf._m_terms(fresh, Poly(fresh.V, {mono.exps: 1})))
+        if _pack(exps) in (k for k, _ in hopf._m_terms(fresh, Poly(fresh.V, {mono.exps: 1})))
     )
     for key in list(hopf._mono_action_table(fresh, exps)):
         ctx = Context(prime=5)

@@ -23,6 +23,7 @@ ALLOWED = {
     "catfrac.library": "ROADMAP item 11; the demos and the benchmark read it",
     "report.Report.from_json": "the public report reader",
     "cli._CommandParser.parse_known_args": "argparse hook: parse_args calls it",
+    "hopf.psi_monomial": "the decoded diagonal: test oracles and the benchmark trace read it",
 }
 
 
