@@ -19,12 +19,13 @@ Reports are deterministic apart from each record's measured
 text output never shows it.
 
 Options come from argv alone, each command taking only those it reads:
-``verify`` --prime --truncation --degree-bound --format --out --no-timing,
-``eval`` --prime --truncation, ``localize-group`` --invert --oracle, ``cat``
---format --out --no-timing --marked-class.  Any other flag is a usage
-error; an option not given keeps ``Config``'s default.  Each invocation
-builds one parser: the named command's own, or, when the first argument
-names no command, the parser of every command, for the top-level usage.
+``verify`` --prime --format --out --no-timing, ``eval`` --prime,
+``localize-group`` --invert --oracle, ``cat`` --format --out --no-timing
+--marked-class.  Any other flag is a usage error; an option not given
+keeps ``Config``'s default.  The truncation N = 4 and the pairing window
+(2p+4)q are fixed.  Each invocation builds one parser: the named command's
+own, or, when the first argument names no command, the parser of every
+command, for the top-level usage.
 """
 
 from __future__ import annotations
@@ -61,26 +62,20 @@ COMMANDS = {
 
 @dataclass
 class Config:
-    """Run configuration: prime, truncation, pairing window, output."""
+    """Run configuration: prime and output."""
 
     prime: int = 7
-    truncation: int = 4
-    degree_bound_q: int | None = None  # defaults to (2p+4) per context
     format: str = "text"
     out: str | None = None
     timing: bool = True
 
     def __post_init__(self):
-        Context.check_ring(self.prime, self.truncation)
+        Context.check_prime(self.prime)
         if self.format not in ("text", "json"):
             raise ValueError("format must be text or json")
-        if self.degree_bound_q is not None and self.degree_bound_q < 1:
-            raise ValueError(
-                f"degree bound must be >= 1 (units of q), got {self.degree_bound_q}"
-            )
 
     def context(self) -> Context:
-        return Context(prime=self.prime, truncation=self.truncation)
+        return Context(prime=self.prime)
 
 
 class _CommandParser(argparse.ArgumentParser):
@@ -123,11 +118,6 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         add_option = functools.partial(p.add_argument, default=argparse.SUPPRESS)
         if name in ("verify", "eval"):  # the ring
             add_option("--prime", type=int, help=f"odd prime (default {Config.prime})")
-            add_option(
-                "--truncation",
-                type=int,
-                help=f"generator count N (default {Config.truncation})",
-            )
         if name in ("verify", "cat"):  # the output
             add_option("--format", choices=("text", "json"))
             add_option("--out")
@@ -139,13 +129,6 @@ def build_parser(command=None) -> argparse.ArgumentParser:
             )
         if name == "verify":
             p.add_argument("target", choices=VERIFY_TARGETS)
-            add_option(
-                "--degree-bound",
-                dest="degree_bound_q",
-                metavar="B",
-                type=int,
-                help="pairing window in units of q (default 2p+4)",
-            )
         elif name == "eval":
             p.epilog = (
                 'a literal that starts with a minus sign reads as an option '
@@ -250,13 +233,13 @@ def parse_inverted(spec: str) -> abloc.InvertedSet:
 # ---------------------------------------------------------------------------
 
 
-def _lemma_7_1(ctx: Context, window_q: int) -> Report:
+def _lemma_7_1(ctx: Context) -> Report:
     """Lemma 7.1's relations, then the complex d0, d1, d2 over the same
     window, and the misprinted d1, which must fail both composites."""
-    report = hopf.verify_lemma_7_1(ctx, window_q)
+    report = hopf.verify_lemma_7_1(ctx)
     d0, d1, d2 = opcalc.d_matrices(ctx)
-    report.extend(opcalc.check_complex(ctx, [d0, d1, d2], window_q))
-    printed = opcalc.check_complex(ctx, [d0, opcalc.d1_misprint(ctx), d2], window_q)
+    report.extend(opcalc.check_complex(ctx, [d0, d1, d2]))
+    printed = opcalc.check_complex(ctx, [d0, opcalc.d1_misprint(ctx), d2])
     report.check(
         id="misprint-d1-fails",
         anchor="the misprinted variant of the second matrix fails both "
@@ -267,23 +250,23 @@ def _lemma_7_1(ctx: Context, window_q: int) -> Report:
     return report
 
 
-# target -> (builder(ctx, window_q), part of "all"); the two stages thm7.2
+# target -> (builder(ctx), part of "all"); the two stages thm7.2
 # runs first are targets outside "all".  Builders look pipelines up per call.
 VERIFY_PIPELINES = {
     "lemma7.1": (_lemma_7_1, True),
-    "lemma7.3": (lambda ctx, window_q: opcalc.verify_lemma_7_3(ctx), True),
-    "lemma7.5": (lambda ctx, window_q: opcalc.lemma75_check(ctx)[1], False),
-    "lemma7.7": (lambda ctx, window_q: opcalc.lemma77_check(ctx)[1], False),
-    "thm7.2": (lambda ctx, window_q: opcalc.gamma1_pipeline(ctx), True),
-    "lemma7.9": (lambda ctx, window_q: opcalc.verify_lemma_7_9(ctx), True),
-    "thm7.10": (lambda ctx, window_q: opcalc.betap_pipeline(ctx), True),
-    "structural": (lambda ctx, window_q: hopf.verify_structural(ctx), True),
+    "lemma7.3": (lambda ctx: opcalc.verify_lemma_7_3(ctx), True),
+    "lemma7.5": (lambda ctx: opcalc.lemma75_check(ctx)[1], False),
+    "lemma7.7": (lambda ctx: opcalc.lemma77_check(ctx)[1], False),
+    "thm7.2": (lambda ctx: opcalc.gamma1_pipeline(ctx), True),
+    "lemma7.9": (lambda ctx: opcalc.verify_lemma_7_9(ctx), True),
+    "thm7.10": (lambda ctx: opcalc.betap_pipeline(ctx), True),
+    "structural": (lambda ctx: hopf.verify_structural(ctx), True),
 }
 VERIFY_ALL = tuple(name for name, (_, in_all) in VERIFY_PIPELINES.items() if in_all)
 VERIFY_TARGETS = (*VERIFY_PIPELINES, "all")
 
 
-def _run_pipeline(name: str, ctx, window_q: int, config: dict, into=None) -> Report:
+def _run_pipeline(name: str, ctx, config: dict, into=None) -> Report:
     """The report of target name's builder, or with ``into`` given, ``into``
     with its records appended under the prefix name.  A pipeline that stops
     on an arithmetic error (ValueError, ArithmeticError, or a BPCalcError
@@ -293,7 +276,7 @@ def _run_pipeline(name: str, ctx, window_q: int, config: dict, into=None) -> Rep
     report = into if into is not None else Report(f"the {name} pipeline", config)
     build, _ = VERIFY_PIPELINES[name]
     try:
-        part = build(ctx, window_q)
+        part = build(ctx)
     except (TruncationError, ParseError, PreconditionError):
         raise
     except (ValueError, ArithmeticError, BPCalcError) as exc:
@@ -312,17 +295,17 @@ def _run_pipeline(name: str, ctx, window_q: int, config: dict, into=None) -> Rep
 
 def run_verify(target: str, config: Config) -> Report:
     ctx = config.context()
-    window_q = hopf.pairing_window_q(ctx.prime, config.degree_bound_q)
+    window_q = hopf.pairing_window_q(ctx.prime)
     summary = {"prime": ctx.prime, "truncation": ctx.truncation, "window_q": window_q}
     if target == "all":
         merged = Report("all verification pipelines", config=summary)
         for name in VERIFY_ALL:
             # a crash is one failed record; the other targets still run
-            _run_pipeline(name, ctx, window_q, summary, into=merged)
+            _run_pipeline(name, ctx, summary, into=merged)
         return merged
     if target not in VERIFY_PIPELINES:
         raise ValueError(f"unknown verify target {target}")
-    return _run_pipeline(target, ctx, window_q, summary)
+    return _run_pipeline(target, ctx, summary)
 
 
 # ---------------------------------------------------------------------------

@@ -783,7 +783,9 @@ class Context:
     """
 
     def __init__(self, prime: int = 7, truncation: int = 4):
-        Context.check_ring(prime, truncation)
+        Context.check_prime(prime)
+        if truncation < 3:
+            raise ValueError("truncation must be >= 3")
         self.prime = prime
         self.truncation = truncation
         self.V = Alphabet("v", truncation, prime)
@@ -793,12 +795,10 @@ class Context:
         self.memo = defaultdict(dict)
 
     @staticmethod
-    def check_ring(prime: int, truncation: int) -> None:
-        """ValueError unless prime is an odd prime and truncation >= 3."""
+    def check_prime(prime: int) -> None:
+        """ValueError unless prime is an odd prime."""
         if not is_prime(prime) or prime == 2:
             raise ValueError(f"prime must be an odd prime, got {prime}")
-        if truncation < 3:
-            raise ValueError("truncation must be >= 3")
 
     def qdeg(self, units: int) -> int:
         """Degree of `units * q`."""
@@ -1056,6 +1056,7 @@ def _hazewinkel_input(x: Poly, source: Alphabet, name: str) -> None:
 def _v_to_m_flat(ctx: Context, x: Poly, name: str) -> _Flat:
     """The flat image of the v-polynomial x in the m-basis over
     ``_v_in_m_flat``, after the check of its input (``_hazewinkel_input``)
-    and of its key bound (``_flat_image``)."""
-    _hazewinkel_input(x, ctx.V, "to_m_basis")
+    and of its key bound (``_flat_image``), each error naming the caller
+    ``name``: ``to_m_basis``, or ``r_action`` for the Cartan side."""
+    _hazewinkel_input(x, ctx.V, name)
     return _flat_image(ctx, x, _v_in_m_flat, name)

@@ -92,7 +92,6 @@ from .grading import (
     _m_to_v_flat,
     _m_to_v_into,
     _num,
-    _pack,
     _term,
     _trim,
     _unpack,
@@ -517,17 +516,10 @@ def _mono_action_table(ctx: Context, exps) -> dict:
 
 
 def _m_terms(ctx: Context, x: Poly):
-    """The (packed m-key, coefficient) terms of x in the rational m-basis:
-    an m-polynomial as it is, a v-polynomial through the one flat v -> m
-    change (``_v_to_m_flat``, with ``ctx.to_m_basis``'s input contract).
-    The packed m-fields hold m1..m3 (m4 would land in the index fields), so
-    a term in m4 or above raises TruncationError."""
-    if x.alphabet == ctx.M:
-        if any(len(e) > HAZEWINKEL_MAX_INDEX for e in x.terms):
-            raise TruncationError(
-                f"r_action covers m1..m{HAZEWINKEL_MAX_INDEX}, the packed m-fields"
-            )
-        return [(_pack(e), c) for e, c in x.terms.items()]
+    """The (packed m-key, coefficient) terms of the v-polynomial x in the
+    rational m-basis, through the one flat v -> m change (``_v_to_m_flat``):
+    another alphabet raises AlphabetError and a term in v4 or above
+    TruncationError, both naming r_action and before any arithmetic."""
     return _v_to_m_flat(ctx, x, "r_action").terms.items()
 
 
@@ -737,17 +729,16 @@ class OperationExpr:
         )
 
     def act(self, x: Poly) -> Poly:
-        """The value on x, a v- or m-polynomial (``_m_terms``' contract): x
-        goes to the m-basis once, each word acts right-to-left on its terms
-        under packed m-keys (``_cartan_m``), and the sum of s * D times each
-        word (D = p^k clears every p in a scalar's denominator) comes back
-        once (``_m_to_v_flat``), over D: only that value must be integral,
-        else ValueError.  Terms whose sum is 0, as all of a relation's are,
-        are dropped before the change back.  Identity words alone scale x in
-        its own alphabet; beside other words they scale x in the v-basis
-        (``ctx.to_v_basis``), added to that value only when their scalars do
-        not sum to 0.  Every letter is checked against the truncation before
-        any arithmetic, so a word whose value is 0 before it reaches a bad
+        """The value on x, a v-polynomial (``_m_terms``' contract): x goes
+        to the m-basis once, each word acts right-to-left on its terms under
+        packed m-keys (``_cartan_m``), and the sum of s * D times each word
+        (D = p^k clears every p in a scalar's denominator) comes back once
+        (``_m_to_v_flat``), over D: only that value must be integral, else
+        ValueError.  Terms whose sum is 0, as all of a relation's are, are
+        dropped before the change back.  Identity words add x times the sum
+        of their scalars, after the same input check as every other word.
+        Every letter is checked against the truncation before any
+        arithmetic, so a word whose value is 0 before it reaches a bad
         letter still raises TruncationError."""
         ctx, p = self.ctx, self.ctx.prime
         bad = [i for _, w in self.parts for i in w if len(i) > ctx.truncation]
@@ -755,9 +746,7 @@ class OperationExpr:
             raise TruncationError(f"operation index {bad[0]} outside truncation")
         words = [(s, w) for s, w in self.parts if any(w)]
         same = sum(s for s, w in self.parts if not any(w))  # identity words
-        if not words:
-            return x.scale(same)
-        D = p ** max(padic_valuation(Fraction(s).denominator, p) for s, _ in words)
+        D = p ** max((padic_valuation(s.denominator, p) for s, _ in words), default=0)
         K, m, acc = _key_bound(ctx, x, "r_action"), _m_terms(ctx, x), {}
         get = acc.get
         for s, word in words:
@@ -776,7 +765,7 @@ class OperationExpr:
         value = _by_t(flat, ctx.V).get((), Poly.zero(ctx.V))
         if D > 1:
             value = value.scale(Fraction(1, D))
-        return value + ctx.to_v_basis(x).scale(same) if same else value
+        return value + x.scale(same) if same else value
 
     def pair_monomial(self, exps) -> Poly:
         acc = {}
@@ -946,16 +935,16 @@ def verify_structural(ctx: Context) -> Report:
     return report
 
 
-def pairing_window_q(prime: int, degree_bound_q: int | None = None) -> int:
-    """The pairing window in units of q: degree_bound_q, by default 2p + 4."""
-    return degree_bound_q if degree_bound_q is not None else 2 * prime + 4
+def pairing_window_q(prime: int) -> int:
+    """The pairing window in units of q: 2p + 4."""
+    return 2 * prime + 4
 
 
-def verify_lemma_7_1(ctx: Context, degree_bound_q: int | None = None) -> Report:
+def verify_lemma_7_1(ctx: Context) -> Report:
     """Check the commutator and derived identities by pairing both sides
     against every t-monomial up to the degree window; residuals must vanish
     identically (exact arithmetic, no tolerance)."""
-    bound_q = pairing_window_q(ctx.prime, degree_bound_q)
+    bound_q = pairing_window_q(ctx.prime)
     bound = ctx.qdeg(bound_q)
     report = Report(
         "commutator relations among R[1], R[p], R[0,1]",

@@ -219,10 +219,10 @@ def d1_misprint(ctx: Context) -> OpMatrix:
     return replace(d1, entries=entries, name="d1-misprint")
 
 
-def check_complex(ctx: Context, matrices: list, degree_bound_q: int | None = None) -> Report:
+def check_complex(ctx: Context, matrices: list) -> Report:
     """Pair every entry of each consecutive composite against all t-monomials
-    up to the bound; nonzero residuals are reported with a witness."""
-    bound_q = pairing_window_q(ctx.prime, degree_bound_q)
+    of the pairing window; nonzero residuals are reported with a witness."""
+    bound_q = pairing_window_q(ctx.prime)
     bound = ctx.qdeg(bound_q)
     monos = monomials_up_to(bound, ctx.T)
     report = Report(

@@ -34,8 +34,9 @@ def test_criterion_1_commutator_relations(contexts):
     of degree <= (2p+4)q; residuals exactly zero; < 60 s per prime."""
     detail = []
     for p, ctx in contexts.items():
+        assert hopf.pairing_window_q(p) == 2 * p + 4
         t0 = time.perf_counter()
-        report = hopf.verify_lemma_7_1(ctx, 2 * p + 4)
+        report = hopf.verify_lemma_7_1(ctx)
         elapsed = time.perf_counter() - t0
         relation_records = [r for r in report.records if r.id.startswith("relation[")]
         commutators = relation_records[:3]
@@ -52,7 +53,7 @@ def test_criterion_2_derived_relations_and_complex(contexts):
     fails for the printed one (both outcomes asserted)."""
     detail = []
     for p, ctx in contexts.items():
-        report = hopf.verify_lemma_7_1(ctx, 2 * p + 4)
+        report = hopf.verify_lemma_7_1(ctx)
         triples = [r for r in report.records if r.id.startswith("relation[")][3:]
         assert len(triples) == 2 and all(r.status for r in triples)
         d0, d1, d2 = opcalc.d_matrices(ctx)

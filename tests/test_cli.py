@@ -1,5 +1,8 @@
 import argparse
+import dataclasses
+import inspect
 import json
+import re
 import sys
 
 import pytest
@@ -236,8 +239,6 @@ BAD_INPUT_ARGVS = [
     ["verify", "thm7.10", "--prime", "3"],
     ["verify", "all", "--prime", "3"],
     ["localize-group", "Z/99999999999", "--invert", "3", "--oracle"],
-    ["verify", "lemma7.1", "--degree-bound", "0", "--prime", "5"],
-    ["verify", "lemma7.1", "--degree-bound", "-2", "--prime", "5"],
     ["cat", "check", "no-such-file.cat"],
     ["cat", "localize", "no-such-file.cat"],
     ["cat", "check", "functor-without-unit.cat"],
@@ -246,9 +247,9 @@ BAD_INPUT_ARGVS = [
     ["cat", "check", "."],
     ["cat", "check", "latin-1.cat"],
     ["verify", "lemma7.5", "--prime", "5", "--out", "."],
-    # the pipelines need t1..t3
-    ["verify", "lemma7.3", "--truncation", "2"],
-    ["eval", "--truncation", "2", "--", "R[1]", "v1"],
+    # a word or a polynomial that does not parse
+    ["eval", "R[x]", "v1", "--prime", "5"],
+    ["eval", "R[1]", "v1^", "--prime", "5"],
 ]
 
 # category files the bad-input argvs name, written to the working directory
@@ -273,22 +274,19 @@ def test_bad_input_exits_usage_with_one_line_error(argv, capsys, tmp_path, monke
         assert lines[0].startswith("error: latin-1.cat: not UTF-8 text")
 
 
-@pytest.mark.parametrize(
-    "prime, truncation",
-    [(9, 4), (2, 4), (1, 4), (-7, 4), (7, 2), (5, 0), (9, 2), (7, 3), (3, 5)],
-)
-def test_config_and_context_share_one_ring_rule(prime, truncation):
-    # Config reads Context's (prime, truncation) rule: the same inputs pass
-    # or fail, with the same message
+@pytest.mark.parametrize("prime", [9, 2, 1, -7, 7, 5, 3])
+def test_config_and_context_share_one_ring_rule(prime):
+    # Config reads Context's prime rule: the same primes pass or fail, with
+    # the same message
     def outcome(make):
         try:
-            make(prime=prime, truncation=truncation)
+            make(prime=prime)
         except ValueError as exc:
             return str(exc)
         return None
 
     assert outcome(cli.Config) == outcome(Context)
-    assert outcome(Context) is None or outcome(Context).split()[0] in ("prime", "truncation")
+    assert (outcome(Context) is None) == (prime in (7, 5, 3))
 
 
 # each flag a command does not read, after an argv that parses without it
@@ -308,6 +306,12 @@ DROPPED_FLAG_ARGVS = [
         for flag in (["--prime", "5"], ["--truncation", "4"], ["--degree-bound", "3"])
     ),
     ["verify", "lemma7.1", "--prime", "5", "--invert", "2"],
+    # the pairing window (2p+4)q and the truncation N = 4 are fixed: verify
+    # and eval take neither as an option
+    ["verify", "lemma7.1", "--degree-bound", "0", "--prime", "5"],
+    ["verify", "lemma7.1", "--degree-bound", "-2", "--prime", "5"],
+    ["verify", "lemma7.3", "--truncation", "2"],
+    ["eval", "--truncation", "2", "--", "R[1]", "v1"],
 ]
 
 
@@ -505,7 +509,7 @@ def test_verify_all_records_a_crashed_target(monkeypatch, capsys, exc):
 def test_verify_all_still_aborts_on_truncation_and_usage(
     monkeypatch, capsys, exc, code
 ):
-    def crash(ctx, bound):
+    def crash(ctx):
         raise exc
 
     monkeypatch.setattr(hopf, "verify_lemma_7_1", crash)
@@ -534,6 +538,7 @@ def _raising(exc):
         (["--prime", "5"], None, EXIT_PASS),
         (["--prime", "5"], _failing_report, EXIT_CHECK_FAILURE),
         (["--prime", "9"], None, EXIT_USAGE),
+        # a flag verify does not take: its own usage error
         (["--prime", "5", "--degree-bound", "0"], None, EXIT_USAGE),
         (["--prime", "5"], _raising(PreconditionError("prime too small")), EXIT_USAGE),
         (["--prime", "5"], _raising(ParseError("bad literal")), EXIT_USAGE),
@@ -547,16 +552,23 @@ def _raising(exc):
 def test_verify_target_exit_codes(monkeypatch, capsys, argv, patch, code):
     if patch is not None:
         monkeypatch.setattr(opcalc, "verify_lemma_7_9", patch)
-    assert main(["verify", "lemma7.9", "--no-timing"] + argv) == code
+    try:
+        got = main(["verify", "lemma7.9", "--no-timing"] + argv)
+    except SystemExit as exc:  # the parser's error, after its usage
+        got = exc.code
+    assert got == code
     captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
+    err = captured.err
+    if err.startswith("usage: bpcalc verify [-h]"):
+        err = err[err.index("\nbpcalc verify: error: ") + 1 :]
+    assert "Traceback" not in err
     if code == EXIT_PASS:
-        assert captured.err == "" and "status: PASS" in captured.out
+        assert err == "" and "status: PASS" in captured.out
     elif code == EXIT_CHECK_FAILURE:
-        assert captured.err == "" and "[FAIL] planted" in captured.out
-    else:  # usage and truncation: one line on stderr, no report
+        assert err == "" and "[FAIL] planted" in captured.out
+    else:  # usage and truncation: one error line on stderr, no report
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
+        assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -613,6 +625,9 @@ EVAL_EXIT_CASES = [
         for word in ("R[0,0,0,0,1]R[1]", "R[1]R[0,0,0,0,1]")
         for x in ("0", "1", "v1")
     ),
+    # identity words alone check their input like every other word
+    (["--prime", "5", "--", "R[0]", "v1*v4"], EXIT_TRUNCATION, ""),
+    (["--prime", "5", "--", "2*R[0] - R[]", "v1^70000"], EXIT_TRUNCATION, ""),
 ]
 
 
@@ -684,6 +699,23 @@ def test_one_subparser_help_is_every_subparser_help(capsys, command):
         assert exc.value.code == 0
         helps.append(capsys.readouterr())
     assert helps[0] == helps[1] and helps[0].out.startswith(f"usage: bpcalc {command} [-h]")
+
+
+def test_every_option_is_read_and_every_config_field_is_an_option():
+    # no dead knob: each Config field is an option of some command, and each
+    # argument a command's parser takes is a Config field or one that main
+    # reads as args.<dest>
+    dests = {
+        action.dest
+        for command in cli.COMMANDS
+        for action in cli.build_parser(command)._actions
+        if action.dest != "help"
+    }
+    config = {f.name for f in dataclasses.fields(cli.Config)}
+    read = set(re.findall(r"\bargs\.(\w+)", inspect.getsource(cli.main)))
+    assert config <= dests
+    assert dests - config <= read
+    assert not config & read
 
 
 @pytest.mark.parametrize(

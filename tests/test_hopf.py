@@ -958,18 +958,13 @@ def test_structural_passes_at_p3():
     assert _coherence(report).computed == "33 monomials checked"
 
 
-# (input, r_action(R[1], x), r_action_table(x)) at p = 5, captured when the
-# Cartan side still read the tuple-keyed basis change; a str is an
-# exception's "type: message"
+# (input, r_action(R[1], x), r_action_table(x)) at p = 5; a str is an
+# exception's "type: message".  The Cartan side takes v-polynomials only
 CARTAN_CONTRACT = [
-    ("m1", "1", "ValueError: r_action: non-integral value at index ()"),
-    (
-        "m1^5",
-        "ValueError: non-integral value of R[1]",
-        "ValueError: r_action: non-integral value at index ()",
-    ),
-    ("p*m1", "5", {(): "v1", (1,): "5"}),
-    ("t1", *["AlphabetError: to_m_basis expects a v-polynomial"] * 2),
+    ("m1", *["AlphabetError: r_action expects a v-polynomial"] * 2),
+    ("m1^5", *["AlphabetError: r_action expects a v-polynomial"] * 2),
+    ("p*m1", *["AlphabetError: r_action expects a v-polynomial"] * 2),
+    ("t1", *["AlphabetError: r_action expects a v-polynomial"] * 2),
     ("v1*v4", *["TruncationError: no substitution image for v4"] * 2),
 ]
 
@@ -988,9 +983,9 @@ def _outcome(fn):
     "literal, action, table", CARTAN_CONTRACT, ids=[c[0] for c in CARTAN_CONTRACT]
 )
 def test_cartan_input_contract_is_the_parents(literal, action, table):
-    # the flat v -> m change keeps the input contract of ctx.to_m_basis: an
-    # m-polynomial goes in as it is, another alphabet is an AlphabetError,
-    # a term in v4 a TruncationError naming v4
+    # the Cartan side keeps the input contract of ctx.to_m_basis, under the
+    # name r_action: another alphabet is an AlphabetError, a term in v4 a
+    # TruncationError naming v4
     make = {
         "m1": lambda c: c.m(1),
         "m1^5": lambda c: c.m(1, 5),
@@ -1004,15 +999,34 @@ def test_cartan_input_contract_is_the_parents(literal, action, table):
     assert _outcome(lambda: r_action_table(ctx, make(ctx))) == table
 
 
-def test_cartan_rejects_m4():
-    # m4 would be packed into the first index field: R_(1) m4 read as 1
+def test_cartan_side_takes_v_polynomials_only():
+    # r_action, r_action_table and act, R[0] alone included, reject m- and
+    # t-polynomials with an AlphabetError naming r_action, not to_m_basis,
+    # before any memo table fills
+    E = OperationExpr.word
+    runs = {
+        "r_action": lambda ctx, x: r_action(ctx, (1,), x),
+        "r_action_table": r_action_table,
+        "R[0]": lambda ctx, x: E(ctx, (0,)).act(x),
+        "R[1] + R[0]": lambda ctx, x: (E(ctx, (1,)) + E(ctx, (0,))).act(x),
+        "R[1]R[p]": lambda ctx, x: E(ctx, (1,), (ctx.prime,)).act(x),
+    }
+    inputs = {
+        "m1": lambda ctx: ctx.m(1),
+        "m4": lambda ctx: ctx.m(4),
+        "m1 + p^4*m4": lambda ctx: ctx.m(1) + ctx.prime**4 * ctx.m(4),
+        "t1": lambda ctx: Poly.gen(ctx.T, 1),
+    }
+    for (name, run), (literal, make) in itertools.product(runs.items(), inputs.items()):
+        ctx = Context(prime=5)
+        with pytest.raises(AlphabetError) as exc:
+            run(ctx, make(ctx))
+        assert str(exc.value) == "r_action expects a v-polynomial", (name, literal)
+        assert not any(ctx.memo.values()), (name, literal)
+    # the basis change itself still names to_m_basis
     ctx = Context(prime=5)
-    for x in (ctx.m(4), ctx.m(1) + ctx.prime**4 * ctx.m(4)):
-        with pytest.raises(TruncationError, match="m1..m3"):
-            r_action(ctx, (1,), x)
-        with pytest.raises(TruncationError, match="m1..m3"):
-            r_action_table(ctx, x)
-    assert not ctx.memo["rtable"]
+    with pytest.raises(AlphabetError, match="^to_m_basis expects a v-polynomial$"):
+        ctx.to_m_basis(Poly.gen(ctx.T, 1))
 
 
 def test_cartan_field_overflow_raises_before_any_table():
@@ -1097,26 +1111,11 @@ def test_r_action_table_is_not_recursive(ctx5):
 
 def test_r_action_identity_and_additivity(ctx7):
     x = 3 * ctx7.v(2) - ctx7.v(1) ** 8
-    assert r_action(ctx7, (), x) == x
-    # R[0] is the identity on any input, m- and t-polynomials included
-    for y in (ctx7.m(1), Poly.gen(ctx7.T, 1)):
-        assert r_action(ctx7, (0,), y) == y
+    assert r_action(ctx7, (), x) == r_action(ctx7, (0,), x) == x
     y = ctx7.v(1) ** 8
     assert r_action(ctx7, (1,), x + y) == r_action(ctx7, (1,), x) + r_action(
         ctx7, (1,), y
     )
-
-
-def test_act_identity_beside_a_word_on_m_input():
-    # the value comes back in the v-basis, so R[0] beside R[1] adds x in
-    # the v-basis too: (R[1] + R[0]) m1 = 1 + v1/5 at p = 5
-    ctx = Context(prime=5)
-    E = OperationExpr.word
-    expr = E(ctx, (1,)) + E(ctx, (0,))
-    expected = Poly(ctx.V, {(): 1, (1,): Fraction(1, 5)})
-    assert expr.act(ctx.m(1)) == expected == expr.act(ctx.to_v_basis(ctx.m(1)))
-    # the identity words alone still return the input as it is
-    assert (E(ctx, (0,)) + E(ctx, ())).act(ctx.m(1)) == 2 * ctx.m(1)
 
 
 def _act_oracle(expr, x):
@@ -1217,18 +1216,16 @@ def _act_inputs(ctx):
 def test_act_matches_the_full_cartan_tables():
     # act keeps packed m-keys from the change to the m-basis through every
     # letter; the tables run each letter through the closed-form tables of
-    # every index.  A v-polynomial and its m-basis form give the same value
+    # every index
     ctx, tctx = Context(prime=5), Context(prime=5)
     for y in _act_inputs(ctx):
-        x_m = ctx.to_m_basis(y)
-        assert x_m.alphabet == ctx.M
         for word in ACT_WORDS:
             want = _table_value(tctx, word, y)
             expr = OperationExpr.word(ctx, *word)
-            assert expr.act(y) == want == expr.act(x_m), (str(y), word)
+            assert expr.act(y) == want, (str(y), word)
             # a scalar with p in its denominator scales the value exactly
             half = OperationExpr.word(ctx, *word, scalar=Fraction(3, 25))
-            assert half.act(y) == want.scale(Fraction(3, 25)) == half.act(x_m)
+            assert half.act(y) == want.scale(Fraction(3, 25))
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -1260,15 +1257,17 @@ def test_act_truncation_errors_are_the_tables():
     for x in (Poly.zero(ctx.V), ctx.v(1)):
         with pytest.raises(TruncationError, match=r"operation index \(0, 0, 0, 0, 1\)"):
             E(ctx, (1,), (0, 0, 0, 0, 1)).act(x)
-    # m4 or v4 in the input: act and the tables raise the same error
-    for x, message in (
-        (ctx.m(1) * ctx.m(4), "r_action covers m1..m3, the packed m-fields"),
-        (ctx.v(1) * ctx.v(4), "no substitution image for v4"),
+    # v4 in the input: act, R[0] alone included, and the tables raise the
+    # same error
+    x = ctx.v(1) * ctx.v(4)
+    for run in (
+        lambda: E(ctx, (1,)).act(x),
+        lambda: E(ctx, (0,)).act(x),
+        lambda: r_action_table(ctx, x),
     ):
-        for run in (lambda: E(ctx, (1,)).act(x), lambda: r_action_table(ctx, x)):
-            with pytest.raises(TruncationError) as exc:
-                run()
-            assert str(exc.value) == message
+        with pytest.raises(TruncationError) as exc:
+            run()
+        assert str(exc.value) == "no substitution image for v4"
 
 
 def test_verify_relations_both_primes(ctx5, ctx7):
