@@ -54,9 +54,11 @@ the table named after the function it wraps, keyed by the arguments after
 the context; ``memo_power`` fills ``<base>_pow``, keyed by (i, e).  Here:
 the recursions ``v_in_m`` and ``m_in_v``, and as flat ``{packed int key:
 int}`` tables the generator tables ``_v_in_m_flat(_pow)`` (v_i in the
-m-basis) and ``_m_in_v_scaled(_pow)`` (p^i m_i in the v-basis, integral),
+m-basis) and ``_m_in_v_scaled(_pow)`` (p^i m_i in the v-basis, integral);
 and the scaled images ``_m_to_v_scaled`` (p^s * m^a per m-monomial, over
-``_m_in_v_scaled``).  In ``hopf``, as flat tables, its one internal form
+``_m_in_v_scaled``), filled by hand under the packed m-key int itself,
+each entry (s, ((v-key, int), ...)), the pairs ``_m_to_v_into`` loops
+over.  In ``hopf``, as flat tables, its one internal form
 (it keeps no rows or other layouts): the diagonal ``_psi_t_m`` (over
 Z[m]) and ``_psi_t_v`` (v-basis) with ``_psi_t_v_pow`` and ``_psi_flat``
 (per t-monomial), the right unit's ``_eta_r_m_generator(_pow)``,
@@ -68,9 +70,10 @@ TensorPoly from it per call and stores nothing), ``_factor_actions``,
 reads too) with ``_head_splits`` (the divisors of a head letter it visits)
 and ``_eta_r_cached`` (eta_r per inner value of ``pair_word``, keyed by
 the hashable ``Poly``).  ``OperationExpr.act`` stores nothing of its own;
-its one-index Cartan step reads ``_factor_actions``.  Only ``rtable``, the
-Cartan side's full tables (counts), is filled by hand, in closed form per
-monomial by ``hopf._mono_action_table``.  Callers must not mutate a memo
+its one-index Cartan step reads ``_factor_actions``.  Besides
+``_m_to_v_scaled`` only ``rtable``, the Cartan side's full tables (counts),
+is filled by hand, in closed form per monomial by
+``hopf._mono_action_table``.  Callers must not mutate a memo
 entry.
 """
 
@@ -656,27 +659,38 @@ def canonical_mod(x: Poly, ideal: TermIdeal) -> Poly:
 
 def monomials_of_degree(degree: int, alphabet: Alphabet):
     """Exhaustive, duplicate-free list of monomials of the given degree,
-    sorted by exps; the last generator's exponent is fixed by the rest."""
-    return _monomials(degree, alphabet, exact=True)
+    sorted by exps.  The exponents of the generators past the first are
+    enumerated and the first one's solved for: every generator degree is a
+    multiple of deg(g1) = q, so a degree off those multiples has none."""
+    q, out = alphabet.gen_degree(1), []
+    exps = [0] * alphabet.size
+
+    def rec(i, remaining):  # fixes the exponent of generator i + 1
+        if i == 0:
+            exps[0] = remaining // q
+            out.append(Monomial(alphabet, tuple(exps)))
+            return
+        d = alphabet.gen_degree(i + 1)
+        for e in range(remaining // d + 1):
+            exps[i] = e
+            rec(i - 1, remaining - e * d)
+
+    if degree >= 0 and not degree % q:
+        rec(alphabet.size - 1, degree)
+    return sorted(out, key=lambda m: m.exps)
 
 
 def monomials_up_to(bound: int, alphabet: Alphabet):
     """All monomials of even degree <= bound, sorted by (degree, exps), from
     one pass of the exponent recursion (every generator degree is even)."""
-    return _monomials(bound, alphabet)
-
-
-def _monomials(bound, alphabet, exact=False):
     out = []
 
     def rec(i, remaining, exps):
         if i > alphabet.size:
-            if not (exact and remaining):
-                out.append(Monomial(alphabet, tuple(exps)))
+            out.append(Monomial(alphabet, tuple(exps)))
             return
         d = alphabet.gen_degree(i)
-        top = remaining // d
-        for e in range(top if exact and i == alphabet.size else 0, top + 1):
+        for e in range(remaining // d + 1):
             exps.append(e)
             rec(i + 1, remaining - e * d, exps)
             exps.pop()
@@ -853,8 +867,8 @@ class Context:
         _key_bound(self, x, "to_v_basis")
 
         def image(exps):
-            s, terms = _m_to_v_scaled(self, _pack(exps))
-            return {_unpack(k): Fraction(c, self.prime**s) for k, c in terms.items()}
+            s, pairs = _m_to_v_scaled(self, _pack(exps))
+            return {_unpack(k): Fraction(c, self.prime**s) for k, c in pairs}
 
         return x.substitute(image, self.V)
 
@@ -999,27 +1013,39 @@ def _m_in_v_scaled(ctx: Context, i: int) -> _Flat:
     return _Flat({_pack(e): _num(c * scale) for e, c in ctx.m_in_v(i).terms.items()})
 
 
-@memoized
-def _m_to_v_scaled(ctx: Context, key: int):
-    """(s, p^s * m^a as {packed v-key: int}) for the packed m-monomial m^a,
-    s = a1 + 2 a2 + 3 a3: p^s * m^a = prod_i (p^i m_i)^(a_i), the flat image
-    over ``_m_in_v_scaled``."""
-    exps = _unpack(key)
-    s = sum(i * e for i, e in enumerate(exps, start=1))
-    mono = Poly._raw(ctx.M, {exps: 1})
-    return s, _flat_image(ctx, mono, _m_in_v_scaled, "m_to_v").terms
+def _m_to_v_scaled(ctx: Context, key: int) -> tuple:
+    """(s, ((packed v-key, int), ...)): p^s * m^a in the v-basis for the
+    packed m-monomial m^a, s = a1 + 2 a2 + 3 a3: p^s * m^a = prod_i (p^i
+    m_i)^(a_i), the flat image over ``_m_in_v_scaled`` as its pairs.  Filled
+    by hand into ``ctx.memo["_m_to_v_scaled"]`` under the int key itself, so
+    ``_m_to_v_into`` reads it with one int lookup per term."""
+    table = ctx.memo["_m_to_v_scaled"]
+    got = table.get(key)
+    if got is None:
+        exps = _unpack(key)
+        s = sum(i * e for i, e in enumerate(exps, start=1))
+        image = _flat_image(ctx, Poly._raw(ctx.M, {exps: 1}), _m_in_v_scaled, "m_to_v")
+        got = table[key] = (s, tuple(image.terms.items()))
+    return got
 
 
 def _m_to_v_into(ctx: Context, terms: dict, K: int, into: dict) -> dict:
     """Add p^K times a flat table with m-monomials in its low fields, in the
     v-basis and undivided, into ``into`` (zeros kept): each term times its
-    image p^s m^a (``_m_to_v_scaled``'s memo) times p^(K - s), one per s met."""
-    p, scale, get, images = ctx.prime, {}, into.get, ctx.memo["_m_to_v_scaled"]
+    image p^s m^a, pairs read from ``_m_to_v_scaled``'s table by the int
+    m-key, times p^(K - s).  That factor is computed once per s that occurs
+    and read back by list index (s <= K: the degree of m^a bounds s)."""
+    p, get, images = ctx.prime, into.get, ctx.memo["_m_to_v_scaled"]
+    scale = [0] * (K + 1)
     for k, c in terms.items():
-        s, image = images.get((k & _V_MASK,)) or _m_to_v_scaled(ctx, k & _V_MASK)
-        c *= scale.get(s) or scale.setdefault(s, p ** (K - s))
-        t = k & ~_V_MASK
-        for vk, d in image.items():
+        m = k & _V_MASK
+        s, image = images.get(m) or _m_to_v_scaled(ctx, m)
+        f = scale[s]
+        if not f:
+            f = scale[s] = p ** (K - s)
+        c *= f
+        t = k - m
+        for vk, d in image:
             vk += t
             into[vk] = get(vk, 0) + c * d
     return into

@@ -41,16 +41,19 @@ powers of the generator images eta_R(v_i), flat int tables in the integral
 v-basis.  They come from the flat m-basis right unit (``_eta_r_m_generator``)
 on the integral Hazewinkel expansions ``ctx.v_in_m(i)``, changed back to
 the v-basis by one exact division.  The coherence sweep walks each
-v1-chain v1^a m upward, one 2-term product per monomial:
-eta_R(v1^a m) = eta_R(v1) * eta_R(v1^(a-1) m).  The Cartan side is not
+v1-chain v1^a m upward, one 2-term product per monomial, and carries
+N(x) = -p^K eta_R(x) (K = deg(x)/q, so K(v1 x) = K(x) + 1) rather than
+eta_R(x): N(v1^a m) = p eta_R(v1) * N(v1^(a-1) m), and a copy of N seeds
+the table the Cartan side adds into.  The Cartan side is not
 chained: it runs its own path on every monomial, on flat int tables of its
 own (m-exponents and J in one key): the change to the m-basis over the
 expansions v_i in the m-basis (``_v_in_m_flat``), the Cartan tables in
 closed form (the multinomial theorem on the factor actions R_(p^a e_(i-a))
 m_i = m_a), then the change back over the integral scaled generators p^i m_i
-in the v-basis (``_m_in_v_scaled``), undivided: p^K R_J(x) = p^K eta_R(x)
+in the v-basis (``_m_in_v_scaled``), undivided: p^K R_J(x) + N(x) = 0
 makes R_J(x) integral, as eta_R(x) is a product of generator images divided
-exactly and checked.  Only a failing monomial is divided, for its witness.
+exactly and checked.  Only a failing monomial's N is divided by -p^K, for
+its witness.
 Both basis changes, with their generator tables read off ``Context``'s
 Hazewinkel relations, are ``grading``'s one implementation, which
 ``Context.to_m_basis``/``to_v_basis`` run on too.  The Cartan side must
@@ -853,14 +856,39 @@ def recomputed_pairing_table(ctx: Context) -> list:
     return table
 
 
+def _times_p_eta_v1(ctx: Context, neg: dict) -> dict:
+    """-p^(K+1) eta_R(v1 m) from neg = -p^K eta_R(m): neg times p eta_R(v1),
+    read from its memo at each call; the first term of eta_R(v1) by a
+    comprehension, each further one by a merge pass that drops zero sums."""
+    p = ctx.prime
+    (k1, c1), *rest = _eta_v_generator(ctx, 1).terms.items()
+    c1 *= p
+    out = {k1 + k: c1 * c for k, c in neg.items()}
+    get = out.get
+    for k2, c2 in rest:
+        c2 *= p
+        for k, c in neg.items():
+            k += k2
+            c = get(k, 0) + c2 * c
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+    return out
+
+
 def verify_structural(ctx: Context) -> Report:
     """Structural coherence: exact basis round trip, integral diagonal for
     k <= 3, and Cartan action == right-unit coefficients on every v-monomial
     of degree <= 2(p^3 - 1), comparing the flat cores that ``eta_r`` and
     ``r_action_table`` decode, times p^K (undivided, see the module
-    docstring): ``_cartan_scaled`` per monomial, else ``_cartan_flat`` for a
-    witness, and ``_eta_r_flat`` where a1 = 0, else eta_R(v1) times the
-    image of v1^(a-1) m, which the (degree, exps) order reaches first."""
+    docstring).  Each v1-chain carries N(x) = -p^K eta_R(x) (K = deg(x)/q):
+    ``_eta_r_flat`` times -p^K where a1 = 0, else N(v1^(a-1) m), which the
+    (degree, exps) order reaches first, times p eta_R(v1)
+    (``_times_p_eta_v1``).  A copy of N seeds the table ``_cartan_scaled``
+    adds into; a monomial passes when every entry is 0.  Only a failing
+    one divides N exactly by -p^K, for the ``_cartan_flat`` comparison that
+    gives its witness."""
     p = ctx.prime
     report = Report(
         "structural coherence of the operation calculus",
@@ -897,20 +925,25 @@ def verify_structural(ctx: Context) -> Report:
     bound = 2 * (p**3 - 1)
     mismatches = []
     checked = 0
-    chains = {}  # exponents after v1 -> eta_R of the chain's latest monomial
+    chains = {}  # exponents after v1 -> -p^K eta_R of the chain's latest monomial
     for mono in monomials_up_to(bound, ctx.V):
         x = Poly(ctx.V, {mono.exps: 1})
         checked += 1
         witness = str(mono)
         prev = chains.pop(mono.exps[1:], None)  # None if a1 = 0 or v1^(a-1) m failed
         try:
-            eta = _eta_v_generator(ctx, 1) * prev if prev else _eta_r_flat(ctx, x)
-            if mono.degree + ctx.q <= bound:  # v1 * mono is in the window
-                chains[mono.exps[1:]] = eta
             K = _key_bound(ctx, x, "r_action")
             pK = -(p**K)
-            table = _cartan_scaled(ctx, x, K, {k: pK * c for k, c in eta.terms.items()})
-            same = not any(table.values()) or eta.terms == _cartan_flat(ctx, x).terms
+            if prev:
+                neg = _times_p_eta_v1(ctx, prev)
+            else:
+                neg = {k: pK * c for k, c in _eta_r_flat(ctx, x).terms.items()}
+            if mono.degree + ctx.q <= bound:  # v1 * mono is in the window
+                chains[mono.exps[1:]] = neg
+            table = _cartan_scaled(ctx, x, K, dict(neg))
+            same = not any(table.values()) or (
+                {k: c // pK for k, c in neg.items()} == _cartan_flat(ctx, x).terms
+            )
         except ValueError as exc:  # a non-integral value is a mismatch
             same, witness = False, f"{mono}: {exc}"
         if not same:

@@ -8,6 +8,7 @@ ch. 4) with sympy rationals:
     v1 = p*m1,  v2 = p*m2 - v1^p*m1,  v3 = p*m3 - v1^(p^2)*m2 - v2^p*m1.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,13 @@ from bpcalc import hopf
 from bpcalc.cli import EXIT_TRUNCATION, Config, main, run_verify
 from bpcalc.errors import AlphabetError, ExponentOverflowError, TruncationError
 from bpcalc.grading import (
+    _T_SHIFT,
+    _V_MASK,
     Alphabet,
     Context,
     Poly,
     _flat_image,
+    _m_to_v_into,
     _m_to_v_scaled,
     _pack,
     _trim,
@@ -92,7 +96,7 @@ def test_tables_fill_lazily_and_are_per_context():
     ctx = Context(prime=5)
     memo = ctx.memo
     ctx.to_v_basis(ctx.m(2, 3))
-    assert set(memo["_m_to_v_scaled"]) == {(_pack((0, 3)),)}
+    assert set(memo["_m_to_v_scaled"]) == {_pack((0, 3))}
     assert set(memo["_m_in_v_scaled"]) == {(2,)}
     assert set(memo["_m_in_v_scaled_pow"]) == {(2, 3)}
     assert memo["_v_in_m_flat"] == {} and memo["_v_in_m_flat_pow"] == {}
@@ -185,16 +189,58 @@ def test_flat_images_match_context_maps(prime):
         assert {_unpack(k): c for k, c in image.items()} == expected
         assert all(type(c) is int for c in image.values()), str(mono)
     for mono in monomials_up_to(bound, ctx.M):
-        s, image = _m_to_v_scaled(flat, _pack(mono.exps))
+        s, pairs = _m_to_v_scaled(flat, _pack(mono.exps))
         assert s == sum(i * e for i, e in enumerate(mono.exps, start=1))
         oracle_image = oracle.to_v(ctx, Poly(ctx.M, {mono.exps: 1})).terms
         expected = {e: c * prime**s for e, c in oracle_image.items()}
-        assert {_unpack(k): c for k, c in image.items()} == expected
-        assert all(type(c) is int for c in image.values()), str(mono)
+        assert {_unpack(k): c for k, c in pairs} == expected
+        assert len(dict(pairs)) == len(pairs), str(mono)
+        assert all(type(c) is int and c for _, c in pairs), str(mono)
     # the Cartan side fills the same flat tables
     cold = Context(prime=prime)
     hopf.r_action(cold, (1,), cold.v(1) ** prime * cold.v(2) + cold.v(3))
     assert cold.memo["_v_in_m_flat"] and cold.memo["_m_in_v_scaled"]
+
+
+def _random_m_table(rng, p, K, size, deep):
+    """{m-key + J << _T_SHIFT: coefficient}: size random m-monomials of
+    degree <= Kq (deep: m2's and m3's exponents at most 2 and m1's within
+    3 of the rest of K) under random indices J, with int and Fraction
+    coefficients."""
+    d2, d3 = p + 1, p * p + p + 1  # deg(m_i)/q
+    table = {}
+    while len(table) < size:
+        cap = 2 if deep else K
+        a3 = rng.randrange(min(cap, K // d3) + 1)
+        a2 = rng.randrange(min(cap, (K - a3 * d3) // d2) + 1)
+        rest = K - a3 * d3 - a2 * d2
+        a1 = rest - rng.randrange(4) if deep else rng.randrange(rest + 1)
+        J = tuple(rng.randrange(3) for _ in range(3))
+        c = rng.choice([1, -2, 3, Fraction(1, p), Fraction(-5, 2)])
+        table[_pack((a1, a2, a3)) + _pack(J, _T_SHIFT)] = c
+    return table
+
+
+@pytest.mark.parametrize("prime", [3, 5, 7])
+def test_m_to_v_into_is_p_to_the_k_times_the_oracle_per_index(prime):
+    # random packed (m-key + J) tables, at a window-sized K and at
+    # K = 20000: the undivided change adds, per J, p^K times the oracle's
+    # m -> v change of that J's m-polynomial; into keeps what it held, so
+    # seeded with the negated result it reads 0 everywhere
+    rng, ctx, octx = random.Random(prime), Context(prime=prime), Context(prime=prime)
+    for K, size, deep in ((prime**2 + prime + 1, 60, False), (20000, 8, True)):
+        table = _random_m_table(rng, prime, K, size, deep)
+        out = _m_to_v_into(ctx, table, K, {})
+        by_index = {}
+        for k, c in table.items():
+            by_index.setdefault(k >> _T_SHIFT, {})[_unpack(k & _V_MASK)] = c
+        expected = {}
+        for jk, terms in by_index.items():
+            for e, c in oracle.to_v(octx, Poly(octx.M, terms)).terms.items():
+                expected[_pack(e) + (jk << _T_SHIFT)] = c * prime**K
+        assert expected and {k: c for k, c in out.items() if c} == expected, K
+        seeded = _m_to_v_into(ctx, table, K, {k: -c for k, c in out.items()})
+        assert set(seeded) == set(out) and not any(seeded.values()), K
 
 
 COEFFS = [1, 2, -3, Fraction(1, 2), Fraction(-3, 2)]

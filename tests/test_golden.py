@@ -5,9 +5,11 @@ output of ``bpcalc verify all --prime P --no-timing --format json``.
 ``verify_lemma7_5_pP.json`` and ``verify_lemma7_7_pP.json`` hold the
 stand-alone ``verify lemma7.5`` and ``verify lemma7.7`` reports, which
 ``verify all`` folds into the ``thm7.2`` chain and does not print on their
-own.  ``verify_all_p11.json`` is the same report at p = 11; a CI step
-outside tier-1 compares it with ``cmp``, as it takes about 5 s.  A speedup or refactor must leave these bytes unchanged; rewrite the
-files only for a deliberate change of report content.
+own.  ``verify_all_p11.json`` and ``verify_all_p13.json`` are the same
+report at p = 11 and 13; CI steps outside tier-1 compare them with
+``cmp``, as they take about 5 s and 12 s.  A speedup or refactor must
+leave these bytes unchanged; rewrite the files only for a deliberate
+change of report content.
 """
 
 from pathlib import Path

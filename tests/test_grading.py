@@ -225,14 +225,18 @@ def test_monomials_up_to_is_the_per_degree_concatenation(prime):
 
 @pytest.mark.parametrize("prime", [3, 5, 7])
 def test_monomials_of_degree_is_the_degree_slice_of_monomials_up_to(prime):
-    # every degree up to 2(p^3-1), odd ones, 0 and a negative one included;
-    # with two generators the window reaches the last one
+    # every degree up to 2(p^3-1) + 60, odd ones, even ones off the
+    # multiples of q, 0 and a negative one included; with two generators
+    # the window reaches the last one
     ctx = Context(prime=prime)
-    bound = 2 * (prime**3 - 1)
+    bound = 2 * (prime**3 - 1) + 60
     for alph in (ctx.V, ctx.T, ctx.M, Alphabet("v", 2, prime)):
         window = monomials_up_to(bound, alph)
         for d in range(-2, bound + 1):
-            assert monomials_of_degree(d, alph) == [m for m in window if m.degree == d]
+            found = monomials_of_degree(d, alph)
+            assert found == [m for m in window if m.degree == d]
+            if d % ctx.q:
+                assert found == []
 
 
 def test_monomial_enumeration_indeterminacy_degrees(ctx7):

@@ -830,7 +830,8 @@ def _cartan_basis_change(ctx, key):
     # the right unit's generators first: only the Cartan side reads the
     # scaled image afterwards
     _eta_generators(ctx)
-    grading._m_to_v_scaled(ctx, key)[1][key] += 1
+    s, pairs = grading._m_to_v_scaled(ctx, key)
+    ctx.memo["_m_to_v_scaled"][key] = (s, tuple((k, d + (k == key)) for k, d in pairs))
 
 
 def _cartan_v_to_m(ctx, key):
@@ -872,8 +873,8 @@ def test_coherence_fails_on_a_perturbed_cartan_basis_change():
     # negative control on the Cartan side: one entry of the scaled image of
     # m1 (v1 = p m1) changed by 1
     ctx = Context(prime=5)
-    s, image = grading._m_to_v_scaled(ctx, grading._pack((1,)))
-    assert (s, image) == (1, {grading._pack((1,)): 1})
+    s, pairs = grading._m_to_v_scaled(ctx, grading._pack((1,)))
+    assert (s, pairs) == (1, ((grading._pack((1,)), 1),))
     sweep = _perturbed_coherence("cartan_basis_change", grading._pack((1,)))
     assert not sweep.status
     # the sweep stops at its fourth witness: 1, v1, ..., v1^4 checked
@@ -918,6 +919,27 @@ def test_undivided_sweep_records_what_the_dividing_comparison_gives(monkeypatch,
         assert not dividing.status, key
         fields = lambda r: (r.status, r.computed, r.witness)
         assert fields(undivided) == fields(dividing), key
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_chain_step_is_p_eta_v1_times_the_previous_image(p):
+    # N(x) = -p^K eta_R(x), K = deg(x)/q: on every window monomial with
+    # a1 > 0 the step from N(v1^(a-1) m) is exactly N(v1^a m), and on a
+    # table whose products cancel it drops the zero sum as _Flat's does
+    ctx = Context(prime=p)
+    neg = lambda x, K: {k: -(p**K) * c for k, c in hopf._eta_r_flat(ctx, x).terms.items()}
+    for mono in monomials_up_to(2 * (p**3 - 1), ctx.V):
+        if mono.exps[:1] and mono.exps[0]:
+            K = mono.degree // ctx.q
+            below = Poly(ctx.V, {(mono.exps[0] - 1,) + mono.exps[1:]: 1})
+            step = hopf._times_p_eta_v1(ctx, neg(below, K - 1))
+            assert step == neg(Poly(ctx.V, {mono.exps: 1}), K), mono
+    v1, t1 = grading._gen(1), grading._gen(1, 1, grading._T_SHIFT)
+    assert hopf._eta_v_generator(ctx, 1).terms == {v1: 1, t1: p}
+    cancelling = {v1: 1, t1: -p}  # p^2 v1 t1 - p^2 v1 t1 = 0
+    step = hopf._times_p_eta_v1(ctx, cancelling)
+    assert step == {2 * v1: p, 2 * t1: -(p**3)}
+    assert step == (grading._Flat(cancelling) * hopf._eta_v_generator(ctx, 1)).scale(p).terms
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

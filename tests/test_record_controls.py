@@ -1,7 +1,8 @@
 """A control for every record that compares a computed value with an exact
 expected one (``Report.expect``), and for these ``Report.check`` records:
-lemma7.9's coboundary and integrality tables, lemma 7.1's relations,
-thm7.2's two indeterminacy scans, the structural ``coassociativity``
+lemma7.9's coboundary and integrality tables, lemma 7.3's congruences
+and thm7.10.exact, lemma 7.1's relations, thm7.2's two indeterminacy
+scans, the structural ``coassociativity``
 record at each k it covers, and the structural coherence sweep on the
 closed-form Cartan tables.  A control is a named perturbation of a
 table entry, a relation or an operation value under which a single ``verify
@@ -12,6 +13,7 @@ Lipton and Sayward, "Hints on test data selection", IEEE Computer 1978).
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +31,21 @@ def r_action_scaled(hit, factor=2):
         def r_action(ctx, index, x):
             value = original(ctx, index, x)
             return factor * value if hit(ctx, tuple(index), x) else value
+
+        monkeypatch.setattr(opcalc, "r_action", r_action)
+
+    return perturb
+
+
+def r_action_of_index(hit, other):
+    """opcalc's R_I(x) replaced by R_other(x) wherever hit(ctx, I, x): a
+    slipped index, whose value lies in another degree."""
+
+    def perturb(monkeypatch):
+        original = opcalc.r_action
+
+        def r_action(ctx, index, x):
+            return original(ctx, other if hit(ctx, tuple(index), x) else index, x)
 
         monkeypatch.setattr(opcalc, "r_action", r_action)
 
@@ -201,6 +218,42 @@ CHECK_CONTROLS = {
     },
 }
 
+# ``Report.check`` records that hold a one-index R_I(x) to a congruence:
+# lemma 7.3's on v2 and v3 and thm7.10.exact's on v2^p.  Each R[i] v2,
+# 1 < i <= p + 1, has p-adic valuation exactly its modulus's at p = 5, so
+# dividing it by p fails its record.  lemma7.3.Rpv3 holds for every value
+# of its degree (``test_rpv3_congruence_holds_in_its_degree_alone``): only a
+# value of another degree, R[1] v3 here, can fail it.
+CONGRUENCE_CONTROLS = {
+    "lemma7.3.Rpv2": (
+        "lemma7.3",
+        r_action_scaled(lambda c, I, x: I == (c.prime,) and x == c.v(2)),
+    ),
+    **{
+        f"lemma7.3.R{i}v2": (
+            "lemma7.3",
+            r_action_scaled(lambda c, I, x, i=i: I == (i,) and x == c.v(2), Fraction(1, 5)),
+        )
+        for i in range(2, 5)  # 1 < i < p at p = 5
+    },
+    "lemma7.3.Rp1v2": (
+        "lemma7.3",
+        r_action_scaled(lambda c, I, x: I == (c.prime + 1,) and x == c.v(2), Fraction(1, 5)),
+    ),
+    "lemma7.3.R1v3": (
+        "lemma7.3",
+        r_action_scaled(lambda c, I, x: I == (1,) and x == c.v(3)),
+    ),
+    "lemma7.3.Rpv3": (
+        "lemma7.3",
+        r_action_of_index(lambda c, I, x: I == (c.prime,) and x == c.v(3), (1,)),
+    ),
+    "thm7.10.exact": (
+        "thm7.10",
+        r_action_scaled(lambda c, I, x: I == (c.prime**2,) and x == c.v(2) ** c.prime),
+    ),
+}
+
 # ``Report.check`` records that scan a window for a witness: record id ->
 # (verify target, perturbation, the one witness it leaves)
 SCAN_CONTROLS = {
@@ -238,9 +291,12 @@ def _verify(target, capsys):
     return code, Report.from_json(capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("record", sorted(CONTROLS) + sorted(CHECK_CONTROLS))
+ALL_CONTROLS = {**CONTROLS, **CHECK_CONTROLS, **CONGRUENCE_CONTROLS}
+
+
+@pytest.mark.parametrize("record", sorted(ALL_CONTROLS))
 def test_record_control(monkeypatch, capsys, record):
-    target, perturb, *failing = {**CONTROLS, **CHECK_CONTROLS}[record]
+    target, perturb, *failing = ALL_CONTROLS[record]
     perturb(monkeypatch)
     code, report = _verify(target, capsys)
     assert code == cli.EXIT_CHECK_FAILURE
@@ -346,3 +402,25 @@ def test_every_relation_and_indeterminacy_record_has_a_control(capsys):
         scans = ("relation[", "indeterminacy[")
         ids += [r.id for r in report.records if any(t in r.id for t in scans)]
     assert sorted(ids) == sorted(SCAN_CONTROLS)
+
+
+def test_every_congruence_record_has_a_control(capsys):
+    # every lemma7.3 record but the expect ones and the emitted table, and
+    # thm7.10.exact
+    ids = []
+    for target, prefix in (("lemma7.3", "lemma7.3."), ("thm7.10", "thm7.10.exact")):
+        code, report = _verify(target, capsys)
+        assert code == 0
+        ids += [r.id for r in report.records if r.id.startswith(prefix)]
+    emitted = {"lemma7.3.recomputed-table"}
+    assert sorted(set(ids) - set(CONTROLS) - emitted) == sorted(CONGRUENCE_CONTROLS)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_rpv3_congruence_holds_in_its_degree_alone(p):
+    """R[p] v3 lies in degree deg(v3) - p q = (p^2 + 1)q, where every
+    monomial has v1-exponent >= 2: any value of that degree is 0 mod
+    (p, v1), so lemma7.3.Rpv3 fails only on a value of another degree."""
+    ctx = Context(prime=p)
+    monos = monomials_of_degree((p * p + 1) * ctx.q, ctx.V)
+    assert monos and all(m.exps[0] >= 2 for m in monos)
