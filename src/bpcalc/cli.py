@@ -199,9 +199,10 @@ def parse_operation(text: str, ctx: Context) -> OperationExpr:
             m = _OP_LETTER_RE.match(chunk, pos)
             if not m:
                 break
-            entries = [e for e in m.group(1).split(",")]
-            idx = tuple(_parse_index_entry(e, ctx.prime) for e in entries if e.strip())
-            indices.append(idx)
+            # R[] is R[0]; an empty entry in a non-empty list is an error
+            body = m.group(1)
+            entries = body.split(",") if body.strip() else ()
+            indices.append(tuple(_parse_index_entry(e, ctx.prime) for e in entries))
             pos = m.end()
         if not indices or chunk[pos:].strip():
             raise ParseError(f"expected R[..] factor at {chunk[pos:pos+12]!r}")

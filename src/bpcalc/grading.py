@@ -21,6 +21,9 @@ scaling; ``SparseRing`` adds the product and powers.
 * ``_add_keys``: the product-key rule, ``add_exps`` unless overridden
   (``TensorPoly`` adds ``(left, right)`` pairs side by side; ``_Flat``
   keeps a product loop of its own that adds its int keys inline);
+* ``_pow_key``: the key of a one-term value's n-th power, which ``**``
+  then writes in closed form (``Poly``: the exponents times n; ``_Flat``:
+  the packed key times n); every other value is raised by binary powering;
 * ``_scalars``: the types that multiply by scaling;
 * ``_operand`` and ``_product``: here ``Poly`` coerces int/Fraction
   operands, checks alphabets and checks products against the truncation.
@@ -43,19 +46,21 @@ The module also owns the change of basis between the integral v-generators
 and the rational m-generators (Hazewinkel relations, supported for indices
 1..3), term ideals with their normal-form reduction, and exhaustive
 enumeration of monomials by degree.  The basis change has one
-implementation, on flat tables under packed-int keys read off the
-recursions ``Context.v_in_m`` and ``m_in_v``: ``Context.to_m_basis`` and
-``hopf``'s Cartan side read ``_v_to_m_flat``, ``Context.to_v_basis`` and
-``hopf`` the scaled images ``_m_to_v_scaled``.
+implementation, on flat tables under packed-int keys whose generator
+tables run the Hazewinkel recursions over Z, ``_v_in_m_flat`` and
+``_m_in_v_scaled``: ``Context.to_m_basis`` and ``hopf``'s Cartan side read
+``_v_to_m_flat``, ``Context.to_v_basis`` and ``hopf`` the scaled images
+``_m_to_v_scaled``.
 
 Every memo lives in one store per ``Context``, ``ctx.memo``: named tables
 ``{arguments: value}``, never shared between contexts.  ``memoized`` fills
 the table named after the function it wraps, keyed by the arguments after
-the context; ``memo_power`` fills ``<base>_pow``, keyed by (i, e).  Here:
-the recursions ``v_in_m`` and ``m_in_v``, and as flat ``{packed int key:
-int}`` tables the generator tables ``_v_in_m_flat(_pow)`` (v_i in the
-m-basis) and ``_m_in_v_scaled(_pow)`` (p^i m_i in the v-basis, integral);
-and the scaled images ``_m_to_v_scaled`` (p^s * m^a per m-monomial, over
+the context; ``memo_power`` fills ``<base>_pow``, keyed by (i, e).  Here,
+as flat ``{packed int key: int}`` tables: the generator tables
+``_v_in_m_flat(_pow)`` (v_i in the m-basis) and ``_m_in_v_scaled(_pow)``
+(p^i m_i in the v-basis, integral), each generator's entry filled after
+those of the lower generators its recursion reads; and the scaled images
+``_m_to_v_scaled`` (p^s * m^a per m-monomial, over
 ``_m_in_v_scaled``), filled by hand under the packed m-key int itself,
 each entry (s, ((v-key, int), ...)), the pairs ``_m_to_v_into`` loops
 over.  In ``hopf``, as flat tables, its one internal form
@@ -80,6 +85,7 @@ entry.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -117,6 +123,11 @@ def add_exps(e1, e2) -> tuple:
     if len(e1) < len(e2):
         e1, e2 = e2, e1
     return tuple(a + b for a, b in zip(e1, e2)) + e1[len(e2):]
+
+
+def scale_exps(exps, n) -> tuple:
+    """Every exponent times n: the monomial's n-th power."""
+    return tuple(e * n for e in exps)
 
 
 def exps_divides(e1, e2) -> bool:
@@ -257,6 +268,7 @@ class SparseRing(Sparse):
 
     _scalars = (int, Fraction)
     _add_keys = staticmethod(add_exps)
+    _pow_key = None  # (key, n) -> the key of a one-term value's n-th power
 
     def _product(self, terms):
         return self._like(terms)
@@ -288,8 +300,14 @@ class SparseRing(Sparse):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """The n-th power: a one-term value in closed form when the class
+        has a key rule ``_pow_key`` (c^n at the key times n), any other
+        value by binary powering."""
         if n < 0:
             raise ValueError("negative power")
+        if n and self._pow_key is not None and len(self.terms) == 1:
+            ((key, c),) = self.terms.items()
+            return self._like({self._pow_key(key, n): _num(c**n)})
         result = self._one()
         base = self
         while n:
@@ -305,6 +323,7 @@ class Poly(SparseRing):
     """Sparse polynomial: finite mapping exponent-tuple -> rational, one alphabet."""
 
     __slots__ = ("alphabet",)
+    _pow_key = staticmethod(scale_exps)
 
     def __init__(self, alphabet: Alphabet, terms=None):
         self.alphabet = alphabet
@@ -770,7 +789,8 @@ def memo_power(ctx, base, i, e):
 
     A power extends the cached power one below it when there is one (as
     for the structural sweep's v2 and v3 powers; it chains v1 instead);
-    otherwise it is built by binary powering and only the result is stored.
+    otherwise it is built by ``**`` (in closed form for a one-term
+    generator) and only the result is stored.
     The first power is the generator itself.
     """
     table = ctx.memo[base.__name__ + "_pow"]
@@ -789,11 +809,10 @@ def memo_power(ctx, base, i, e):
 class Context:
     """Fixed prime and truncation carried through every computation.
 
-    Owns the three alphabets, the Hazewinkel v<->m relations (indices 1..3)
-    and ``memo``, the package's one memo store of named tables that fill
-    lazily (the module docstring lists them all).  Its own: ``v_in_m`` and
-    ``m_in_v``; ``to_m_basis`` and ``to_v_basis`` read the flat tables of
-    the module's basis change.  q = 2(p-1).
+    Owns the three alphabets and ``memo``, the package's one memo store of
+    named tables that fill lazily (the module docstring lists them all).
+    ``to_m_basis`` and ``to_v_basis`` read the flat tables of the module's
+    basis change (Hazewinkel relations, indices 1..3).  q = 2(p-1).
     """
 
     def __init__(self, prime: int = 7, truncation: int = 4):
@@ -817,36 +836,6 @@ class Context:
     def qdeg(self, units: int) -> int:
         """Degree of `units * q`."""
         return units * self.q
-
-    # -- Hazewinkel relations ------------------------------------------
-
-    def _hazewinkel_steps(self, tag, i):
-        """The indices i-1, ..., 1 of the relation for generator i (i <= 3)."""
-        if i < 1 or i > HAZEWINKEL_MAX_INDEX:
-            raise TruncationError(
-                f"hazewinkel relation table covers {tag}1..{tag}{HAZEWINKEL_MAX_INDEX}, got {tag}{i}"
-            )
-        return range(i - 1, 0, -1)
-
-    @memoized
-    def v_in_m(self, i: int) -> Poly:
-        """v_i expanded in the rational m-basis, supported for i <= 3:
-        v1 = p*m1, v2 = p*m2 - v1^p*m1, v3 = p*m3 - v1^(p^2)*m2 - v2^p*m1."""
-        steps, p = self._hazewinkel_steps("v", i), self.prime
-        out = p * self.m(i)
-        for j in steps:
-            out = out - self.v_in_m(i - j) ** (p**j) * self.m(j)
-        return out
-
-    @memoized
-    def m_in_v(self, i: int) -> Poly:
-        """m_i expanded in the v-basis with rational coefficients (i <= 3):
-        p*m_i = v_i + sum_{0<j<i} v_(i-j)^(p^j) * m_j."""
-        steps, p = self._hazewinkel_steps("m", i), self.prime
-        out = self.v(i)
-        for j in steps:
-            out = out + self.v(i - j) ** (p**j) * self.m_in_v(j)
-        return Fraction(1, p) * out
 
     def to_m_basis(self, x: Poly) -> Poly:
         """x in the rational m-basis (indices <= 3): an m-polynomial as it
@@ -942,9 +931,11 @@ def _key_bound(ctx: Context, x: Poly, name: str) -> int:
 class _Flat(SparseRing):
     """A flat table: packed int key -> int (or Fraction) coefficient.  A
     product key is the sum of the two keys, added in the loop itself rather
-    than through ``_add_keys``."""
+    than through ``_add_keys``, and a one-term power's key is the key times
+    n (``_pow_key``)."""
 
     __slots__ = ()
+    _pow_key = staticmethod(operator.mul)
 
     def __init__(self, terms):
         self.terms = terms
@@ -998,19 +989,41 @@ def _flat_image(ctx: Context, x: Poly, generator, name: str) -> _Flat:
     return acc
 
 
+def _hazewinkel_steps(tag: str, i: int):
+    """The indices i-1, ..., 1 of the relation for generator i (i <= 3)."""
+    if i < 1 or i > HAZEWINKEL_MAX_INDEX:
+        raise TruncationError(
+            f"hazewinkel relation table covers {tag}1..{tag}{HAZEWINKEL_MAX_INDEX}, got {tag}{i}"
+        )
+    return range(i - 1, 0, -1)
+
+
 @memoized
 def _v_in_m_flat(ctx: Context, i: int) -> _Flat:
-    """v_i in the m-basis (``ctx.v_in_m(i)``, integer coefficients) as a
-    flat table {packed m-key: int}."""
-    return _Flat({_pack(e): c for e, c in ctx.v_in_m(i).terms.items()})
+    """v_i in the m-basis as a flat table {packed m-key: int}, by the
+    Hazewinkel recursion over Z, i <= 3: v_i = p m_i - sum_{0<j<i}
+    v_(i-j)^(p^j) m_j, so v1 = p m1, v2 = p m2 - v1^p m1, v3 = p m3 -
+    v1^(p^2) m2 - v2^p m1."""
+    p = ctx.prime
+    out = _Flat({_gen(i): p})
+    for j in _hazewinkel_steps("v", i):
+        out = out - _v_in_m_flat(ctx, i - j) ** (p**j) * _Flat({_gen(j): 1})
+    return out
 
 
 @memoized
 def _m_in_v_scaled(ctx: Context, i: int) -> _Flat:
-    """p^i * m_i in the v-basis (p^i * ``ctx.m_in_v(i)``) as a flat table
-    {packed v-key: int}; integral: p m1 = v1, p^2 m2 = p v2 + v1^(p+1), ..."""
-    scale = ctx.prime**i
-    return _Flat({_pack(e): _num(c * scale) for e, c in ctx.m_in_v(i).terms.items()})
+    """p^i m_i in the v-basis as a flat table {packed v-key: int}, i <= 3,
+    by the Hazewinkel recursion p m_i = v_i + sum_{0<j<i} v_(i-j)^(p^j)
+    m_j times p^(i-1), over Z: p^i m_i = p^(i-1) v_i + sum_{0<j<i}
+    p^(i-1-j) v_(i-j)^(p^j) (p^j m_j), so p m1 = v1, p^2 m2 = p v2 +
+    v1^(p+1), ..."""
+    p = ctx.prime
+    out = _Flat({_gen(i): p ** (i - 1)})
+    for j in _hazewinkel_steps("m", i):
+        power = _Flat({_gen(i - j, p**j): p ** (i - 1 - j)})
+        out = out + power * _m_in_v_scaled(ctx, j)
+    return out
 
 
 def _m_to_v_scaled(ctx: Context, key: int) -> tuple:

@@ -38,24 +38,24 @@ terms under packed m-keys, as ``_v_to_m_flat`` leaves them.
 
 The right unit is a ring homomorphism, so ``eta_r`` multiplies memoized
 powers of the generator images eta_R(v_i), flat int tables in the integral
-v-basis.  They come from the flat m-basis right unit (``_eta_r_m_generator``)
-on the integral Hazewinkel expansions ``ctx.v_in_m(i)``, changed back to
-the v-basis by one exact division.  The coherence sweep walks each
-v1-chain v1^a m upward, one 2-term product per monomial, and carries
-N(x) = -p^K eta_R(x) (K = deg(x)/q, so K(v1 x) = K(x) + 1) rather than
-eta_R(x): N(v1^a m) = p eta_R(v1) * N(v1^(a-1) m), and a copy of N seeds
-the table the Cartan side adds into.  The Cartan side is not
-chained: it runs its own path on every monomial, on flat int tables of its
-own (m-exponents and J in one key): the change to the m-basis over the
-expansions v_i in the m-basis (``_v_in_m_flat``), the Cartan tables in
-closed form (the multinomial theorem on the factor actions R_(p^a e_(i-a))
-m_i = m_a), then the change back over the integral scaled generators p^i m_i
-in the v-basis (``_m_in_v_scaled``), undivided: p^K R_J(x) + N(x) = 0
-makes R_J(x) integral, as eta_R(x) is a product of generator images divided
-exactly and checked.  Only a failing monomial's N is divided by -p^K, for
-its witness.
-Both basis changes, with their generator tables read off ``Context``'s
-Hazewinkel relations, are ``grading``'s one implementation, which
+v-basis.  They come from the flat m-basis right unit
+(``_eta_r_m_generator``) on the integral Hazewinkel expansions of v_i in
+the m-basis (``_v_in_m_flat``), changed back to the v-basis by one exact
+division.  The coherence sweep walks each v1-chain v1^a m upward, one
+2-term product per monomial, and carries N(x) = -p^K eta_R(x) (K =
+deg(x)/q, so K(v1 x) = K(x) + 1) rather than eta_R(x): N(v1^a m) = p
+eta_R(v1) * N(v1^(a-1) m), and a copy of N seeds the table the Cartan side
+adds into.  The Cartan side is not chained: it runs its own path on every
+monomial, on flat int tables of its own (m-exponents and J in one key): the
+change to the m-basis over the expansions v_i in the m-basis
+(``_v_in_m_flat``), the Cartan tables in closed form (the multinomial
+theorem on the factor actions R_(p^a e_(i-a)) m_i = m_a), then the change
+back over the integral scaled generators p^i m_i in the v-basis
+(``_m_in_v_scaled``), undivided: p^K R_J(x) + N(x) = 0 makes R_J(x)
+integral, as eta_R(x) is a product of generator images divided exactly and
+checked.  Only a failing monomial's N is divided by -p^K, for its witness.
+Both basis changes, with their generator tables built by the Hazewinkel
+recursions over Z, are ``grading``'s one implementation, which
 ``Context.to_m_basis``/``to_v_basis`` run on too.  The Cartan side must
 not be made multiplicative in the v-basis: the Cartan formula is exactly
 the multiplicativity of eta_R, so the cross-check would then compare one
@@ -98,6 +98,7 @@ from .grading import (
     _term,
     _trim,
     _unpack,
+    _v_in_m_flat,
     _v_to_m_flat,
     add_exps,
     add_term,
@@ -424,13 +425,14 @@ def _eta_r_m_generator(ctx: Context, i: int) -> _Flat:
 @memoized
 def _eta_v_generator(ctx: Context, i: int) -> _Flat:
     """Flat eta_R(v_i): the flat m-basis right unit of the Hazewinkel
-    expansion ``ctx.v_in_m(i)`` (integer coefficients), changed back to
-    the v-basis by one exact division (``_m_to_v_flat``)."""
+    expansion of v_i in the m-basis (``_v_in_m_flat``, integer
+    coefficients), changed back to the v-basis by one exact division
+    (``_m_to_v_flat``)."""
 
     def where(tk):
         return f"eta_r(v{i}): non-integral coefficient at t^{_unpack(tk)}"
 
-    x = ctx.v_in_m(i)
+    x = Poly._raw(ctx.M, {_unpack(k): c for k, c in _v_in_m_flat(ctx, i).terms.items()})
     flat = _flat_image(ctx, x, _eta_r_m_generator, f"eta_r(v{i})")
     K = _key_bound(ctx, x, f"eta_r(v{i})")
     return _m_to_v_flat(ctx, flat.terms, K, where)
@@ -526,13 +528,41 @@ def _m_terms(ctx: Context, x: Poly):
     return _v_to_m_flat(ctx, x, "r_action").terms.items()
 
 
+def _index_splits(ctx: Context, index: tuple, bound: tuple) -> list:
+    """The ways the index J = (j1, j2, j3) splits among the factor actions
+    (``_factor_actions``) of at most bound = (A1, A2, A3) factors m1, m2,
+    m3, as (n1, n2, n3, w, offset): n_i factors m_i act (the rest take
+    R_0), in w orders, and shift the key by offset.  Place 3 fixes m3's
+    count there; each lower place b splits among the m_i, i > b, reaching
+    it (step p^(i-b)), and m_b takes the rest."""
+    (j1, j2, j3), (A1, A2, A3) = index, bound
+    fa, p = _factor_actions, ctx.prime
+    (u1, x11), (u2, x22, x21), (u3, x33, x32, x31) = fa(ctx, 1), fa(ctx, 2), fa(ctx, 3)
+    d11, d21, d22, d31, d32 = x11 - u1, x21 - u2, x22 - u2, x31 - u3, x32 - u3
+    pp, top, splits = p * p, j3 * (x33 - u3), []
+    # place 2: k32 factors of m3 (step p), k22 = j2 - p k32 of m2 (step 1)
+    for k32 in range(max(0, -((A2 - j2) // p)), min(A3 - j3, j2 // p) + 1):
+        k22 = j2 - p * k32
+        w32, key32 = comb(j3 + k32, k32), top + k32 * d32 + k22 * d22
+        # place 1: k31 of m3 (step p^2), k21 of m2 (step p), the rest of m1
+        for k31 in range(min(A3 - j3 - k32, j1 // pp) + 1):
+            n3, rest = j3 + k32 + k31, j1 - pp * k31
+            w31, key31 = w32 * comb(n3, k31), key32 + k31 * d31
+            for k21 in range(max(0, -((A1 - rest) // p)), min(A2 - k22, rest // p) + 1):
+                k11, n2 = rest - p * k21, k22 + k21
+                splits.append((k11, n2, n3, w31 * comb(n2, k21), key31 + k21 * d21 + k11 * d11))
+    return splits
+
+
 def _cartan_m(ctx: Context, terms, cap=None) -> dict:
     """R_J of the (packed m-key, coefficient) terms for every J (their
     ``_mono_action_table``s) or for J = cap only, as {m-key + J << _T_SHIFT:
     coefficient}, zeros kept.  One index: the same closed form, no memo and
-    no table per term; place 3 of J fixes m3's count there, each lower place
-    b leaves the splits among the m_i, i > b, reaching it (step p^(i-b)),
-    and m_b takes the rest.  The caller checks cap against the truncation."""
+    no table per term.  J's splits (``_index_splits``) are enumerated once
+    per call, bounded by the largest m1, m2, m3 exponents among the terms,
+    and each term m1^a1 m2^a2 m3^a3 takes every split with n_i <= a_i, with
+    count w C(a1, n1) C(a2, n2) C(a3, n3).  The caller checks cap against
+    the truncation."""
     acc = {}
     get = acc.get
     if cap is None:
@@ -542,30 +572,24 @@ def _cartan_m(ctx: Context, terms, cap=None) -> dict:
         return acc
     if any(cap[HAZEWINKEL_MAX_INDEX:]):
         return acc  # J reaches no place past 3
-    j1, j2, j3 = (cap + (0, 0, 0))[:3]
-    # the keys of R_0 m_i, then of m_i's actions in places i, ..., 1
-    acts = map(_factor_actions, [ctx] * 3, (1, 2, 3))
-    (u1, x11), (u2, x22, x21), (u3, x33, x32, x31) = acts
-    p, pp, d11, d21 = ctx.prime, ctx.prime**2, x11 - u1, x21 - u2
-    mask, top3 = (1 << _FIELD_BITS) - 1, j3 * (x33 - u3)
+    # the m-key is a1 u1 + a2 u2 + a3 u3
+    mask, shift2 = (1 << _FIELD_BITS) - 1, 2 * _FIELD_BITS
+    rows, A1, A2, A3 = [], 0, 0, 0
     for key, c in terms:
-        # the m-key is a1 u1 + a2 u2 + a3 u3
-        a1, a2, a3 = key & mask, key >> _FIELD_BITS & mask, key >> 2 * _FIELD_BITS
-        r3, top = a3 - j3, key + top3
-        # place 2: k32 factors of m3 (step p), k22 = j2 - p k32 of m2 (step 1)
-        for k32 in range(max(0, -((a2 - j2) // p)), min(r3, j2 // p) + 1):
-            k22 = j2 - p * k32
-            r32, r2 = r3 - k32, a2 - k22
-            c32 = comb(a3, j3) * comb(r3, k32) * comb(a2, k22)
-            key32 = top + k32 * (x32 - u3) + k22 * (x22 - u2)
-            # place 1: k31 of m3 (step p^2), k21 of m2 (step p), the rest of m1
-            for k31 in range(min(r32, j1 // pp) + 1):
-                rest = j1 - pp * k31
-                c31, key31 = c32 * comb(r32, k31), key32 + k31 * (x31 - u3)
-                for k21 in range(max(0, -((a1 - rest) // p)), min(r2, rest // p) + 1):
-                    k11 = rest - p * k21
-                    k = key31 + k21 * d21 + k11 * d11
-                    acc[k] = get(k, 0) + c * (c31 * comb(r2, k21) * comb(a1, k11))
+        a1, a2, a3 = key & mask, key >> _FIELD_BITS & mask, key >> shift2
+        rows.append((key, c, a1, a2, a3))
+        if a1 > A1:
+            A1 = a1
+        if a2 > A2:
+            A2 = a2
+        if a3 > A3:
+            A3 = a3
+    splits = _index_splits(ctx, (cap + (0, 0, 0))[:3], (A1, A2, A3))
+    for key, c, a1, a2, a3 in rows:
+        for n1, n2, n3, w, offset in splits:
+            if n1 <= a1 and n2 <= a2 and n3 <= a3:
+                k = key + offset
+                acc[k] = get(k, 0) + c * (w * comb(a1, n1) * comb(a2, n2) * comb(a3, n3))
     return acc
 
 

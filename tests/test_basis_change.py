@@ -24,6 +24,7 @@ from bpcalc.grading import (
     Context,
     Poly,
     _flat_image,
+    _m_in_v_scaled,
     _m_to_v_into,
     _m_to_v_scaled,
     _pack,
@@ -57,6 +58,33 @@ def oracle_terms(exps, gens, v_in_m):
         c = sp.Rational(c)
         out[_trim(mono)] = Fraction(int(c.p), int(c.q))
     return out
+
+
+@pytest.mark.parametrize("prime", [3, 5, 7, 11, 13])
+def test_hazewinkel_tables_match_the_rational_recursion_and_sympy(prime):
+    # the generator tables run the recursions over Z; the oracle runs them
+    # over Q in Poly arithmetic, and sympy expands the relations on its own
+    ctx, octx = Context(prime=prime), Context(prime=prime)
+    gens, v_in_m = sympy_v_in_m(prime)
+    for i in (1, 2, 3):
+        unit = (0,) * (i - 1) + (1,)
+        table = _v_in_m_flat(ctx, i).terms
+        assert all(type(c) is int and c for c in table.values()), i
+        got = {_unpack(k): c for k, c in table.items()}
+        assert got == oracle.v_in_m(octx, i).terms == oracle_terms(unit, gens, v_in_m), i
+        table = _m_in_v_scaled(ctx, i).terms
+        assert all(type(c) is int and c for c in table.values()), i
+        got = {_unpack(k): c for k, c in table.items()}
+        scale = prime**i
+        assert got == {e: c * scale for e, c in oracle.m_in_v(octx, i).terms.items()}, i
+        # sympy's v1..v3 put into p^i m_i's v-image give p^i m_i back
+        image = sp.Poly(0, *gens, domain="QQ")
+        for exps, c in got.items():
+            term = sp.Poly(c, *gens, domain="QQ")
+            for v, e in zip(v_in_m, exps):
+                term *= v**e
+            image += term
+        assert image == sp.Poly(scale * gens[i - 1], *gens, domain="QQ"), i
 
 
 @pytest.mark.parametrize("prime", [5, 7])
@@ -97,11 +125,14 @@ def test_tables_fill_lazily_and_are_per_context():
     memo = ctx.memo
     ctx.to_v_basis(ctx.m(2, 3))
     assert set(memo["_m_to_v_scaled"]) == {_pack((0, 3))}
-    assert set(memo["_m_in_v_scaled"]) == {(2,)}
+    # the recursion for p^2 m2 reads p m1: the lower generator fills first
+    assert list(memo["_m_in_v_scaled"]) == [(1,), (2,)]
     assert set(memo["_m_in_v_scaled_pow"]) == {(2, 3)}
     assert memo["_v_in_m_flat"] == {} and memo["_v_in_m_flat_pow"] == {}
     ctx.to_m_basis(ctx.v(1) * ctx.v(3))
-    assert set(memo["_v_in_m_flat"]) == {(1,), (3,)}
+    # v1 for the image's first factor, then v3 over v2 and v1; the
+    # recursion's powers are not memoized
+    assert list(memo["_v_in_m_flat"]) == [(1,), (2,), (3,)]
     assert set(memo["_v_in_m_flat_pow"]) == {(1, 1), (3, 1)}
     assert not any(Context(prime=5).memo.values())
 
@@ -176,8 +207,8 @@ def test_equal_but_distinct_alphabets_mix():
 
 @pytest.mark.parametrize("prime", [3, 5, 7])
 def test_flat_images_match_context_maps(prime):
-    # the flat basis changes against the tuple-keyed oracle over the
-    # context's Hazewinkel recursions: v^a in the m-basis (over
+    # the flat basis changes against the tuple-keyed oracle over its own
+    # rational Hazewinkel recursions: v^a in the m-basis (over
     # _v_in_m_flat), and p^s * m^a in the v-basis (over _m_in_v_scaled,
     # s = a1 + 2 a2 + 3 a3), all with int coefficients
     ctx, flat = Context(prime=prime), Context(prime=prime)
@@ -283,5 +314,6 @@ def test_verify_all_fills_no_tuple_keyed_table(monkeypatch):
     monkeypatch.setattr(Config, "context", context)
     assert run_verify("all", Config(prime=7, timing=False)).passed
     (ctx,) = built
-    assert not {"v_to_m", "m_to_v", "v_in_m_pow", "m_in_v_pow"} & set(ctx.memo)
+    forbidden = {"v_to_m", "m_to_v", "v_in_m", "m_in_v", "v_in_m_pow", "m_in_v_pow"}
+    assert not forbidden & set(ctx.memo)
     assert ctx.memo["_v_in_m_flat"] and ctx.memo["_m_to_v_scaled"]

@@ -3,6 +3,7 @@ factor at a time, and the memory of deep powers."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -70,6 +71,31 @@ def test_closed_form_tables_match_the_cartan_formula_oracle(p):
     # full tables are memoized per monomial, one-index tables not at all
     assert len(ctx.memo["rtable"]) == len(monos)
     assert set(ctx.memo) == {"_factor_actions", "rtable"}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_one_index_step_is_the_full_table_at_that_index(p):
+    # every m-monomial of degree <= 2(p^3 - 1) under every index of that
+    # degree or less: alone, and all in one call with mixed coefficients,
+    # where the splits are bounded by the largest exponents of all terms
+    ctx = Context(prime=p)
+    bound = 2 * (p**3 - 1)
+    monos = [m.exps for m in monomials_up_to(bound, ctx.M)]
+    by_index = {}  # (m-monomial, packed J) -> its entries of the full table
+    for exps in monos:
+        for k, c in hopf._mono_action_table(ctx, exps).items():
+            by_index.setdefault((exps, k >> grading._T_SHIFT), {})[k] = c
+    coeffs = [1, -2, 3, Fraction(1, p), Fraction(-5, 2)]
+    terms = [(grading._pack(e), coeffs[n % len(coeffs)]) for n, e in enumerate(monos)]
+    for index in (m.exps for m in monomials_up_to(bound, ctx.T)):
+        jk, want = grading._pack(index), {}
+        for exps, (key, c) in zip(monos, terms):
+            table = by_index.get((exps, jk), {})
+            assert hopf._cartan_m(ctx, [(key, 1)], index) == table, (exps, index)
+            for k, n in table.items():
+                want[k] = want.get(k, 0) + c * n
+        got = hopf._cartan_m(ctx, terms, index)
+        assert {k: c for k, c in got.items() if c} == {k: c for k, c in want.items() if c}
 
 
 def test_one_index_on_a_deep_m1_power():

@@ -67,6 +67,13 @@ OPERATION_PARSE_ERRORS = [
     ("R[1]x", "expected R[..] factor at 'x'"),
     ("R[q]", "bad index entry 'q' (use integers, p, or p^k)"),
     ("R[1,p^]", "bad index entry 'p^' (use integers, p, or p^k)"),
+    # an empty entry in a non-empty list is not dropped: R[,1] is neither
+    # R[1] nor R[0,1]
+    ("R[,1]", "bad index entry '' (use integers, p, or p^k)"),
+    ("R[1,,2]", "bad index entry '' (use integers, p, or p^k)"),
+    ("R[1,]", "bad index entry '' (use integers, p, or p^k)"),
+    ("R[ ,1]", "bad index entry '' (use integers, p, or p^k)"),
+    ("R[p,]R[1]", "bad index entry '' (use integers, p, or p^k)"),
 ]
 
 
@@ -76,6 +83,14 @@ def test_each_operation_parse_error_is_one_usage_line(capsys, literal, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("literal", ["R[]", "R[ ]", "R[0]", "R[0,0]"])
+def test_an_empty_index_is_r0(capsys, literal):
+    ctx = Context(prime=5)
+    assert parse_operation(literal, ctx).parts == ((1, ((),)),)
+    assert main(["eval", "--prime", "5", "--", literal, "v2"]) == EXIT_PASS
+    assert capsys.readouterr().out == "v2\n"
 
 
 RELATION_LITERALS = [

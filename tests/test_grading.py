@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _basis_oracle as oracle
 from bpcalc.errors import (
     AlphabetError,
     DegreeError,
@@ -17,7 +18,10 @@ from bpcalc.grading import (
     Context,
     Monomial,
     Poly,
+    SparseRing,
     TermIdeal,
+    _Flat,
+    _pack,
     canonical_mod,
     divide_exact,
     format_poly,
@@ -69,6 +73,46 @@ def test_binomial_coefficient_in_tensor_context(ctx7):
     assert expansion.coeff((p,)) == p + 1
 
 
+def _repeated_product(x, n):
+    out = x._one()
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def _one_term_values(ctx):
+    """One-term values of both closed-form kinds, int and Fraction
+    coefficients, a constant of each; then zero values, which power by
+    binary powering."""
+    V = ctx.V
+    return [
+        Poly(V, {(2, 0, 1): -3}),
+        Poly(V, {(0, 1): Fraction(-2, 5)}),
+        Poly.constant(V, 7),
+        Poly.constant(V, Fraction(1, 3)),
+        _Flat({_pack((1, 0, 2)): 2}),
+        _Flat({_pack((3,)): Fraction(-2, 3)}),
+        _Flat({0: Fraction(5, 7)}),
+    ], [Poly.zero(V), _Flat({})]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 57, 20000])
+def test_one_term_powers_match_repeated_multiplication(ctx5, monkeypatch, n):
+    one_term, zeros = _one_term_values(ctx5)
+    want = [_repeated_product(x, n) for x in one_term + zeros]
+    for x, w in zip(one_term + zeros, want):
+        got = x**n
+        assert type(got) is type(x) and got.terms == w.terms, (x, n)
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in w.terms.values()]
+    # a one-term power is written in closed form, without one product
+    def no_product(self, other):
+        raise AssertionError("product in a one-term power")
+
+    monkeypatch.setattr(SparseRing, "__mul__", no_product)
+    monkeypatch.setattr(_Flat, "__mul__", no_product)
+    assert [(x**n).terms for x in one_term] == [w.terms for w in want[: len(one_term)]]
+
+
 def test_homogeneity(ctx7):
     v1, v2 = ctx7.v(1), ctx7.v(2)
     x = v1**8  # degree 96 at p=7
@@ -81,12 +125,14 @@ def test_homogeneity(ctx7):
 
 
 def test_hazewinkel_values(ctx7, ctx5):
+    # the oracle's rational recursion, which the flat tables are checked
+    # against in test_basis_change
     for ctx in (ctx5, ctx7):
         p = ctx.prime
-        assert ctx.v_in_m(1) == p * ctx.m(1)
+        assert oracle.v_in_m(ctx, 1) == p * ctx.m(1)
         expected2 = p * ctx.m(2) - p**p * ctx.m(1) ** (p + 1)
-        assert ctx.v_in_m(2) == expected2
-        v3m = ctx.v_in_m(3)
+        assert oracle.v_in_m(ctx, 2) == expected2
+        v3m = oracle.v_in_m(ctx, 3)
         assert v3m.coeff((0, 0, 1)) == p
         assert v3m.degree() == ctx.V.gen_degree(3)
         # v3 lies in the integral ring: all coefficients are integers here
@@ -94,21 +140,21 @@ def test_hazewinkel_values(ctx7, ctx5):
             Fraction(c).denominator == 1 for c in v3m.terms.values()
         )
     with pytest.raises(TruncationError):
-        ctx7.v_in_m(4)
+        oracle.v_in_m(ctx7, 4)
 
 
 def test_m_in_v_values(ctx7):
     p = ctx7.prime
-    assert ctx7.m_in_v(1) == Fraction(1, p) * ctx7.v(1)
+    assert oracle.m_in_v(ctx7, 1) == Fraction(1, p) * ctx7.v(1)
     expected2 = Fraction(1, p) * ctx7.v(2) + Fraction(1, p * p) * ctx7.v(1) ** (p + 1)
-    assert ctx7.m_in_v(2) == expected2
-    m3 = ctx7.m_in_v(3)
+    assert oracle.m_in_v(ctx7, 2) == expected2
+    m3 = oracle.m_in_v(ctx7, 3)
     assert all(
         Fraction(c).denominator in (1, p, p * p, p**3) for c in m3.terms.values()
     )
     # round trip through the relation table
     for i in (1, 2, 3):
-        assert ctx7.to_v_basis(ctx7.v_in_m(i)) == ctx7.v(i)
+        assert ctx7.to_v_basis(oracle.v_in_m(ctx7, i)) == ctx7.v(i)
         assert ctx7.to_m_basis(ctx7.to_v_basis(ctx7.m(i))) == ctx7.m(i)
 
 
