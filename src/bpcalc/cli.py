@@ -6,14 +6,18 @@ The verify targets, in report order, are the keys of one table,
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error
 (or a pipeline precondition the configuration fails, or a non-integral
-``eval`` value), 3 truncation exceeded.  A verify target that stops on an
-arithmetic error is one failed record ``<target>.crashed`` (under ``verify
-all`` the others still run), ``cat localize`` on a class that fails the
-fraction axioms reports its axiom records (``class[S].*``) and exits 1, and
-``cat check`` on a file with no class and no functor exits 2, as does an
-input or ``--out`` path that cannot be read or written, or a ``cat --out``
-that names the input file (``--out`` is checked before any work, and no
-file is left behind on exit 2 or 3).
+``eval`` value), 3 truncation exceeded, 4 internal error: any other
+exception (a bug, or MemoryError or RecursionError on a run too large)
+prints one ``internal error: <type>: <message>`` line and its traceback on
+stderr, and nothing on stdout; KeyboardInterrupt is not caught.  A verify
+target that stops on an arithmetic error (ValueError, ArithmeticError or a
+BPCalcError) is one failed record ``<target>.crashed``, exit 1 (under
+``verify all`` the others still run); ``cat localize`` on a class that
+fails the fraction axioms reports its axiom records (``class[S].*``) and
+exits 1, and ``cat check`` on a file with no class and no functor exits 2,
+as does an input or ``--out`` path that cannot be read or written, or a
+``cat --out`` that names the input file (``--out`` is checked before any
+work, and no file is left behind on exit 2 or 3).
 Reports are deterministic apart from each record's measured
 ``runtime_ms``: JSON output omits that field under ``--no-timing``, and
 text output never shows it.
@@ -50,6 +54,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATION = 3
+EXIT_INTERNAL = 4
 
 # command -> its line in the top-level help, in the order listed
 COMMANDS = {
@@ -180,19 +185,20 @@ def _parse_index_entry(tok: str, p: int) -> int:
 
 def parse_operation(text: str, ctx: Context) -> OperationExpr:
     """Sums of [rational *] R[..] words, juxtaposition = composition.
-    R[p] and R[p^k] expand with the configured prime."""
+    R[p] and R[p^k] expand with the configured prime.  A scalar stays an
+    int unless it is written ``a/b``."""
     if not text.strip():
         raise ParseError("empty operation literal")
     expr = OperationExpr.zero(ctx)
     for sign, chunk in split_signed_terms(text):
         # one term: optional coefficient then one or more R[...] factors
         m = _OP_COEFF_RE.match(chunk)
-        coeff, pos = Fraction(1), 0
+        coeff, pos = 1, 0
         if m:
             num, _, den = m.group(1).partition("/")
             if den and int(den) == 0:
                 raise ParseError(f"bad coefficient {m.group(1)!r} in {text!r}")
-            coeff = Fraction(int(num), int(den or 1))
+            coeff = Fraction(int(num), int(den)) if den else int(num)
             pos = m.end()
         indices = []
         while True:
@@ -335,17 +341,20 @@ def _config_from(args) -> Config:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    parser = build_parser(command)
-    args = parser.parse_args(argv[1:] if command else argv)
+    """The exit code of the command in argv (the module docstring's table).
+    An exception that no code maps is an internal error, exit 4, never a
+    failed check."""
     try:
-        config = _config_from(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        argv = list(sys.argv[1:] if argv is None else argv)
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        parser = build_parser(command)
+        args = parser.parse_args(argv[1:] if command else argv)
+        try:
+            config = _config_from(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
-    try:
         if config.out:  # an unwritable path fails before any work, leaving no file
             existed = os.path.exists(config.out)
             if existed and command == "cat" and os.path.samefile(config.out, args.file):
@@ -429,6 +438,8 @@ def main(argv=None) -> int:
                         computed=f"{len(hom)} classes: {', '.join(hom)}",
                     )
             return _emit(report, config)
+        parser.print_help()  # no command word
+        return EXIT_USAGE
     except TruncationError as exc:
         print(f"truncation error: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
@@ -438,8 +449,11 @@ def main(argv=None) -> int:
     except BPCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
-    parser.print_help()  # no command word
-    return EXIT_USAGE
+    except Exception as exc:  # a bug, or a run too large for memory or stack
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # Python's own traceback printer: the normal path imports nothing for it
+        sys.__excepthook__(type(exc), exc, exc.__traceback__)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -524,13 +524,14 @@ def parse_poly(text: str, alphabet: Alphabet) -> Poly:
     """Parse ``term (('+'|'-') term)*`` with ``term := [coef '*'] gens``.
 
     ``coef := int | int '/' int``; a bare coefficient is a constant term;
-    a bare generator product has coefficient 1.
+    a bare generator product has coefficient 1.  A coefficient stays an
+    int unless a factor of its term is written ``a/b``.
     """
     if not text.strip():
         raise ParseError("empty polynomial literal")
     terms = {}
     for sgn, chunk in split_signed_terms(text):
-        coeff = Fraction(sgn)
+        coeff = sgn
         exps = [0] * alphabet.size
         for factor in chunk.split("*"):
             factor = factor.strip()
@@ -552,7 +553,8 @@ def parse_poly(text: str, alphabet: Alphabet) -> Poly:
             m = _COEF_RE.match(factor)
             if not m or m.group(2) and int(m.group(2)) == 0:
                 raise ParseError(f"bad factor {factor!r} in {text!r}")
-            coeff *= Fraction(int(m.group(1)), int(m.group(2) or 1))
+            num, den = m.groups()
+            coeff *= Fraction(int(num), int(den)) if den else int(num)
         add_term(terms, _trim(exps), coeff)
     return Poly(alphabet, terms)
 
@@ -1064,17 +1066,25 @@ def _m_to_v_into(ctx: Context, terms: dict, K: int, into: dict) -> dict:
     return into
 
 
-def _m_to_v_flat(ctx: Context, terms: dict, K: int, where) -> _Flat:
-    """``_m_to_v_into``, then one exact division by p^K.  A remainder, or a
-    p left in a Fraction's denominator, is a non-integral value:
-    ValueError(where(t-part of the key))."""
-    p, out, pK = ctx.prime, {}, ctx.prime**K
+def _m_to_v_flat(ctx: Context, terms: dict, K: int, where, L: int = 1, D: int = 1) -> _Flat:
+    """``_m_to_v_into`` on an int table, then one division by p^K L D.  The
+    table holds the m-terms of L x, L clearing x's denominators
+    (``hopf._cleared``), times D, a factor whose p-part may stay in the
+    value (``OperationExpr.act``'s scalar denominators).  The value is
+    integral iff p^(K + v_p(L)) divides every undivided int c; a remainder
+    raises ValueError(where(t-part of the key)).  A quotient is a Fraction
+    only where the rest of L D leaves a denominator."""
+    p, pK = ctx.prime, ctx.prime**K
+    while L % p == 0:  # the p-part of L joins the exact division
+        L //= p
+        pK *= p
+    rest, out = L * D, {}
     for k, c in _m_to_v_into(ctx, terms, K, {}).items():
-        c, r = divmod(c, pK) if c.__class__ is int else (_num(c / pK), 0)
-        if r or c.__class__ is Fraction and padic_valuation(c, p) < 0:
+        c, r = divmod(c, pK)
+        if r:
             raise ValueError(where(k >> _T_SHIFT))
         if c:
-            out[k] = c
+            out[k] = c if rest == 1 else _num(Fraction(c, rest))
     return _Flat(out)
 
 

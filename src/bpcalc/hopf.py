@@ -34,7 +34,9 @@ cross-check.  One R_I(x) on the Cartan side has one path,
 ``OperationExpr.act`` (``r_action`` is the one-letter word); the full tables
 of every R_I(x) (``r_action_table`` and the cross-check) come from
 ``_cartan_flat``.  Both apply the same m-side step, ``_cartan_m``, to
-terms under packed m-keys, as ``_v_to_m_flat`` leaves them.
+terms under packed m-keys, as ``_v_to_m_flat`` leaves them, and both run
+on ints: R_I is Z_(p)-linear, so they act on L x, x's denominators cleared
+once (``_cleared``), and divide the value once by L.
 
 The right unit is a ring homomorphism, so ``eta_r`` multiplies memoized
 powers of the generator images eta_R(v_i), flat int tables in the integral
@@ -69,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 from .arith import padic_valuation
 from .errors import (
@@ -528,6 +530,14 @@ def _m_terms(ctx: Context, x: Poly):
     return _v_to_m_flat(ctx, x, "r_action").terms.items()
 
 
+def _cleared(x: Poly) -> tuple:
+    """(L, L x), L the lcm of the denominators of x's coefficients, so L x
+    has int coefficients.  R_I is Z_(p)-linear, R_I(x) = R_I(L x) / L, so
+    the Cartan side acts on L x and divides its value once by L."""
+    L = lcm(*(c.denominator for c in x.terms.values()))
+    return L, x.scale(L) if L > 1 else x
+
+
 def _index_splits(ctx: Context, index: tuple, bound: tuple) -> list:
     """The ways the index J = (j1, j2, j3) splits among the factor actions
     (``_factor_actions``) of at most bound = (A1, A2, A3) factors m1, m2,
@@ -594,24 +604,28 @@ def _cartan_m(ctx: Context, terms, cap=None) -> dict:
 
 
 def _cartan_scaled(ctx: Context, x: Poly, K: int, into: dict) -> dict:
-    """p^K ``_cartan_flat`` (K: x's ``_key_bound``) undivided, added into ``into``."""
+    """p^K ``_cartan_flat`` (K: x's ``_key_bound``) undivided, added into
+    ``into``, for x with int coefficients (the sweep's monomials)."""
     return _m_to_v_into(ctx, _cartan_m(ctx, _m_terms(ctx, x)), K, into)
 
 
 def _cartan_flat(ctx: Context, x: Poly) -> _Flat:
-    """``_cartan_m`` for every J on the m-basis terms of x (``_m_terms``),
-    back in the v-basis by one exact division (``_m_to_v_flat``), J from
-    ``_T_SHIFT`` up: ``_cartan_scaled`` over p^K.  A p left in a
-    denominator is a non-integral R_J(x): ValueError."""
+    """``_cartan_m`` for every J on the m-basis terms of L x (``_cleared``,
+    ``_m_terms``), all ints, back in the v-basis by one exact division
+    (``_m_to_v_flat``) over p^K L, J from ``_T_SHIFT`` up: for an int x,
+    ``_cartan_scaled`` over p^K.  A p left in a denominator is a
+    non-integral R_J(x): ValueError."""
     K = _key_bound(ctx, x, "r_action")
+    L, x = _cleared(x)
     acc = _cartan_m(ctx, _m_terms(ctx, x))
     where = "r_action: non-integral value at index {}".format
-    return _m_to_v_flat(ctx, acc, K, lambda jk: where(_unpack(jk)))
+    return _m_to_v_flat(ctx, acc, K, lambda jk: where(_unpack(jk)), L)
 
 
 def r_action_table(ctx: Context, x: Poly) -> dict:
     """All nonzero R_I(x) for a v-polynomial, as {index: integral v-Poly},
-    from the full flat Cartan tables (``_cartan_flat``, decoded).  Raises
+    from the full flat Cartan tables (``_cartan_flat``, decoded), which run
+    on ints: x's denominators are cleared once and divided out once.  Raises
     ValueError on a non-integral value, and ExponentOverflowError before any
     arithmetic when an exponent could pass the key field."""
     return _by_t(_cartan_flat(ctx, x), ctx.V)
@@ -756,25 +770,28 @@ class OperationExpr:
         )
 
     def act(self, x: Poly) -> Poly:
-        """The value on x, a v-polynomial (``_m_terms``' contract): x goes
-        to the m-basis once, each word acts right-to-left on its terms under
-        packed m-keys (``_cartan_m``), and the sum of s * D times each word
-        (D = p^k clears every p in a scalar's denominator) comes back once
-        (``_m_to_v_flat``), over D: only that value must be integral, else
-        ValueError.  Terms whose sum is 0, as all of a relation's are, are
-        dropped before the change back.  Identity words add x times the sum
-        of their scalars, after the same input check as every other word.
-        Every letter is checked against the truncation before any
-        arithmetic, so a word whose value is 0 before it reaches a bad
-        letter still raises TruncationError."""
-        ctx, p = self.ctx, self.ctx.prime
+        """The value on x, a v-polynomial (``_m_terms``' contract), on ints
+        from end to end: x goes to the m-basis once, as L x (``_cleared``),
+        each word acts right-to-left on its terms under packed m-keys
+        (``_cartan_m``), and the sum of s * D times each word (D, the lcm
+        of the scalars' denominators, makes every s * D an int) comes back
+        once (``_m_to_v_flat``), over p^K L D.  Only that value must be
+        integral: D times it p-integral, else ValueError.  Terms whose sum
+        is 0, as all of a relation's are, are dropped before the change
+        back.  Identity words add x times the sum of their scalars, after
+        the same input check as every other word.  Every letter is checked
+        against the truncation before any arithmetic, so a word whose value
+        is 0 before it reaches a bad letter still raises TruncationError."""
+        ctx = self.ctx
         bad = [i for _, w in self.parts for i in w if len(i) > ctx.truncation]
         if bad:
             raise TruncationError(f"operation index {bad[0]} outside truncation")
         words = [(s, w) for s, w in self.parts if any(w)]
         same = sum(s for s, w in self.parts if not any(w))  # identity words
-        D = p ** max((padic_valuation(s.denominator, p) for s, _ in words), default=0)
-        K, m, acc = _key_bound(ctx, x, "r_action"), _m_terms(ctx, x), {}
+        D = lcm(*(s.denominator for s, _ in words))
+        K, acc = _key_bound(ctx, x, "r_action"), {}
+        L, Lx = _cleared(x)
+        m = _m_terms(ctx, Lx)
         get = acc.get
         for s, word in words:
             terms = m
@@ -788,10 +805,8 @@ class OperationExpr:
             for k, c in terms:
                 acc[k] = get(k, 0) + c * sD
         acc = {k: c for k, c in acc.items() if c}
-        flat = _m_to_v_flat(ctx, acc, K, lambda _: f"non-integral value of {self}")
+        flat = _m_to_v_flat(ctx, acc, K, lambda _: f"non-integral value of {self}", L, D)
         value = _by_t(flat, ctx.V).get((), Poly.zero(ctx.V))
-        if D > 1:
-            value = value.scale(Fraction(1, D))
         return value + x.scale(same) if same else value
 
     def pair_monomial(self, exps) -> Poly:

@@ -11,6 +11,7 @@ from bpcalc import cli, hopf, opcalc
 from bpcalc import report as report_module
 from bpcalc.cli import (
     EXIT_CHECK_FAILURE,
+    EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_TRUNCATION,
     EXIT_USAGE,
@@ -541,7 +542,7 @@ def _failing_report(ctx):
 
 
 def _raising(exc):
-    def build(ctx):
+    def build(*args):
         raise exc
 
     return build
@@ -609,6 +610,44 @@ def test_verify_target_records_a_crash(monkeypatch, capsys, exc):
     assert report["checks"][0]["witness"] == f"{type(exc).__name__}: {exc}"
 
 
+INTERNAL_ERRORS = [KeyError("planted"), MemoryError(), RecursionError("planted")]
+
+
+@pytest.mark.parametrize("exc", INTERNAL_ERRORS, ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize(
+    "owner, name, argv",
+    [
+        (opcalc, "verify_lemma_7_9", ["verify", "lemma7.9", "--prime", "5", "--no-timing"]),
+        (opcalc, "verify_lemma_7_9", ["verify", "all", "--prime", "5", "--no-timing"]),
+        (cli.catfrac, "localize", ["cat", "localize", "interval.cat"]),
+        (cli.abloc, "localize", ["localize-group", "Z/12", "--invert", "2"]),
+        (hopf.OperationExpr, "act", ["eval", "--prime", "5", "--", "R[1]", "v1^2"]),
+    ],
+    ids=["verify-target", "verify-all", "catfrac.localize", "abloc.localize", "act"],
+)
+def test_an_unmapped_exception_is_an_internal_error(
+    monkeypatch, capsys, tmp_path, owner, name, argv, exc
+):
+    # a bug or a resource error is never a failed check: exit 4, nothing on
+    # stdout, one "internal error:" line and then the traceback on stderr
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "interval.cat").write_text(INTERVAL_CAT)
+    monkeypatch.setattr(owner, name, _raising(exc))
+    assert main(argv) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first, *rest = captured.err.splitlines()
+    assert first == f"internal error: {type(exc).__name__}: {exc}"
+    assert rest[0] == "Traceback (most recent call last):"
+
+
+def test_keyboard_interrupt_is_not_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(hopf.OperationExpr, "act", _raising(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        main(["eval", "--prime", "5", "--", "R[1]", "v1^2"])
+    assert capsys.readouterr().err == ""
+
+
 EVAL_EXIT_CASES = [
     (["R[1]", "v1^2", "--prime", "5"], EXIT_PASS, "10*v1\n"),
     (["R[1]", "v1 +* v2"], EXIT_USAGE, ""),
@@ -643,6 +682,23 @@ EVAL_EXIT_CASES = [
     # identity words alone check their input like every other word
     (["--prime", "5", "--", "R[0]", "v1*v4"], EXIT_TRUNCATION, ""),
     (["--prime", "5", "--", "2*R[0] - R[]", "v1^70000"], EXIT_TRUNCATION, ""),
+    # the value is divided once by the denominators that R_I's linearity
+    # cleared, a scalar's and the polynomial's: p in a scalar's
+    # denominator, units in a scalar's, mixed identity words, and p in a
+    # coefficient's denominator with an integral and a non-integral value
+    (["--prime", "7", "--", "1/7*R[1]", "v1^2"], EXIT_PASS, "2*v1\n"),
+    (["--prime", "7", "--", "1/49*R[1]R[1]", "v2"], EXIT_PASS, "-8*v1^6\n"),
+    (["--prime", "5", "--", "1/2*R[1]R[p]", "v2"], EXIT_PASS, "-18745/2\n"),
+    (["--prime", "5", "--", "1/3*R[1]R[p] - 1/2*R[p]R[1]", "v1*v2"], EXIT_PASS, "131255/6*v1\n"),
+    (["--prime", "5", "--", "R[1] - 1/25*R[0,1]", "v2"], EXIT_PASS, "-1/5 - 6*v1^5\n"),
+    (["--prime", "5", "--", "2*R[0] - R[]", "1/5*v1 + 1/2*v2"], EXIT_PASS, "1/5*v1 + 1/2*v2\n"),
+    (["--prime", "5", "--", "R[1]", "1/5*v1^2"], EXIT_PASS, "2*v1\n"),
+    (["--prime", "5", "--", "R[1]", "1/25*v1^2"], EXIT_USAGE, ""),
+    (["--prime", "5", "--", "R[1]", "1/2*v1^2 + 1/5*v2"], EXIT_USAGE, ""),
+    (["--prime", "5", "--", "R[1]R[1]", "1/25*v2"], EXIT_PASS, "-6*v1^4\n"),
+    (["--prime", "5", "--", "R[1]R[1]", "1/125*v2"], EXIT_USAGE, ""),
+    (["--prime", "7", "--", "R[1]", "1/7*v1^7"], EXIT_PASS, "7*v1^6\n"),
+    (["--prime", "3", "--", "R[1]", "3/49*v1^4 + 1/3*v2"], EXIT_USAGE, ""),
 ]
 
 

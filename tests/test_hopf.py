@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import _basis_oracle as oracle
-from bpcalc import grading, hopf
+from bpcalc import cli, grading, hopf
 from bpcalc.arith import padic_valuation
 from bpcalc.errors import (
     AlphabetError,
@@ -1270,6 +1270,72 @@ def test_act_value_error_is_a_non_integral_table_value(k):
                 expr.act(x)
         seen.add(want.is_integral(p))
     assert seen == {True, False}
+
+
+@given(act_cases)
+@example((5, [(1, [(1,)])], {(2,): Fraction(1, 25)}))  # 2/5*v1: exit 2, yet R[1](v1^2) = 10*v1
+@example((5, [(1, [(1,)])], {(2,): Fraction(1, 10)}))  # v1: the p-part of L = 10 divides exactly
+@example((7, [(Fraction(1, 7), [(1,), (1,)])], {(0, 1): Fraction(1, 7)}))  # -8*v1^6
+@settings(max_examples=60, deadline=None)
+def test_act_is_its_value_on_the_cleared_input_over_l(act_contexts, case):
+    # R_I is Z_(p)-linear: act(x) = act(L x) / L for L the lcm of x's
+    # denominators, and it raises exactly when D times the words' value is
+    # not p-integral (D: the largest p-power in a word scalar's denominator)
+    p, parts, terms = case
+    ctx, octx = act_contexts[p]
+    x = Poly(ctx.V, terms)
+    L = math.lcm(*(Fraction(c).denominator for c in terms.values()))
+    words = tuple((s, w) for s, w in parts if any(w))
+    same = sum(s for s, w in parts if not any(w))
+    d = max((padic_valuation(Fraction(s).denominator, p) for s, _ in words), default=0)
+    try:
+        value = OperationExpr(octx, words).act(Poly(octx.V, {e: c * L for e, c in terms.items()}))
+        value = value.scale(Fraction(1, L))
+    except ValueError:
+        value = None
+    expr = OperationExpr(ctx, tuple(parts))
+    if value is None or not value.scale(p**d).is_integral(p):
+        with pytest.raises(ValueError, match="^non-integral value of "):
+            expr.act(x)
+    else:
+        assert expr.act(x) == value + x.scale(same)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_eval_runs_on_ints_below_the_literals(monkeypatch, capsys, p):
+    # every coefficient that reaches the one-index step, the full Cartan
+    # tables or the change back is an int, whatever the literals' fractions
+    seen = {"_cartan_m": 0, "_m_to_v_into": 0}
+
+    def ints_only(module, name, coefficients):
+        original = getattr(module, name)
+
+        def wrapped(*args):
+            for c in coefficients(*args):
+                assert type(c) is int, (name, c)
+            seen[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    ints_only(hopf, "_cartan_m", lambda ctx, terms, cap=None: [c for _, c in terms])
+    ints_only(
+        grading,
+        "_m_to_v_into",
+        lambda ctx, terms, K, into: [*terms.values(), *into.values()],
+    )
+    polys = ["1/2*v1^2 + 1/3*v2", "1/7*v1*v2 - 3/49*v3", "3/49*v1^4 + v2", "1/2*v1 - 1/7"]
+    ops = ["R[1]", "R[1]R[p] - R[p]R[1]", "1/2*R[1]R[p]", "R[1] - 1/9*R[0,1]", "R[0,1]R[1]"]
+    for poly in polys:
+        for op in ops:
+            assert cli.main(["eval", "--prime", str(p), "--", op, poly]) in (0, 2)
+        ctx = Context(prime=p)
+        try:
+            r_action_table(ctx, grading.parse_poly(poly, ctx.V))
+        except ValueError:
+            pass
+    capsys.readouterr()
+    assert all(seen.values()), seen
 
 
 def test_act_truncation_errors_are_the_tables():
