@@ -78,8 +78,10 @@ the hashable ``Poly``).  ``OperationExpr.act`` stores nothing of its own;
 its one-index Cartan step reads ``_factor_actions``.  Besides
 ``_m_to_v_scaled`` only ``rtable``, the Cartan side's full tables (counts),
 is filled by hand, in closed form per monomial by
-``hopf._mono_action_table``.  Callers must not mutate a memo
-entry.
+``hopf._mono_action_table``, and it is the one table whose entries are
+dropped: ``hopf.verify_structural`` deletes those with an m2 or m3
+exponent once its sweep's degree passes theirs.  Callers must not mutate
+a memo entry.
 """
 
 from __future__ import annotations

@@ -502,7 +502,9 @@ def _mono_action_table(ctx: Context, exps) -> dict:
     m_i^n times the J-parts of (m_i + sum_(a<i) m_a t_(i-a)^(p^a))^n, where
     k_b of the n factors take the b-th of ``_factor_actions`` with count
     n!/(k_0!...k_i!).  Count vectors may share a key.  Callers bound the
-    exponents first (``_key_bound``)."""
+    exponents first (``_key_bound``).  An entry may be gone when a later
+    call needs it as a prefix (``verify_structural`` drops the tables it
+    has passed); it is rebuilt the same way."""
     exps, full = _trim(exps), ctx.memo["rtable"]
     if not exps:
         return full.setdefault((), {0: 1})
@@ -927,7 +929,9 @@ def verify_structural(ctx: Context) -> Report:
     (``_times_p_eta_v1``).  A copy of N seeds the table ``_cartan_scaled``
     adds into; a monomial passes when every entry is 0.  Only a failing
     one divides N exactly by -p^K, for the ``_cartan_flat`` comparison that
-    gives its witness."""
+    gives its witness.  A monomial of degree d expands into m-monomials of
+    degree d, so when d rises the sweep drops every ``rtable`` entry with an
+    m2 or m3 exponent below d; the m1-powers, the shared prefixes, stay."""
     p = ctx.prime
     report = Report(
         "structural coherence of the operation calculus",
@@ -965,7 +969,12 @@ def verify_structural(ctx: Context) -> Report:
     mismatches = []
     checked = 0
     chains = {}  # exponents after v1 -> -p^K eta_R of the chain's latest monomial
+    rtable, degree = ctx.memo["rtable"], 0
     for mono in monomials_up_to(bound, ctx.V):
+        if mono.degree > degree:  # drop the passed tables but the m1-powers
+            degree = mono.degree
+            for exps in [e for e in rtable if len(e) > 1 and ctx.M.degree_of(e) < degree]:
+                del rtable[exps]
         x = Poly(ctx.V, {mono.exps: 1})
         checked += 1
         witness = str(mono)

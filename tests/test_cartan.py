@@ -119,3 +119,47 @@ def test_eval_of_a_deep_power_stays_small(capsys):
     assert code == 0
     assert capsys.readouterr().out == "8327085103932305937187500000*v1^19994\n"
     assert peak < 2 << 20, peak
+
+
+def _passed(ctx, degree):
+    """The memoized tables with an m2 or m3 exponent below degree."""
+    return [e for e in ctx.memo["rtable"] if len(e) > 1 and ctx.M.degree_of(e) < degree]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_sweep_holds_no_table_it_has_passed(monkeypatch, p):
+    # before and after each monomial's Cartan side, no table with an m2 or
+    # m3 exponent is kept below that monomial's degree
+    ctx, original, seen = Context(prime=p), hopf._cartan_scaled, []
+
+    def cartan_scaled(ctx, x, K, into):
+        degree = ctx.V.degree_of(next(iter(x.terms)))
+        assert _passed(ctx, degree) == [], degree
+        out = original(ctx, x, K, into)
+        assert _passed(ctx, degree) == [], degree
+        seen.append(degree)
+        return out
+
+    monkeypatch.setattr(hopf, "_cartan_scaled", cartan_scaled)
+    assert hopf.verify_structural(ctx).passed
+    assert seen[-1] == 2 * (p**3 - 1) and len(seen) > 100
+
+
+def test_sweep_leaves_top_degree_tables_and_m1_powers():
+    ctx = Context(prime=7)
+    bound = 2 * (7**3 - 1)
+    assert hopf.verify_structural(ctx).passed
+    kept = ctx.memo["rtable"]
+    assert {(1, 7), (0, 0, 1)} <= set(kept)  # m1 m2^p and m3: degree 2(p^3 - 1)
+    assert (56,) in kept  # an m1-power below the top degree stays
+    assert _passed(ctx, bound) == []
+
+
+def test_a_table_rebuilt_after_the_sweep_matches_the_oracle():
+    # (1, 1) and (0, 2) are dropped by the sweep; (1, 1, 1) rebuilds its
+    # dropped prefix (1, 1) on the way
+    ctx, memo = Context(prime=7), {}
+    assert hopf.verify_structural(ctx).passed
+    for exps in [(1, 1), (0, 2), (3, 6), (1, 1, 1)]:
+        assert exps not in ctx.memo["rtable"]
+        assert hopf._mono_action_table(ctx, exps) == walk_oracle(7, exps, memo), exps

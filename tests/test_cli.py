@@ -2,8 +2,12 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
 import re
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -646,6 +650,35 @@ def test_keyboard_interrupt_is_not_an_internal_error(monkeypatch, capsys):
     with pytest.raises(KeyboardInterrupt):
         main(["eval", "--prime", "5", "--", "R[1]", "v1^2"])
     assert capsys.readouterr().err == ""
+
+
+# address space of the child: CPython 3.11 with bpcalc imported maps about
+# 22 MB on Linux, the diagonal at p = 11 fits in 26 MB, and the coherence
+# sweep at p = 11 peaks near 38 MB even with its passed tables dropped
+SWEEP_CAP_MB = 32
+
+
+def test_memory_error_in_the_sweep_exits_4():
+    # a real MemoryError, not a planted one: the cap is set in the child only
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (SWEEP_CAP_MB << 20, SWEEP_CAP_MB << 20))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    argv = ["verify", "structural", "--prime", "11", "--no-timing"]
+    got = subprocess.run(
+        [sys.executable, "-m", "bpcalc.cli", *argv],
+        env=env, capture_output=True, text=True, preexec_fn=cap, timeout=60,
+    )
+    assert got.returncode == EXIT_INTERNAL, got.stderr
+    assert got.stdout == ""
+    assert got.stderr.splitlines()[0].startswith("internal error: MemoryError")
+    # raised in the sweep: past the diagonal, before coassociativity
+    assert "in verify_structural" in got.stderr
+    assert "in psi_t" not in got.stderr and "in coassociativity_check" not in got.stderr
 
 
 EVAL_EXIT_CASES = [
